@@ -121,9 +121,23 @@ SCHEMA: dict[str, tuple] = {
 
 @dataclass
 class RunConfig:
+    """A validated scenario configuration.
+
+    ``run_id`` names the run's output directory, so it must be one safe path
+    component: no separator, not empty, ``.`` or ``..``.
+    """
+
     scenario: str
     run_id: str
     values: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        rid = self.run_id
+        if rid in ("", ".", "..") or any(ch in rid for ch in ("/", "\\", "\0")):
+            raise ConfigError(
+                f"run.id {rid!r} must be a single path component "
+                "(no separator, not empty, '.' or '..')"
+            )
 
     def get(self, key: str):
         return self.values[key]
@@ -185,9 +199,48 @@ def _build(raw: dict[str, str], origin: str) -> RunConfig:
                 raise ConfigError(f"{origin}: missing required key {key}")
             values[key] = default
     values["run.scenario"] = scenario
-    cfg = RunConfig(scenario=scenario, run_id=values["run.id"], values=values)
+    if scenario == "sweep":
+        values["sweep.values"] = _axis_values(values, origin)
+    try:
+        cfg = RunConfig(scenario=scenario, run_id=values["run.id"], values=values)
+    except ConfigError as exc:
+        raise ConfigError(f"{origin}: {exc}") from None
     _validate(cfg, origin)
     return cfg
+
+
+def _axis_values(values: dict, origin: str) -> list:
+    """``sweep.values`` typed like the swept key; integer axes take integral values only."""
+    axis = values["sweep.axis"]
+    parser = SCHEMA[axis][0] if axis in SCHEMA else None
+    if parser is not int:
+        return values["sweep.values"]
+    typed = []
+    for v in values["sweep.values"]:
+        if not float(v).is_integer():
+            raise ConfigError(f"{origin}: sweep.values: {v!r} is not an integer, as {axis} requires")
+        typed.append(int(v))
+    return typed
+
+
+def member_config(cfg: RunConfig, value, origin: str = "<sweep member>") -> RunConfig:
+    """The wrapped scenario's config at one axis value, validated like a loaded config.
+
+    It carries the sweep's settings, the defaults of keys the wrapped scenario
+    adds, and ``value`` on the swept key.  Raises ConfigError when the member
+    breaks a rule that a top-level config of that scenario would break.
+    """
+    scenario = cfg.values["sweep.scenario"]
+    values = {k: v for k, v in cfg.values.items() if not k.startswith("sweep.")}
+    for key, (_, default, scopes) in SCHEMA.items():
+        if scenario in scopes and key not in values and default is not _REQUIRED:
+            values[key] = default
+    values[cfg.values["sweep.axis"]] = value
+    values["run.scenario"] = scenario
+    values["run.id"] = "member"
+    member = RunConfig(scenario=scenario, run_id="member", values=values)
+    _validate(member, origin)
+    return member
 
 
 def _validate(cfg: RunConfig, origin: str) -> None:
@@ -212,6 +265,8 @@ def _validate(cfg: RunConfig, origin: str) -> None:
         rule(v["datum.width"] > 0, "datum.width > 0")
         rule(v["datum.shape"] in ("gaussian", "exponential"), "datum.shape known")
         rule(0 not in v["datum.modes"], "datum.modes carries no weight on mode 0")
+    if "evolve.sign" in v:
+        rule(v["evolve.sign"] in (1.0, -1.0), "evolve.sign is +1 or -1")
     if scenario in _WITH_DATUM:
         rule(v["evolve.epsilon"] >= 0, "evolve.epsilon >= 0")
         rule(v["evolve.d_t"] > 0, "evolve.d_t > 0")
@@ -237,6 +292,10 @@ def _validate(cfg: RunConfig, origin: str) -> None:
         rule(v["sweep.axis"] in SCHEMA, "sweep.axis names a known key")
         axis_parser = SCHEMA.get(v["sweep.axis"], (None,))[0]
         rule(axis_parser in (int, float), "sweep.axis names a numeric key")
+        rule(
+            v["sweep.scenario"] in SCHEMA[v["sweep.axis"]][2],
+            "sweep.axis applies to sweep.scenario",
+        )
         rule(len(v["sweep.values"]) > 0, "sweep.values nonempty")
 
 

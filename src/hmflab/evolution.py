@@ -27,7 +27,7 @@ from .spectral import (
     FourierField,
     Grid,
     TruncationCounters,
-    sample_mode,
+    _sample_point,
     shift_rows,
 )
 
@@ -151,9 +151,9 @@ def extract_zeta(
         coeffs = state
     if abs(t) > grid.xi_max:
         raise ValueError(f"readout time {t} beyond the frequency cutoff {grid.xi_max}")
-    z1 = complex(sample_mode(coeffs, grid, 1, np.array([t]), counters)[0])
+    z1 = _sample_point(coeffs, grid, 1, t, counters)
     if check_tol is not None:
-        zm = complex(sample_mode(coeffs, grid, -1, np.array([-t]), counters)[0])
+        zm = _sample_point(coeffs, grid, -1, -t, counters)
         defect = abs(np.conj(z1) - zm)
         if defect > check_tol:
             raise RealityDriftError(
@@ -167,6 +167,27 @@ def extract_zeta_pair(state, grid=None, t=0.0, **kw) -> tuple[complex, complex]:
     return z1, np.conj(z1)
 
 
+class _RK4Work:
+    """Preallocated blocks for the RK4 stages of one solve.
+
+    Every right-hand side writes into these instead of allocating: the two
+    shifted copies of the state, one weighted term, the coupling
+    accumulator, the (xi - n t) factor, the stage state and k1..k4.
+    """
+
+    def __init__(self, grid: Grid):
+        shape = (grid.n_modes, grid.n_xi)
+        self.xi = grid.xi
+        # xi and n at every entry, so (xi - n t) is two whole-array operations
+        self.xi_all = np.tile(self.xi, (grid.n_modes, 1))
+        self.n_all = np.repeat(np.arange(-grid.n_max, grid.n_max + 1.0)[:, None], grid.n_xi, axis=1)
+        self.fac = np.empty(shape)
+        (self.sp, self.sm, self.term, self.acc, self.stage,
+         self.k1, self.k2, self.k3, self.k4) = (
+            np.empty(shape, dtype=np.complex128) for _ in range(9)
+        )
+
+
 def rhs_coeffs(
     coeffs: np.ndarray,
     t: float,
@@ -175,36 +196,70 @@ def rhs_coeffs(
     profile: Profile,
     epsilon: float,
     sign: float = 1.0,
+    out: np.ndarray | None = None,
+    work: _RK4Work | None = None,
 ) -> np.ndarray:
     """Right-hand side on raw coefficient arrays (hot path).
 
     The coupling reads h_{n-k}(xi - k t): the shift -k t is common to all
-    rows, so one whole-array shifted read per k serves every mode.
+    rows, so one whole-array shifted read per k serves every mode, and the
+    mode recursion n -> n -+ 1 is a one-row offset between whole blocks.
+    ``out`` and ``work`` supply storage only; the result is the same bytes
+    with or without them.
     """
-    inc = np.zeros_like(coeffs)
-    xi = grid.xi
+    if work is None:
+        work = _RK4Work(grid)
+    inc = np.empty_like(coeffs) if out is None else out
+    xi = work.xi
     zm1 = np.conj(zeta1)
-    for n, zn in ((1, zeta1), (-1, zm1)):
-        inc[grid.mode_index(n)] = (n * 0.5j * zn) * profile.eta_prime_hat(xi - n * t)
     if epsilon != 0.0:
-        shifted_p = shift_rows(coeffs, grid, -t)  # values at xi - t   (k = +1)
-        shifted_m = shift_rows(coeffs, grid, +t)  # values at xi + t   (k = -1)
+        sp = shift_rows(coeffs, grid, -t, work.sp, work.term)  # values at xi - t   (k = +1)
+        sm = shift_rows(coeffs, grid, +t, work.sm, work.term)  # values at xi + t   (k = -1)
         half_zp = 0.5 * epsilon * zeta1
         half_zm = 0.5 * epsilon * zm1
-        for n in range(-grid.n_max, grid.n_max + 1):
-            row = grid.mode_index(n)
-            acc = None
-            if abs(n - 1) <= grid.n_max:
-                acc = half_zp * shifted_p[grid.mode_index(n - 1)]
-            if abs(n + 1) <= grid.n_max:
-                term = half_zm * shifted_m[grid.mode_index(n + 1)]
-                acc = -term if acc is None else acc - term
-            elif acc is None:
-                continue
-            inc[row] -= (xi - n * t) * acc
+        # row n: acc = half_zp h_{n-1}(xi - t) - half_zm h_{n+1}(xi + t), each
+        # term present only where mode n -+ 1 exists
+        acc, term = work.acc, work.term
+        np.multiply(half_zp, sp[:-1], out=acc[1:])
+        np.multiply(half_zm, sm[1:], out=term[:-1])
+        np.negative(term[0], out=acc[0])
+        np.subtract(acc[1:-1], term[1:-1], out=acc[1:-1])
+        np.subtract(work.xi_all, np.multiply(work.n_all, t, out=work.fac), out=work.fac)
+        np.multiply(work.fac, acc, out=acc)
+        np.subtract(0.0, acc, out=inc)
+    else:
+        inc.fill(0.0)
+    for n, zn in ((1, zeta1), (-1, zm1)):
+        row = grid.mode_index(n)
+        forcing = (n * 0.5j * zn) * profile.eta_prime_hat(xi - n * t)
+        if epsilon != 0.0:
+            np.subtract(forcing, acc[row], out=inc[row])
+        else:
+            inc[row] = forcing
     if sign != 1.0:
         inc *= sign
     return inc
+
+
+def _rk4_step(c: np.ndarray, t: float, h: float, stage_rhs, work: _RK4Work) -> None:
+    """Advance ``c`` in place by one classical RK4 step of size ``h``.
+
+    ``stage_rhs(state, tt, stage, out)`` writes the right-hand side of stage
+    0..3 into ``out``.  A negative ``h`` marches backward.  The update is
+    c + (h/6) (k1 + 2 k2 + 2 k3 + k4), evaluated left to right as written.
+    """
+    k1, k2, k3, k4, y = work.k1, work.k2, work.k3, work.k4, work.stage
+    stage_rhs(c, t, 0, k1)
+    np.add(c, np.multiply(0.5 * h, k1, out=y), out=y)
+    stage_rhs(y, t + 0.5 * h, 1, k2)
+    np.add(c, np.multiply(0.5 * h, k2, out=y), out=y)
+    stage_rhs(y, t + 0.5 * h, 2, k3)
+    np.add(c, np.multiply(h, k3, out=y), out=y)
+    stage_rhs(y, t + h, 3, k4)
+    np.add(k1, np.multiply(2.0, k2, out=k2), out=k1)
+    np.add(k1, np.multiply(2.0, k3, out=k3), out=k1)
+    np.add(k1, k4, out=k1)
+    np.add(c, np.multiply(h / 6.0, k1, out=k1), out=c)
 
 
 def rhs(
@@ -250,23 +305,20 @@ def forward_solve(h0: FourierField, params: EvolutionParams) -> Trajectory:
         raise ValueError("t_final must be an integer number of steps")
     dt = params.d_t
     counters = TruncationCounters()
+    work = _RK4Work(grid)
     c = h0.coeffs.copy()
     t = 0.0
     snap_times = [0.0]
-    snapshots = [FourierField(grid, c)]
+    snapshots = [FourierField(grid, c.copy())]
     zs = np.empty(n_steps + 1, dtype=np.complex128)
     zs[0] = extract_zeta(c, grid, 0.0, counters=counters)
 
-    def f(state, tt):
+    def f(state, tt, stage, out):
         z = extract_zeta(state, grid, tt, check_tol=None, counters=counters)
-        return rhs_coeffs(state, tt, z, grid, params.profile, params.epsilon, params.sign)
+        rhs_coeffs(state, tt, z, grid, params.profile, params.epsilon, params.sign, out, work)
 
     for i in range(1, n_steps + 1):
-        k1 = f(c, t)
-        k2 = f(c + (0.5 * dt) * k1, t + 0.5 * dt)
-        k3 = f(c + (0.5 * dt) * k2, t + 0.5 * dt)
-        k4 = f(c + dt * k3, t + dt)
-        c = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        _rk4_step(c, t, dt, f, work)
         t = i * dt
         peak = np.max(np.abs(c))
         if peak > params.overflow_cap:
@@ -281,7 +333,7 @@ def forward_solve(h0: FourierField, params: EvolutionParams) -> Trajectory:
         zs[i] = extract_zeta(c, grid, t, check_tol=None, counters=counters)
         if i % params.snap_stride == 0 or i == n_steps:
             snap_times.append(t)
-            snapshots.append(FourierField(grid, c))
+            snapshots.append(FourierField(grid, c.copy()))
             edge = float(max(np.max(np.abs(c[:, 0])), np.max(np.abs(c[:, -1]))))
             if edge > counters.max_edge_magnitude:
                 counters.max_edge_magnitude = edge

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, SCHEMA, ConfigError
+from .config import ConfigError, RunConfig, member_config
 from .diagnostics import compare_backward_forward, detect_echoes, fit_decay
 from .evolution import EvolutionParams, forward_solve
 from .norms import a_infinity, functional_M, functional_N, functional_P_Q, solve_a
@@ -410,19 +410,28 @@ _SCENARIO_IMPL = {
 
 
 def run(cfg: RunConfig, out_root, overwrite: bool = False, threads: int = 1) -> RunManifest:
-    """Execute one scenario into ``<out_root>/<run id>/``, manifest last."""
+    """Execute one scenario into ``<out_root>/<run id>/``, manifest last.
+
+    A non-empty run directory is cleared only when it holds a manifest, that
+    is, when this program wrote it, and ``overwrite`` is set; otherwise the
+    run is refused and nothing is deleted.
+    """
     out = Path(out_root) / cfg.run_id
-    manifest_path = out / "manifest.json"
-    if manifest_path.exists() and not overwrite:
-        raise RunRefusedError(
-            f"run id {cfg.run_id!r} already completed at {out}; pass overwrite to redo"
-        )
+    if out.is_dir() and any(out.iterdir()):
+        if not (out / "manifest.json").is_file():
+            raise RunRefusedError(
+                f"{out} is not empty and holds no manifest.json; refusing to clear it"
+            )
+        if not overwrite:
+            raise RunRefusedError(
+                f"run id {cfg.run_id!r} already completed at {out}; pass overwrite to redo"
+            )
+        for old in out.iterdir():
+            if old.is_dir() and not old.is_symlink():
+                shutil.rmtree(old)
+            else:
+                old.unlink()
     out.mkdir(parents=True, exist_ok=True)
-    for old in out.iterdir():
-        if old.is_file():
-            old.unlink()
-        else:
-            shutil.rmtree(old)
     started = time.time()
     manifest = {
         "run_id": cfg.run_id,
@@ -451,20 +460,9 @@ def run(cfg: RunConfig, out_root, overwrite: bool = False, threads: int = 1) -> 
 
 
 def _sweep_member(args):
-    base_values, axis, value, member_dir = args
-    from .config import RunConfig as RC
-
-    values = dict(base_values)
-    parser = SCHEMA[axis][0]
-    values[axis] = parser(str(value)) if parser in (int, float) else value
-    scenario = values["sweep.scenario"]
-    member_values = {
-        k: v for k, v in values.items() if not k.startswith("sweep.")
-    }
-    member_values["run.scenario"] = scenario
-    member_values["run.id"] = "member"
-    member = RC(scenario=scenario, run_id="member", values=member_values)
+    cfg, value, member_dir = args
     try:
+        member = member_config(cfg, value, origin=f"sweep member {fmt_axis(value)}")
         result = run(member, member_dir, overwrite=True)
         headline = result.data["headline"]
         return {"value": value, "ok": True, **headline}
@@ -480,9 +478,7 @@ def sweep(cfg: RunConfig, out: Path, threads: int = 1) -> dict:
     """
     axis = cfg.values["sweep.axis"]
     values = cfg.values["sweep.values"]
-    jobs = [
-        (cfg.values, axis, v, str(out / "runs" / f"{i:03d}")) for i, v in enumerate(values)
-    ]
+    jobs = [(cfg, v, str(out / "runs" / f"{i:03d}")) for i, v in enumerate(values)]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_sweep_member, jobs))

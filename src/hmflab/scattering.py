@@ -26,11 +26,11 @@ explains why late windows are echo-safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass, field as dfield, replace
 
 import numpy as np
 
-from .evolution import FieldSeries, Trajectory, rhs_coeffs
+from .evolution import FieldSeries, Trajectory, _rk4_step, _RK4Work, rhs_coeffs
 from .norms import functional_M, functional_N, solve_a
 from .profiles import Profile, kernel_j
 from .spectral import FourierField, TruncationCounters, sample_mode
@@ -184,6 +184,7 @@ class _Workspace:
         self.snap_idx = np.array(idx)
         self.snap_times = self.t_fine[self.snap_idx]
         self.weight = solve_a(cfg.T, cfg.norm_delta, cfg.d_t)
+        self.rk4 = _RK4Work(self.grid)
 
     def coupling_forcing(self, snaps: list[np.ndarray], zeta_z: np.ndarray) -> np.ndarray:
         """Phi on the field grid from stored snapshots (trapezoid over them).
@@ -247,17 +248,16 @@ class _Workspace:
         pos = {int(i): m for m, i in enumerate(self.snap_idx)}
         snaps[pos[self.n_steps]] = c.copy()
         h = -dt
-        prof, eps, sign = cfg.background, cfg.epsilon, cfg.sign
+        prof, eps, sign, work = cfg.background, cfg.epsilon, cfg.sign, self.rk4
+        fields = [0j] * 4  # the frozen field at the four stages of the current step
+
+        def f(state, tt, stage, out):
+            rhs_coeffs(state, tt, fields[stage], grid, prof, eps, sign, out, work)
+
         for i in range(self.n_steps, 0, -1):
-            t = self.t_fine[i]
-            z_a = zeta_z[i * zr]
             z_mid = zeta_z[i * zr - zr // 2]
-            z_b = zeta_z[(i - 1) * zr]
-            k1 = rhs_coeffs(c, t, z_a, grid, prof, eps, sign)
-            k2 = rhs_coeffs(c + (0.5 * h) * k1, t + 0.5 * h, z_mid, grid, prof, eps, sign)
-            k3 = rhs_coeffs(c + (0.5 * h) * k2, t + 0.5 * h, z_mid, grid, prof, eps, sign)
-            k4 = rhs_coeffs(c + h * k3, t + h, z_b, grid, prof, eps, sign)
-            c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            fields[:] = (zeta_z[i * zr], z_mid, z_mid, zeta_z[(i - 1) * zr])
+            _rk4_step(c, self.t_fine[i], h, f, work)
             if (i - 1) in pos:
                 peak = float(np.max(np.abs(c)))
                 if peak > cfg.overflow_cap:
@@ -412,7 +412,7 @@ def continue_in_T(config: ScatteringConfig, t_values) -> ContinuationResult:
     prev_series: FieldSeries | None = None
     last_traj = None
     for T in t_values:
-        cfg = _with_T(config, T)
+        cfg = replace(config, T=T)
         traj, trace = backward_solve(cfg)
         traces.append(trace)
         series.append(traj.series)
@@ -447,27 +447,6 @@ def continue_in_T(config: ScatteringConfig, t_values) -> ContinuationResult:
         traces=traces,
         series=series,
         last_trajectory=last_traj,
-    )
-
-
-def _with_T(config: ScatteringConfig, T: float) -> ScatteringConfig:
-    return ScatteringConfig(
-        terminal=config.terminal,
-        background=config.background,
-        epsilon=config.epsilon,
-        T=T,
-        d_t=config.d_t,
-        tau=config.tau,
-        sign=config.sign,
-        picard_max_iters=config.picard_max_iters,
-        picard_tol=config.picard_tol,
-        zeta_refine=config.zeta_refine,
-        snap_stride=config.snap_stride,
-        inner_max=config.inner_max,
-        overflow_cap=config.overflow_cap,
-        norm_lambda=config.norm_lambda,
-        norm_delta=config.norm_delta,
-        trace_norm_stride=config.trace_norm_stride,
     )
 
 

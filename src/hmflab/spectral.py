@@ -17,6 +17,7 @@ array terms is a combined reversal of both axes plus conjugation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -168,11 +169,20 @@ def _cubic_weights(u):
     )
 
 
-def shift_rows(coeffs: np.ndarray, grid: Grid, delta: float) -> np.ndarray:
+def shift_rows(
+    coeffs: np.ndarray,
+    grid: Grid,
+    delta: float,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
     """Sample every mode row at xi + delta (cubic, zero beyond the cutoff).
 
     The shift is common to all rows, so the interpolation reduces to four
-    shifted slice accumulations with scalar weights.
+    shifted accumulations with scalar weights.  ``out`` receives the result
+    and ``scratch`` holds one weighted term at a time; both are C-contiguous
+    arrays shaped like ``coeffs`` and supply storage only, so the result is
+    the same bytes with or without them.
     """
     s = delta / grid.d_xi
     if abs(s - round(s)) < 1e-9:  # snap so on-node shifts reproduce stored values
@@ -180,20 +190,40 @@ def shift_rows(coeffs: np.ndarray, grid: Grid, delta: float) -> np.ndarray:
     b = int(np.floor(s))
     w = _cubic_weights(s - b)
     n = grid.n_xi
-    out = np.zeros_like(coeffs)
-    for m, wm in zip((-1, 0, 1, 2), w):
-        off = b + m
-        lo = max(0, -off)
-        hi = min(n, n - off)
-        if lo < hi:
-            out[..., lo:hi] += wm * coeffs[..., lo + off : hi + off]
-    # compact-support truncation: columns sampled beyond the cutoff are zero
-    j_min = int(np.ceil(-s - 1e-9))
-    j_max = int(np.floor(2 * grid.n_half - s + 1e-9))
-    if j_min > 0:
-        out[..., : min(j_min, n)] = 0.0
-    if j_max < n - 1:
-        out[..., max(j_max + 1, 0) :] = 0.0
+    coeffs = np.ascontiguousarray(coeffs)
+    out = np.empty_like(coeffs) if out is None else out
+    scratch = np.empty_like(coeffs) if scratch is None else scratch
+    if not (out.flags.c_contiguous and scratch.flags.c_contiguous):
+        raise ValueError("shift_rows buffers must be C-contiguous")
+    # columns sampled inside the cutoff; the rest are zero (compact-support truncation)
+    j_lo = min(max(int(np.ceil(-s - 1e-9)), 0), n)
+    j_hi = min(max(int(np.floor(2 * grid.n_half - s + 1e-9)) + 1, 0), n)
+    if j_lo < j_hi:
+        # In row-major order one stencil term over all rows is one contiguous
+        # slice.  Where a term's source column lies off the row, that slice
+        # read the neighbouring row instead of the zero beyond the cutoff: the
+        # term is zeroed there, and adding +0 leaves every sum unchanged.
+        flat_c, flat_o, flat_s = coeffs.reshape(-1), out.reshape(-1), scratch.reshape(-1)
+        first, stop = j_lo, flat_o.size - n + j_hi
+        for m, wm in zip((-1, 0, 1, 2), w):
+            off = b + m
+            lo, hi = max(first, -off), min(stop, flat_c.size - off)
+            if m == -1:
+                # the sum starts from +0, which fixes the sign of exact zeros
+                flat_o[first:lo] = 0.0
+                flat_o[max(hi, lo):stop] = 0.0
+            if lo < hi:
+                np.multiply(wm, flat_c[lo + off : hi + off], out=flat_s[lo:hi])
+                if -off > j_lo:
+                    scratch[..., j_lo : min(-off, j_hi)] = 0.0
+                if n - off < j_hi:
+                    scratch[..., max(n - off, j_lo) : j_hi] = 0.0
+                if m == -1:
+                    np.add(0.0, flat_s[lo:hi], out=flat_o[lo:hi])
+                else:
+                    flat_o[lo:hi] += flat_s[lo:hi]
+    out[..., :j_lo] = 0.0
+    out[..., j_hi:] = 0.0
     return out
 
 
@@ -235,6 +265,39 @@ def sample_mode(
             acc[ok] += wm[ok] * row[idx[ok]]
     out[inside] = acc
     return out
+
+
+def _sample_point(
+    coeffs: np.ndarray,
+    grid: Grid,
+    n: int,
+    x: float,
+    counters: TruncationCounters | None = None,
+) -> complex:
+    """``sample_mode`` at the single point x, in scalar arithmetic.
+
+    Same operations in the same order, so the value and the counter updates
+    are identical to ``sample_mode(coeffs, grid, n, [x], counters)[0]``.
+    """
+    row = coeffs[grid.mode_index(n)]
+    inside = abs(x) <= grid.xi_max
+    if counters is not None:
+        if not inside:
+            counters.out_of_range_reads += 1
+        edge = max(abs(row[0]), abs(row[-1]))
+        if edge > counters.max_edge_magnitude:
+            counters.max_edge_magnitude = float(edge)
+    if not inside:
+        return 0j
+    s = (x + grid.xi_max) / grid.d_xi
+    if abs(s - round(s)) < 1e-9:
+        s = float(round(s))
+    b = math.floor(s)
+    acc = np.complex128(0.0)
+    for m, wm in zip((-1, 0, 1, 2), _cubic_weights(s - b)):
+        if 0 <= b + m < grid.n_xi:
+            acc += wm * row[b + m]
+    return complex(acc)
 
 
 def eval_shifted(

@@ -65,6 +65,15 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="not valid for scenario"):
             config_from_text("run.scenario = bgk\nrun.id = x\nstability.n_scan = 7\n")
 
+    @pytest.mark.parametrize("run_id", [".", "..", "a/b", "../escape", "a\\b", ""])
+    def test_run_id_must_be_one_path_component(self, run_id):
+        with pytest.raises(ConfigError, match="run.id"):
+            config_from_text(f"run.scenario = bgk\nrun.id = {run_id}\n")
+
+    def test_sign_checked_at_load(self):
+        with pytest.raises(ConfigError, match="evolve.sign"):
+            config_from_text(BACKWARD_SMALL + "evolve.sign = 0.5\n")
+
     def test_horizon_precondition(self):
         with pytest.raises(ConfigError, match="horizon exceeds grid"):
             config_from_text(
@@ -129,9 +138,30 @@ class TestScenarios:
     def test_rerun_refused_without_overwrite(self, tmp_path):
         cfg = config_from_text("run.scenario = bgk\nrun.id = r1\n")
         run(cfg, tmp_path)
+        before = {p.name: p.read_bytes() for p in (tmp_path / "r1").iterdir()}
         with pytest.raises(RunRefusedError):
             run(cfg, tmp_path)
+        assert {p.name: p.read_bytes() for p in (tmp_path / "r1").iterdir()} == before
         run(cfg, tmp_path, overwrite=True)
+
+    def test_foreign_directory_never_cleared(self, tmp_path):
+        foreign = tmp_path / "r3"
+        foreign.mkdir()
+        (foreign / "notes.txt").write_text("not written by hmflab")
+        cfg = config_from_text("run.scenario = bgk\nrun.id = r3\n")
+        for overwrite in (False, True):
+            with pytest.raises(RunRefusedError, match="no manifest"):
+                run(cfg, tmp_path, overwrite=overwrite)
+        assert sorted(p.name for p in foreign.iterdir()) == ["notes.txt"]
+
+    def test_siblings_untouched(self, tmp_path):
+        run(config_from_text("run.scenario = bgk\nrun.id = first\n"), tmp_path)
+        (tmp_path / "unrelated.txt").write_text("keep me")
+        cfg = config_from_text("run.scenario = bgk\nrun.id = second\n")
+        run(cfg, tmp_path)
+        run(cfg, tmp_path, overwrite=True)
+        assert (tmp_path / "unrelated.txt").read_text() == "keep me"
+        assert (tmp_path / "first" / "manifest.json").exists()
 
     def test_determinism_bit_identical(self, tmp_path):
         cfg = config_from_text(BACKWARD_SMALL)
@@ -227,6 +257,35 @@ class TestSweep:
         lines = (tmp_path / "sw-eps" / "sweep.csv").read_text().splitlines()[1:]
         ratios = [float(line.split(",")[3]) for line in lines]
         assert ratios[0] < ratios[1] < ratios[2]
+
+    def test_integer_axis_sweep(self, tmp_path):
+        cfg = config_from_text(
+            BACKWARD_SMALL.replace("run.scenario = backward", "run.scenario = sweep")
+            .replace("run.id = bw-1", "run.id = sw-int")
+            .replace("evolve.T = 8", "evolve.T = 1")
+            + "sweep.scenario = backward\nsweep.axis = grid.n_max\nsweep.values = 2, 3\n"
+        )
+        assert cfg.values["sweep.values"] == [2, 3]
+        manifest = run(cfg, tmp_path)
+        assert manifest.data["headline"]["n_failed"] == 0
+        lines = (tmp_path / "sw-int" / "sweep.csv").read_text().splitlines()
+        assert [line.split(",")[:2] for line in lines[1:]] == [["2", "true"], ["3", "true"]]
+        member = json.loads((tmp_path / "sw-int" / "runs" / "000" / "member" / "manifest.json").read_text())
+        assert member["config"]["grid.n_max"] == 2
+
+    def test_integer_axis_rejects_fractions(self):
+        with pytest.raises(ConfigError, match="not an integer"):
+            config_from_text(
+                "run.scenario = sweep\nrun.id = s\nsweep.scenario = backward\n"
+                "sweep.axis = grid.n_max\nsweep.values = 2, 2.5\n"
+            )
+
+    def test_axis_must_apply_to_scenario(self):
+        with pytest.raises(ConfigError, match="applies to sweep.scenario"):
+            config_from_text(
+                "run.scenario = sweep\nrun.id = s\nsweep.scenario = forward\n"
+                "sweep.axis = picard.tol\nsweep.values = 1e-6, 1e-7\n"
+            )
 
     def test_axis_must_be_numeric(self):
         with pytest.raises(ConfigError, match="numeric"):

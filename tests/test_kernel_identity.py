@@ -1,0 +1,233 @@
+"""The buffered RK4 kernels reproduce the straightforward per-row ones byte for byte.
+
+``reference_shift_rows``, ``reference_rhs_coeffs`` and ``reference_rk4_step``
+are the allocating, row-by-row forms the hot path was written from.  The
+production kernels reorganise storage only, so every comparison here is on
+``tobytes()``: values, signed zeros and all.
+"""
+
+import numpy as np
+import pytest
+
+from hmflab.evolution import (
+    EvolutionParams,
+    _RK4Work,
+    extract_zeta,
+    forward_solve,
+    rhs_coeffs,
+)
+from hmflab.profiles import bgk_to_field, make_asymptotic_datum, maxwellian, solve_bgk
+from hmflab.scattering import ScatteringConfig, _Workspace
+from hmflab.spectral import (
+    TruncationCounters,
+    _cubic_weights,
+    _sample_point,
+    make_grid,
+    sample_mode,
+    shift_rows,
+)
+
+
+def reference_shift_rows(coeffs, grid, delta):
+    s = delta / grid.d_xi
+    if abs(s - round(s)) < 1e-9:
+        s = float(round(s))
+    b = int(np.floor(s))
+    w = _cubic_weights(s - b)
+    n = grid.n_xi
+    out = np.zeros_like(coeffs)
+    for m, wm in zip((-1, 0, 1, 2), w):
+        off = b + m
+        lo = max(0, -off)
+        hi = min(n, n - off)
+        if lo < hi:
+            out[..., lo:hi] += wm * coeffs[..., lo + off : hi + off]
+    j_min = int(np.ceil(-s - 1e-9))
+    j_max = int(np.floor(2 * grid.n_half - s + 1e-9))
+    if j_min > 0:
+        out[..., : min(j_min, n)] = 0.0
+    if j_max < n - 1:
+        out[..., max(j_max + 1, 0) :] = 0.0
+    return out
+
+
+def reference_rhs_coeffs(coeffs, t, zeta1, grid, profile, epsilon, sign=1.0):
+    inc = np.zeros_like(coeffs)
+    xi = grid.xi
+    zm1 = np.conj(zeta1)
+    for n, zn in ((1, zeta1), (-1, zm1)):
+        inc[grid.mode_index(n)] = (n * 0.5j * zn) * profile.eta_prime_hat(xi - n * t)
+    if epsilon != 0.0:
+        shifted_p = reference_shift_rows(coeffs, grid, -t)
+        shifted_m = reference_shift_rows(coeffs, grid, +t)
+        half_zp = 0.5 * epsilon * zeta1
+        half_zm = 0.5 * epsilon * zm1
+        for n in range(-grid.n_max, grid.n_max + 1):
+            row = grid.mode_index(n)
+            acc = None
+            if abs(n - 1) <= grid.n_max:
+                acc = half_zp * shifted_p[grid.mode_index(n - 1)]
+            if abs(n + 1) <= grid.n_max:
+                term = half_zm * shifted_m[grid.mode_index(n + 1)]
+                acc = -term if acc is None else acc - term
+            elif acc is None:
+                continue
+            inc[row] -= (xi - n * t) * acc
+    if sign != 1.0:
+        inc *= sign
+    return inc
+
+
+def reference_rk4_step(c, t, h, f):
+    k1 = f(c, t, 0)
+    k2 = f(c + (0.5 * h) * k1, t + 0.5 * h, 1)
+    k3 = f(c + (0.5 * h) * k2, t + 0.5 * h, 2)
+    k4 = f(c + h * k3, t + h, 3)
+    return c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+PROFILE = maxwellian()
+GRIDS = {
+    "9x481": make_grid(4, 12.0, 0.05, 8.0),
+    "9x1761": make_grid(4, 44.0, 0.05, 40.0),
+}
+# on the xi-lattice (multiples of d_xi), off it, negative, and near the cutoff
+TIMES = (0.0, 0.6, 3.0, 1.2345, 7.305, -0.6, -2.5, -3.77, 8.0, 39.99)
+
+
+def states(grid):
+    """Datum, perturbed datum, and a datum with exact zeros of both signs."""
+    datum = make_asymptotic_datum(0.5, {1: 1.0, -1: 1.0}, 1.0, grid).coeffs
+    rng = np.random.default_rng(7)
+    noise = rng.standard_normal(datum.shape) + 1j * rng.standard_normal(datum.shape)
+    perturbed = datum + 1e-3 * noise
+    zeros = perturbed.copy()
+    zeros[:, ::7] = complex(-0.0, 0.0)
+    zeros[:, 3::11] = complex(0.0, -0.0)
+    zeros[2] = 0.0
+    return {"datum": datum, "perturbed": perturbed, "signed_zeros": zeros}
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("size", sorted(GRIDS))
+def test_shift_rows_bytes(size):
+    grid = GRIDS[size]
+    out = np.empty((grid.n_modes, grid.n_xi), dtype=np.complex128)
+    scratch = np.empty_like(out)
+    for name, c in states(grid).items():
+        for t in TIMES:
+            for delta in (t, -t):
+                ref = reference_shift_rows(c, grid, delta)
+                assert same_bytes(shift_rows(c, grid, delta), ref), (name, delta)
+                got = shift_rows(c, grid, delta, out, scratch)
+                assert got is out
+                assert same_bytes(got, ref), (name, delta)
+
+
+@pytest.mark.parametrize("size", sorted(GRIDS))
+def test_rhs_coeffs_bytes(size):
+    grid = GRIDS[size]
+    work = _RK4Work(grid)
+    out = np.empty((grid.n_modes, grid.n_xi), dtype=np.complex128)
+    zeta = 0.31 - 0.17j
+    for name, c in states(grid).items():
+        for t in TIMES:
+            for eps in (0.0, 0.01, 1.0):
+                for sign in (1.0, -1.0):
+                    ref = reference_rhs_coeffs(c, t, zeta, grid, PROFILE, eps, sign)
+                    fresh = rhs_coeffs(c, t, zeta, grid, PROFILE, eps, sign)
+                    reused = rhs_coeffs(c, t, zeta, grid, PROFILE, eps, sign, out, work)
+                    assert reused is out
+                    case = (name, t, eps, sign)
+                    assert same_bytes(fresh, ref), case
+                    assert same_bytes(reused, ref), case
+
+
+def test_forward_solve_matches_reference_stepping():
+    grid = make_grid(3, 12.0, 0.1, 8.0)
+    h0 = make_asymptotic_datum(0.5, {1: 1.0, -1: 1.0}, 1.0, grid)
+    params = EvolutionParams(profile=PROFILE, epsilon=0.2, d_t=0.05, t_final=2.0, snap_stride=7)
+    traj = forward_solve(h0, params)
+
+    def f(state, tt, stage):
+        z = complex(sample_mode(state, grid, 1, np.array([tt]))[0])
+        return reference_rhs_coeffs(state, tt, z, grid, PROFILE, params.epsilon)
+
+    c = h0.coeffs.copy()
+    snaps = [c]
+    for i in range(1, 41):
+        c = reference_rk4_step(c, (i - 1) * params.d_t, params.d_t, f)
+        if i % 7 == 0 or i == 40:
+            snaps.append(c)
+    assert len(snaps) == len(traj.snapshots)
+    for ref, got in zip(snaps, traj.snapshots):
+        assert same_bytes(got.coeffs, ref)
+
+
+def test_transport_matches_reference_stepping():
+    grid = make_grid(4, 12.0, 0.05, 8.0)
+    datum, background = bgk_to_field(solve_bgk(3.0), grid)
+    cfg = ScatteringConfig(
+        terminal=datum, background=background, epsilon=1.0, T=6.0, d_t=0.05, tau=4.0,
+        sign=-1.0,
+    )
+    ws = _Workspace(cfg)
+    rng = np.random.default_rng(3)
+    zeta_z = 0.05 * (rng.standard_normal(len(ws.t_z)) + 1j * rng.standard_normal(len(ws.t_z)))
+    got = ws.transport(zeta_z)
+    again = ws.transport(zeta_z)  # the workspace's blocks are reused
+
+    zr = cfg.zeta_refine
+    c = datum.coeffs.copy()
+    ref = {ws.n_steps: c}
+    for i in range(ws.n_steps, 0, -1):
+        z_mid = zeta_z[i * zr - zr // 2]
+        fields = (zeta_z[i * zr], z_mid, z_mid, zeta_z[(i - 1) * zr])
+
+        def f(state, tt, stage):
+            return reference_rhs_coeffs(state, tt, fields[stage], grid, background, 1.0, -1.0)
+
+        c = reference_rk4_step(c, ws.t_fine[i], -cfg.d_t, f)
+        ref[i - 1] = c
+    for m, i in enumerate(ws.snap_idx):
+        assert same_bytes(got[m], ref[int(i)])
+        assert same_bytes(again[m], ref[int(i)])
+
+
+@pytest.mark.parametrize("size", sorted(GRIDS))
+def test_sample_point_matches_sample_mode(size):
+    grid = GRIDS[size]
+    rng = np.random.default_rng(11)
+    nodes = grid.xi[rng.integers(0, grid.n_xi, 500)]
+    points = np.concatenate([
+        rng.uniform(-1.2 * grid.xi_max, 1.2 * grid.xi_max, 9000),  # some beyond the cutoff
+        nodes,  # on the lattice
+        nodes + 1e-11,  # snapped onto it
+        grid.xi[:4], grid.xi[-4:],  # stencil partly off the grid
+        [grid.xi_max, -grid.xi_max, np.nextafter(grid.xi_max, np.inf), 0.0, -0.0],
+    ])
+    for name, c in states(grid).items():
+        for n in (1, -1, 0, 2):
+            ref_counters, got_counters = TruncationCounters(), TruncationCounters()
+            ref = sample_mode(c, grid, n, points, ref_counters)
+            got = np.array([_sample_point(c, grid, n, x, got_counters) for x in points])
+            assert same_bytes(got, ref), (name, n)
+            assert ref_counters.out_of_range_reads == got_counters.out_of_range_reads > 0
+            assert ref_counters.max_edge_magnitude == got_counters.max_edge_magnitude
+
+
+def test_extract_zeta_matches_sample_mode():
+    grid = GRIDS["9x481"]
+    c = states(grid)["perturbed"]
+    c = 0.5 * (c + np.conj(c[::-1, ::-1]))  # real state, so the cross-check passes
+    for t in (0.0, 0.6, 1.2345, -2.5, 8.0, grid.xi_max):
+        ref_counters, got_counters = TruncationCounters(), TruncationCounters()
+        ref = complex(sample_mode(c, grid, 1, np.array([t]), ref_counters)[0])
+        sample_mode(c, grid, -1, np.array([-t]), ref_counters)
+        got = extract_zeta(c, grid, t, counters=got_counters)
+        assert np.complex128(got).tobytes() == np.complex128(ref).tobytes()
+        assert ref_counters.out_of_range_reads == got_counters.out_of_range_reads
+        assert ref_counters.max_edge_magnitude == got_counters.max_edge_magnitude
