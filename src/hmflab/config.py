@@ -9,6 +9,7 @@ are checked up front so a run fails before any work happens.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,11 +36,18 @@ _WITH_PICARD = ("backward", "nonperturbative", "compare")
 _ALL = SCENARIOS
 
 
+def _float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw.strip()!r}")
+    return value
+
+
 def _float_list(raw: str) -> list[float]:
     items = [s.strip() for s in raw.split(",") if s.strip()]
     if not items:
         raise ValueError("empty list")
-    return [float(s) for s in items]
+    return [_float(s) for s in items]
 
 
 def _mode_weights(raw: str) -> dict[int, float]:
@@ -49,7 +57,7 @@ def _mode_weights(raw: str) -> dict[int, float]:
         if not part:
             continue
         mode, _, weight = part.partition(":")
-        out[int(mode.strip())] = float(weight.strip())
+        out[int(mode.strip())] = _float(weight)
     if not out:
         raise ValueError("empty mode weights")
     return out
@@ -71,48 +79,48 @@ SCHEMA: dict[str, tuple] = {
     "run.scenario": (str, _REQUIRED, _ALL),
     "run.id": (str, _REQUIRED, _ALL),
     "grid.n_max": (int, 4, _WITH_GRID + ("sweep",)),
-    "grid.xi_max": (float, 24.0, _WITH_GRID + ("sweep",)),
-    "grid.d_xi": (float, 0.05, _WITH_GRID + ("sweep",)),
-    "grid.t_final": (float, 20.0, _WITH_GRID + ("sweep",)),
+    "grid.xi_max": (_float, 24.0, _WITH_GRID + ("sweep",)),
+    "grid.d_xi": (_float, 0.05, _WITH_GRID + ("sweep",)),
+    "grid.t_final": (_float, 20.0, _WITH_GRID + ("sweep",)),
     "profile.kind": (str, "maxwellian", _WITH_GRID + ("sweep",)),
-    "profile.beta": (float, 1.0, _WITH_GRID + ("sweep",)),
-    "profile.scale": (float, 1.0, _WITH_GRID + ("sweep",)),
-    "datum.amplitude": (float, 0.5, _WITH_DATUM + ("sweep",)),
-    "datum.width": (float, 1.0, _WITH_DATUM + ("sweep",)),
+    "profile.beta": (_float, 1.0, _WITH_GRID + ("sweep",)),
+    "profile.scale": (_float, 1.0, _WITH_GRID + ("sweep",)),
+    "datum.amplitude": (_float, 0.5, _WITH_DATUM + ("sweep",)),
+    "datum.width": (_float, 1.0, _WITH_DATUM + ("sweep",)),
     "datum.shape": (str, "gaussian", _WITH_DATUM + ("sweep",)),
     "datum.modes": (_mode_weights, {1: 1.0, -1: 1.0}, _WITH_DATUM + ("sweep",)),
-    "evolve.epsilon": (float, 0.01, _WITH_DATUM + ("sweep",)),
-    "evolve.sign": (float, 1.0, _WITH_DATUM + ("sweep",)),
-    "evolve.d_t": (float, 0.01, _WITH_DATUM + ("sweep",)),
-    "evolve.T": (float, 20.0, _WITH_DATUM + ("sweep",)),
-    "evolve.tau": (float, 0.0, ("backward", "nonperturbative", "sweep")),
+    "evolve.epsilon": (_float, 0.01, _WITH_DATUM + ("sweep",)),
+    "evolve.sign": (_float, 1.0, _WITH_DATUM + ("sweep",)),
+    "evolve.d_t": (_float, 0.01, _WITH_DATUM + ("sweep",)),
+    "evolve.T": (_float, 20.0, _WITH_DATUM + ("sweep",)),
+    "evolve.tau": (_float, 0.0, ("backward", "nonperturbative", "sweep")),
     "evolve.snap_stride": (int, 10, _WITH_DATUM + ("sweep",)),
     "backward.T_list": (_float_list, None, ("backward", "sweep")),
     "picard.max_iters": (int, 12, _WITH_PICARD + ("sweep",)),
-    "picard.tol": (float, 1e-6, _WITH_PICARD + ("sweep",)),
+    "picard.tol": (_float, 1e-6, _WITH_PICARD + ("sweep",)),
     "picard.zeta_refine": (int, 2, _WITH_PICARD + ("sweep",)),
     "picard.inner_max": (int, 40, _WITH_PICARD + ("sweep",)),
-    "norms.lambda": (float, 0.3, _RUNNY + ("sweep",)),
-    "norms.lambda_prime": (float, 0.15, ("nonperturbative", "sweep")),
-    "norms.delta": (float, 1e-3, _RUNNY + ("sweep",)),
+    "norms.lambda": (_float, 0.3, _RUNNY + ("sweep",)),
+    "norms.lambda_prime": (_float, 0.15, ("nonperturbative", "sweep")),
+    "norms.delta": (_float, 1e-3, _RUNNY + ("sweep",)),
     "norms.mu_points": (int, 64, _RUNNY + ("sweep",)),
-    "stability.omega_max": (float, 20.0, ("stability",)),
+    "stability.omega_max": (_float, 20.0, ("stability",)),
     "stability.n_scan": (int, 1201, ("stability",)),
-    "stability.threshold": (float, 0.05, ("stability",)),
-    "stability.t_max": (float, 25.0, ("stability",)),
-    "stability.d_t": (float, 1e-3, ("stability",)),
-    "stability.m_bound": (float, None, ("stability",)),
-    "stability.lambda": (float, None, ("stability",)),
-    "bgk.beta": (float, 3.0, ("bgk", "nonperturbative", "sweep")),
-    "weights.T": (float, 200.0, ("weights",)),
-    "weights.d_t": (float, 0.01, ("weights",)),
+    "stability.threshold": (_float, 0.05, ("stability",)),
+    "stability.t_max": (_float, 25.0, ("stability",)),
+    "stability.d_t": (_float, 1e-3, ("stability",)),
+    "stability.m_bound": (_float, None, ("stability",)),
+    "stability.lambda": (_float, None, ("stability",)),
+    "bgk.beta": (_float, 3.0, ("bgk", "nonperturbative", "sweep")),
+    "weights.T": (_float, 200.0, ("weights",)),
+    "weights.d_t": (_float, 0.01, ("weights",)),
     "weights.delta_list": (_float_list, [1e-4, 1e-3, 1e-2], ("weights",)),
-    "weights.delta": (float, 1e-3, ("weights",)),
-    "weights.t_max": (float, 100.0, ("weights",)),
-    "fit.window_lo": (float, None, ("forward", "backward", "nonperturbative", "sweep")),
-    "fit.window_hi": (float, None, ("forward", "backward", "nonperturbative", "sweep")),
-    "echo.threshold": (float, 2.5, ("forward", "backward", "sweep")),
-    "compare.rough_width": (float, None, ("compare",)),
+    "weights.delta": (_float, 1e-3, ("weights",)),
+    "weights.t_max": (_float, 100.0, ("weights",)),
+    "fit.window_lo": (_float, None, ("forward", "backward", "nonperturbative", "sweep")),
+    "fit.window_hi": (_float, None, ("forward", "backward", "nonperturbative", "sweep")),
+    "echo.threshold": (_float, 2.5, ("forward", "backward", "sweep")),
+    "compare.rough_width": (_float, None, ("compare",)),
     "sweep.scenario": (str, _REQUIRED, ("sweep",)),
     "sweep.axis": (str, _REQUIRED, ("sweep",)),
     "sweep.values": (_float_list, _REQUIRED, ("sweep",)),
@@ -279,6 +287,15 @@ def _validate(cfg: RunConfig, origin: str) -> None:
         rule(v["picard.tol"] > 0, "picard.tol > 0")
     if scenario == "nonperturbative":
         rule(v["evolve.epsilon"] == 1.0, "evolve.epsilon == 1 in non-perturbative mode")
+    if scenario == "stability":
+        rule(v["stability.omega_max"] > 0, "stability.omega_max > 0")
+        rule(v["stability.n_scan"] >= 2, "stability.n_scan >= 2")
+        rule(v["stability.t_max"] > 0, "stability.t_max > 0")
+        rule(0 < v["stability.d_t"] <= v["stability.t_max"], "0 < stability.d_t <= stability.t_max")
+        rule(v["stability.threshold"] > 0, "stability.threshold > 0")
+        if v["stability.m_bound"] is not None:
+            lam = v["stability.lambda"]
+            rule(lam is not None and lam > 0, "stability.lambda > 0 when stability.m_bound is set")
     if scenario == "backward" and v.get("backward.T_list"):
         ts = v["backward.T_list"]
         rule(all(b > a for a, b in zip(ts, ts[1:])), "backward.T_list strictly increasing")
@@ -291,7 +308,7 @@ def _validate(cfg: RunConfig, origin: str) -> None:
              "sweep.scenario is a non-sweep scenario")
         rule(v["sweep.axis"] in SCHEMA, "sweep.axis names a known key")
         axis_parser = SCHEMA.get(v["sweep.axis"], (None,))[0]
-        rule(axis_parser in (int, float), "sweep.axis names a numeric key")
+        rule(axis_parser in (int, _float), "sweep.axis names a numeric key")
         rule(
             v["sweep.scenario"] in SCHEMA[v["sweep.axis"]][2],
             "sweep.axis applies to sweep.scenario",

@@ -279,11 +279,12 @@ def rhs(
 
 
 def _validate_initial(h0: FourierField, tol: float = 1e-10) -> None:
+    # written as not (x <= tol) so that a NaN anywhere in the state fails
     defect = h0.reality_defect()
-    if defect > tol:
+    if not defect <= tol:
         raise ValueError(f"initial state breaks reality symmetry by {defect:.3e}")
     mean = abs(h0.mean_mode_at_zero())
-    if mean > tol:
+    if not mean <= tol:
         raise ValueError(f"initial state is not mean-zero: |h_0(0)| = {mean:.3e}")
 
 
@@ -321,7 +322,7 @@ def forward_solve(h0: FourierField, params: EvolutionParams) -> Trajectory:
         _rk4_step(c, t, dt, f, work)
         t = i * dt
         peak = np.max(np.abs(c))
-        if peak > params.overflow_cap:
+        if not peak <= params.overflow_cap:  # NaN fails too
             raise BlowUpError(t, float(peak))
         if i % params.reality_check_every == 0:
             mirror = np.conj(c[::-1, ::-1])

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -73,6 +74,47 @@ class TestLoadConfig:
     def test_sign_checked_at_load(self):
         with pytest.raises(ConfigError, match="evolve.sign"):
             config_from_text(BACKWARD_SMALL + "evolve.sign = 0.5\n")
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "datum.amplitude = nan",
+            "datum.amplitude = inf",
+            "datum.amplitude = -inf",
+            "profile.beta = nan",
+            "datum.modes = 1:1, -1:nan",
+            "fit.window_lo = inf",
+        ],
+    )
+    def test_non_finite_number_rejected(self, line):
+        with pytest.raises(ConfigError, match="not a finite number"):
+            config_from_text(f"run.scenario = forward\nrun.id = x\n{line}\n")
+
+    def test_non_finite_list_item_rejected(self):
+        with pytest.raises(ConfigError, match="not a finite number"):
+            config_from_text(BACKWARD_SMALL + "backward.T_list = 2, nan, 8\n")
+
+    @pytest.mark.parametrize(
+        "lines, rule",
+        [
+            ("stability.d_t = 0", "0 < stability.d_t <= stability.t_max"),
+            ("stability.d_t = 30", "0 < stability.d_t <= stability.t_max"),
+            ("stability.t_max = 0", "stability.t_max > 0"),
+            ("stability.n_scan = 0", "stability.n_scan >= 2"),
+            ("stability.omega_max = -5", "stability.omega_max > 0"),
+            ("stability.threshold = 0", "stability.threshold > 0"),
+            ("stability.m_bound = 0.02", "stability.lambda > 0 when stability.m_bound is set"),
+            ("stability.m_bound = 0.02\nstability.lambda = 0",
+             "stability.lambda > 0 when stability.m_bound is set"),
+        ],
+    )
+    def test_stability_keys_checked_at_load(self, lines, rule):
+        with pytest.raises(ConfigError, match=re.escape(rule)):
+            config_from_text(MINIMAL_STABILITY + lines + "\n")
+
+    def test_stability_t_max_nan_rejected(self):
+        with pytest.raises(ConfigError, match="stability.t_max: not a finite number"):
+            config_from_text(MINIMAL_STABILITY + "stability.t_max = nan\n")
 
     def test_horizon_precondition(self):
         with pytest.raises(ConfigError, match="horizon exceeds grid"):

@@ -163,6 +163,13 @@ class TestForwardSolve:
         with pytest.raises(ValueError):
             forward_solve(FourierField(GRID, bad2), params)
 
+    def test_nan_initial_state_rejected(self):
+        params = EvolutionParams(profile=PROFILE, epsilon=0.0, d_t=0.01, t_final=1.0)
+        bad = datum().coeffs.copy()
+        bad[GRID.mode_index(2), 40] = np.nan
+        with pytest.raises(ValueError):
+            forward_solve(FourierField(GRID, bad), params)
+
     def test_horizon_guard(self):
         params = EvolutionParams(profile=PROFILE, epsilon=0.0, d_t=0.01, t_final=25.0)
         with pytest.raises(ValueError):

@@ -103,6 +103,22 @@ class TestBackwardSolve:
         assert not trace.converged
         assert trace.failure is not None
 
+    @pytest.mark.parametrize("mode", [1, 3])
+    def test_nan_datum_diverges_in_first_sweep(self, mode):
+        # mode 1 feeds the field readout (caught by the field solve), mode 3
+        # reaches the field only through transport (caught at a snapshot)
+        grid = make_grid(3, 12.0, 0.1, 8.0)
+        coeffs = datum(grid=grid).coeffs.copy()
+        j = grid.n_half + 20
+        coeffs[grid.mode_index(mode), j] = np.nan
+        coeffs[grid.mode_index(-mode), grid.n_xi - 1 - j] = np.nan
+        cfg = config(terminal=FourierField(grid, coeffs), T=4.0, d_t=0.02)
+        _, trace = backward_solve(cfg)
+        assert trace.diverged
+        assert not trace.converged
+        assert trace.failure
+        assert trace.iterations == 1
+
     def test_deviation_decreasing_over_last_quarter(self):
         cfg = config(
             terminal=datum(amplitude=0.5, width=2.0, shape="exponential"), T=16.0

@@ -1,12 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from hmflab.profiles import kernel_j, maxwellian
+from hmflab import volterra
+from hmflab.profiles import bgk_to_field, kernel_j, lorentzian, maxwellian, solve_bgk
+from hmflab.spectral import make_grid
 from hmflab.volterra import (
     DegenerateStepError,
     KernelFunction,
     KernelOnGrid,
     StabilityViolation,
+    _laplace_many,
+    _simpson_weights,
     convolve_causal,
     laplace,
     resolvent,
@@ -45,6 +51,87 @@ class TestLaplace:
     def test_rejects_left_half_plane(self):
         with pytest.raises(ValueError):
             laplace(exp_kernel(), -0.1)
+
+
+def laplace_outer(kernel, sigmas, rows=64):
+    """Reference scan: the full phase e^{-sigma t_k} on every node, a block of
+    sigma rows at a time so that the largest kernels fit in memory."""
+    wk = _simpson_weights(len(kernel.t), kernel.d_t) * kernel.values
+    return np.concatenate(
+        [np.exp(-np.outer(sigmas[i : i + rows], kernel.t)) @ wk for i in range(0, len(sigmas), rows)]
+    )
+
+
+def bgk_background_kernel():
+    _, background = bgk_to_field(solve_bgk(3.0), make_grid(2, 12.0, 0.1, 8.0))
+    return kernel_j(background, 1)
+
+
+# name -> (kernel function factory, factor applied after sampling)
+SCAN_KERNELS = {
+    "maxwell_beta1": (lambda: kernel_j(maxwellian(), 1), 1.0),
+    "maxwell_beta3_flipped": (lambda: kernel_j(maxwellian(beta=3.0), 1), -1.0),
+    "lorentzian": (lambda: kernel_j(lorentzian(), 1), 1.0),
+    "bgk_background": (bgk_background_kernel, 1.0),
+    "exponential": (lambda: KernelFunction(
+        fn=lambda t: 0.3 * np.exp(-np.asarray(t, dtype=float)), decay_rate=1.0, decay_coeff=0.3
+    ), 1.0),
+    "zero": (lambda: KernelFunction(
+        fn=lambda t: np.zeros_like(np.asarray(t, dtype=float)), decay_rate=1.0, decay_coeff=0.0
+    ), 1.0),
+}
+
+
+class TestFactoredScan:
+    @pytest.mark.parametrize("name", sorted(SCAN_KERNELS))
+    @pytest.mark.parametrize("n_nodes, d_t", [(2500, 1e-2), (5001, 5e-3), (2, 0.5)])
+    def test_matches_full_phase(self, name, n_nodes, d_t):
+        make, factor = SCAN_KERNELS[name]
+        k = make().sample((n_nodes - 1) * d_t, d_t).scaled(factor)
+        assert len(k.t) == n_nodes
+        ws = np.linspace(-20.0, 20.0, 401)
+        sig = np.concatenate([1j * ws, np.linspace(0.0, 2.0, 101) + 0j, 0.5 + 1j * ws[::7]])
+        mass = float(np.sum(np.abs(_simpson_weights(n_nodes, d_t) * k.values)))
+        diff = np.max(np.abs(_laplace_many(k, sig) - laplace_outer(k, sig)))
+        assert diff <= 1e-13 * (1.0 + mass)
+
+    @pytest.mark.parametrize(
+        "make_kernel, omega_max, n_scan",
+        [
+            # the stability scenario at its defaults (configs/stability.cfg)
+            (lambda: kernel_j(maxwellian(), 1).sample(25.0, 1e-3), 20.0, 1201),
+            # the non-perturbative window margin (configs/nonperturbative.cfg)
+            (lambda: bgk_background_kernel().sample(25.0, 5e-3).scaled(-1.0), 20.0, 801),
+            # acceptance criterion 1
+            (lambda: kernel_j(maxwellian(), 1).sample(25.0, 5e-3), 20.0, 801),
+        ],
+        ids=["stability_cfg", "nonperturbative_window", "criterion_1"],
+    )
+    def test_margin_unchanged(self, monkeypatch, make_kernel, omega_max, n_scan):
+        k = make_kernel()
+        rep = stability_margin(k, omega_max, n_scan)
+        monkeypatch.setattr(volterra, "_laplace_many", laplace_outer)
+        ref = stability_margin(k, omega_max, n_scan)
+        assert abs(rep.margin - ref.margin) <= 1e-14
+        assert rep.argmin_sigma == ref.argmin_sigma
+        assert rep.satisfied == ref.satisfied
+
+    def test_scan_memory_sublinear(self):
+        # the full phase matrix of this scan alone is 2146 x 5001 complex (172 MB)
+        k = kernel_j(maxwellian(), 1).sample(25.0, 5e-3)
+        tracemalloc.start()
+        try:
+            stability_margin(k, 20.0, 801)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+
+    def test_nonuniform_grid_rejected(self):
+        t = np.arange(11) * 0.1
+        t[5] += 1e-6
+        with pytest.raises(ValueError, match="uniform"):
+            KernelOnGrid(t=t, values=np.zeros(11, complex), decay_rate=1.0, decay_coeff=0.0)
 
 
 class TestStabilityMargin:
