@@ -12,12 +12,9 @@ __version__ = "0.1.0"
 from .spectral import (
     FourierField,
     Grid,
-    PhysicalSamples,
     TruncationCounters,
     enforce_reality,
-    eval_shifted,
     make_grid,
-    to_physical,
 )
 from .profiles import (
     BGKState,
@@ -48,7 +45,6 @@ from .evolution import (
     Trajectory,
     extract_zeta,
     forward_solve,
-    rhs,
 )
 from .norms import (
     NormReport,
@@ -61,7 +57,6 @@ from .norms import (
     functional_P_Q,
     profile_analytic_norm,
     solve_a,
-    weighted_norm_p,
 )
 from .scattering import (
     ContinuationResult,

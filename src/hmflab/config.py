@@ -31,7 +31,6 @@ SCENARIOS = (
 
 _RUNNY = ("forward", "backward", "nonperturbative", "compare")
 _WITH_GRID = _RUNNY + ("stability",)
-_WITH_DATUM = ("forward", "backward", "nonperturbative", "compare")
 _WITH_PICARD = ("backward", "nonperturbative", "compare")
 _ALL = SCENARIOS
 
@@ -85,16 +84,16 @@ SCHEMA: dict[str, tuple] = {
     "profile.kind": (str, "maxwellian", _WITH_GRID + ("sweep",)),
     "profile.beta": (_float, 1.0, _WITH_GRID + ("sweep",)),
     "profile.scale": (_float, 1.0, _WITH_GRID + ("sweep",)),
-    "datum.amplitude": (_float, 0.5, _WITH_DATUM + ("sweep",)),
-    "datum.width": (_float, 1.0, _WITH_DATUM + ("sweep",)),
-    "datum.shape": (str, "gaussian", _WITH_DATUM + ("sweep",)),
-    "datum.modes": (_mode_weights, {1: 1.0, -1: 1.0}, _WITH_DATUM + ("sweep",)),
-    "evolve.epsilon": (_float, 0.01, _WITH_DATUM + ("sweep",)),
-    "evolve.sign": (_float, 1.0, _WITH_DATUM + ("sweep",)),
-    "evolve.d_t": (_float, 0.01, _WITH_DATUM + ("sweep",)),
-    "evolve.T": (_float, 20.0, _WITH_DATUM + ("sweep",)),
+    "datum.amplitude": (_float, 0.5, _RUNNY + ("sweep",)),
+    "datum.width": (_float, 1.0, _RUNNY + ("sweep",)),
+    "datum.shape": (str, "gaussian", _RUNNY + ("sweep",)),
+    "datum.modes": (_mode_weights, {1: 1.0, -1: 1.0}, _RUNNY + ("sweep",)),
+    "evolve.epsilon": (_float, 0.01, _RUNNY + ("sweep",)),
+    "evolve.sign": (_float, 1.0, _RUNNY + ("sweep",)),
+    "evolve.d_t": (_float, 0.01, _RUNNY + ("sweep",)),
+    "evolve.T": (_float, 20.0, _RUNNY + ("sweep",)),
     "evolve.tau": (_float, 0.0, ("backward", "nonperturbative", "sweep")),
-    "evolve.snap_stride": (int, 10, _WITH_DATUM + ("sweep",)),
+    "evolve.snap_stride": (int, 10, _RUNNY + ("sweep",)),
     "backward.T_list": (_float_list, None, ("backward", "sweep")),
     "picard.max_iters": (int, 12, _WITH_PICARD + ("sweep",)),
     "picard.tol": (_float, 1e-6, _WITH_PICARD + ("sweep",)),
@@ -275,16 +274,37 @@ def _validate(cfg: RunConfig, origin: str) -> None:
         rule(0 not in v["datum.modes"], "datum.modes carries no weight on mode 0")
     if "evolve.sign" in v:
         rule(v["evolve.sign"] in (1.0, -1.0), "evolve.sign is +1 or -1")
-    if scenario in _WITH_DATUM:
+    if scenario in _RUNNY:
         rule(v["evolve.epsilon"] >= 0, "evolve.epsilon >= 0")
         rule(v["evolve.d_t"] > 0, "evolve.d_t > 0")
+        if scenario in ("forward", "compare"):
+            rule(v["evolve.d_t"] <= 0.1, "evolve.d_t <= 0.1 (forward integration step limit)")
         rule(
             v["evolve.T"] <= v["grid.t_final"] + 1e-12,
             "evolve.T <= grid.t_final",
         )
-    if scenario in ("backward", "nonperturbative"):
-        rule(v["evolve.tau"] < v["evolve.T"], "evolve.tau < evolve.T")
+        # every window starts at evolve.tau (0 in forward and compare) and spans whole steps
+        tau = v.get("evolve.tau", 0.0)
+
+        def whole_steps(T):
+            n = (T - tau) / v["evolve.d_t"]
+            return abs(n - round(n)) <= 1e-9
+
+        rule(tau < v["evolve.T"], "evolve.tau < evolve.T (tau is 0 in forward and compare)")
+        rule(whole_steps(v["evolve.T"]), "evolve.T - evolve.tau is a whole number of evolve.d_t steps")
+        if v.get("backward.T_list"):
+            ts = v["backward.T_list"]
+            rule(all(T > tau for T in ts), "backward.T_list windows end after evolve.tau")
+            rule(all(whole_steps(T) for T in ts),
+                 "backward.T_list - evolve.tau are whole numbers of evolve.d_t steps")
+        rule(v["evolve.snap_stride"] >= 1, "evolve.snap_stride >= 1")
+        rule(v["norms.mu_points"] >= 2, "norms.mu_points >= 2")
+    if scenario in _WITH_PICARD:
         rule(v["picard.tol"] > 0, "picard.tol > 0")
+        rule(v["picard.max_iters"] >= 1, "picard.max_iters >= 1")
+        rule(v["picard.inner_max"] >= 1, "picard.inner_max >= 1")
+        zr = v["picard.zeta_refine"]
+        rule(zr >= 2 and zr % 2 == 0, "picard.zeta_refine is an even integer >= 2")
     if scenario == "nonperturbative":
         rule(v["evolve.epsilon"] == 1.0, "evolve.epsilon == 1 in non-perturbative mode")
     if scenario == "stability":

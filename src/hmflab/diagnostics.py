@@ -22,6 +22,8 @@ import numpy as np
 from .evolution import EvolutionParams, FieldSeries, Trajectory, forward_solve
 from .norms import (
     WeightFunction,
+    _bracket,
+    _log_abs,
     analytic_norm,
     functional_M,
     functional_N,
@@ -214,11 +216,14 @@ def regularity_profile(
     when even that one passes).
     """
     mus = np.linspace(0.0, mu_max, n_mu)
+    br = _bracket(traj.grid)
     out = np.empty(len(traj.times))
     for i, snap in enumerate(traj.snapshots):
+        logh = _log_abs(snap)
         best = 0.0
         for mu in mus:
-            if analytic_norm(snap, mu).value < cap:
+            # ||h||_mu as analytic_norm evaluates it, with the log taken once per snapshot
+            if np.exp(np.max(mu * br + logh)) < cap:
                 best = mu
             else:
                 break

@@ -26,6 +26,7 @@ from .profiles import Profile
 from .spectral import (
     FourierField,
     Grid,
+    GridError,
     TruncationCounters,
     _sample_point,
     shift_rows,
@@ -88,47 +89,45 @@ class FieldSeries:
         if len(self.t) != len(self.zeta1):
             raise ValueError("time grid and field series length mismatch")
 
-    @property
-    def zeta_minus1(self) -> np.ndarray:
-        return np.conj(self.zeta1)
-
-    @property
-    def d_t(self) -> float:
-        return float(self.t[1] - self.t[0])
-
     def magnitude(self) -> np.ndarray:
         return np.abs(self.zeta1)
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Snapshot sequence plus the full-resolution field series."""
+    """Snapshot block plus the full-resolution field series.
+
+    ``snapshots`` is one C-contiguous complex128 array of shape
+    (count, n_modes, n_xi): snapshot m is ``snapshots[m]``, row-indexed by
+    n + n_max like ``FourierField.coeffs``.
+    """
 
     grid: Grid
     times: np.ndarray
-    snapshots: list[FourierField]
+    snapshots: np.ndarray = dfield(repr=False)
     series: FieldSeries
     counters: TruncationCounters = dfield(default_factory=TruncationCounters)
 
     def __post_init__(self):
-        if len(self.times) != len(self.snapshots):
+        block = np.ascontiguousarray(self.snapshots, dtype=np.complex128)
+        if block.ndim != 3 or block.shape[1:] != (self.grid.n_modes, self.grid.n_xi):
+            raise GridError(
+                f"snapshot block shape {block.shape} does not match grid "
+                f"(count, {self.grid.n_modes}, {self.grid.n_xi})"
+            )
+        if len(self.times) != len(block):
             raise ValueError("snapshot times and snapshots length mismatch")
-
-    def snapshot_at(self, t: float) -> FourierField:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9 + 1e-9 * abs(t):
-            raise KeyError(f"no snapshot stored at t={t}")
-        return self.snapshots[i]
+        object.__setattr__(self, "snapshots", block)
 
     def initial(self) -> FourierField:
-        return self.snapshots[0]
+        return FourierField(self.grid, self.snapshots[0])
 
     def final(self) -> FourierField:
-        return self.snapshots[-1]
+        return FourierField(self.grid, self.snapshots[-1])
 
     def max_mean_drift(self) -> float:
-        ref = self.snapshots[0].mean_mode_at_zero()
-        return max(abs(s.mean_mode_at_zero() - ref) for s in self.snapshots)
+        mean = self.snapshots[:, self.grid.mode_index(0), self.grid.n_half]
+        return float(np.max(np.abs(mean - mean[0])))
 
 
 def extract_zeta(
@@ -160,11 +159,6 @@ def extract_zeta(
                 f"conjugation shortcut defect {defect:.3e} exceeds {check_tol:.1e} at t={t:.3f}"
             )
     return z1
-
-
-def extract_zeta_pair(state, grid=None, t=0.0, **kw) -> tuple[complex, complex]:
-    z1 = extract_zeta(state, grid, t, **kw)
-    return z1, np.conj(z1)
 
 
 class _RK4Work:
@@ -262,22 +256,6 @@ def _rk4_step(c: np.ndarray, t: float, h: float, stage_rhs, work: _RK4Work) -> N
     np.add(c, np.multiply(h / 6.0, k1, out=k1), out=c)
 
 
-def rhs(
-    state: FourierField,
-    t: float,
-    zeta: tuple[complex, complex],
-    params: EvolutionParams,
-) -> FourierField:
-    """Field-level right-hand side with the field pair supplied explicitly."""
-    z1, zm1 = zeta
-    if abs(np.conj(z1) - zm1) > 1e-9:
-        raise ValueError("zeta pair must satisfy zeta_{-1} = conj(zeta_1)")
-    inc = rhs_coeffs(
-        state.coeffs, t, complex(z1), state.grid, params.profile, params.epsilon, params.sign
-    )
-    return FourierField(state.grid, inc)
-
-
 def _validate_initial(h0: FourierField, tol: float = 1e-10) -> None:
     # written as not (x <= tol) so that a NaN anywhere in the state fails
     defect = h0.reality_defect()
@@ -309,8 +287,11 @@ def forward_solve(h0: FourierField, params: EvolutionParams) -> Trajectory:
     work = _RK4Work(grid)
     c = h0.coeffs.copy()
     t = 0.0
+    stride = params.snap_stride
+    count = n_steps // stride + 1 + (n_steps % stride != 0)
+    snapshots = np.empty((count, grid.n_modes, grid.n_xi), dtype=np.complex128)
+    snapshots[0] = c
     snap_times = [0.0]
-    snapshots = [FourierField(grid, c.copy())]
     zs = np.empty(n_steps + 1, dtype=np.complex128)
     zs[0] = extract_zeta(c, grid, 0.0, counters=counters)
 
@@ -332,9 +313,9 @@ def forward_solve(h0: FourierField, params: EvolutionParams) -> Trajectory:
                     f"reality drift {drift:.3e} exceeds {params.reality_tol:.1e} at t={t:.3f}"
                 )
         zs[i] = extract_zeta(c, grid, t, check_tol=None, counters=counters)
-        if i % params.snap_stride == 0 or i == n_steps:
+        if i % stride == 0 or i == n_steps:
+            snapshots[len(snap_times)] = c
             snap_times.append(t)
-            snapshots.append(FourierField(grid, c.copy()))
             edge = float(max(np.max(np.abs(c[:, 0])), np.max(np.abs(c[:, -1]))))
             if edge > counters.max_edge_magnitude:
                 counters.max_edge_magnitude = edge

@@ -172,18 +172,6 @@ def analytic_norm(fld: FourierField, mu: float) -> NormReport:
     return NormReport(float(np.exp(val)), where)
 
 
-def weighted_norm_p(fld: FourierField, lam: float, p: int) -> NormReport:
-    """sup e^{lam <n, xi>} <n, xi>^p |h_n(xi)|; p = 0 reduces to analytic_norm."""
-    if lam < 0 or p < 0:
-        raise ValueError("lam and p must be nonnegative")
-    if not np.any(fld.coeffs):
-        return NormReport(0.0, None)
-    br = _bracket(fld.grid)
-    logv = lam * br + p * np.log(br) + _log_abs(fld.coeffs)
-    val, where = _located_max(logv, fld.grid)
-    return NormReport(float(np.exp(val)), where)
-
-
 def profile_analytic_norm(profile: Profile, lam: float) -> float:
     """sup e^{lam <xi>} |eta_hat(xi)| of a closed-form background (mode 0)."""
     if lam < 0:
@@ -250,7 +238,7 @@ def _weighted_snapshot_sup(
             continue
         if best_val is None:
             best_val, best_where = 0.0, (0.0, float(t))
-        logh = _log_abs(snap.coeffs)
+        logh = _log_abs(snap)
         if not np.any(np.isfinite(logh)):
             continue  # zero snapshot contributes 0
         for f in fractions:
@@ -373,7 +361,7 @@ def functional_J_K(
         if cap <= 0:
             continue
         found = True
-        logh = _log_abs(snap.coeffs)
+        logh = _log_abs(snap)
         if not np.any(np.isfinite(logh)):
             continue  # zero snapshot contributes 0 to both sups
         log_t_disc = q * 0.5 * math.log(1.0 + t * t)

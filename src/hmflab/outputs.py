@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .spectral import FourierField, Grid
+from .spectral import Grid
 
 SNAPSHOT_MAGIC = b"HMF1"
 
@@ -77,16 +77,21 @@ def write_json(path, obj) -> None:
     Path(path).write_text(_emit_json(obj) + "\n", encoding="utf-8")
 
 
-def write_snapshots(path_bin, path_sidecar, grid: Grid, times, snapshots) -> None:
-    count = len(snapshots)
-    dims = np.array([count, grid.n_modes, grid.n_xi], dtype="<i8")
-    block = np.empty((count, grid.n_modes, grid.n_xi), dtype="<c16")
-    for i, snap in enumerate(snapshots):
-        block[i] = snap.coeffs
+def write_snapshots(path_bin, path_sidecar, grid: Grid, times, snapshots: np.ndarray) -> None:
+    """Write a (count, n_modes, n_xi) snapshot block as HMF1 plus its JSON sidecar.
+
+    A C-contiguous little-endian complex128 block, as the solvers return,
+    is written straight from its buffer without a copy.
+    """
+    block = np.ascontiguousarray(snapshots, dtype="<c16")
+    count = len(block)
+    if block.shape != (count, grid.n_modes, grid.n_xi):
+        raise ValueError(f"snapshot block shape {block.shape} does not match the grid")
+    dims = np.array(block.shape, dtype="<i8")
     with open(path_bin, "wb") as fh:
         fh.write(SNAPSHOT_MAGIC)
         fh.write(dims.tobytes())
-        fh.write(block.tobytes(order="C"))
+        fh.write(block.data)
     write_json(
         path_sidecar,
         {
@@ -106,15 +111,20 @@ def write_snapshots(path_bin, path_sidecar, grid: Grid, times, snapshots) -> Non
     )
 
 
-def read_snapshots(path_bin, grid: Grid) -> list[FourierField]:
+def read_snapshots(path_bin, grid: Grid) -> np.ndarray:
+    """The (count, n_modes, n_xi) block of an HMF1 file, read-only, checked against ``grid``."""
     raw = Path(path_bin).read_bytes()
     if raw[:4] != SNAPSHOT_MAGIC:
         raise ValueError(f"bad snapshot magic {raw[:4]!r}")
     dims = np.frombuffer(raw, dtype="<i8", count=3, offset=4)
     count, n_modes, n_xi = (int(d) for d in dims)
+    if (n_modes, n_xi) != (grid.n_modes, grid.n_xi):
+        raise ValueError(
+            f"snapshot file holds ({n_modes}, {n_xi}) blocks, grid needs "
+            f"({grid.n_modes}, {grid.n_xi})"
+        )
     data = np.frombuffer(raw, dtype="<c16", offset=4 + 24, count=count * n_modes * n_xi)
-    block = data.reshape(count, n_modes, n_xi)
-    return [FourierField(grid, block[i].copy()) for i in range(count)]
+    return data.reshape(count, n_modes, n_xi)
 
 
 def sha256_of(path) -> str:

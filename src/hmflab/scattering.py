@@ -74,6 +74,8 @@ class ScatteringConfig:
             raise ValueError("epsilon must be >= 0")
         if self.zeta_refine < 2 or self.zeta_refine % 2:
             raise ValueError("zeta_refine must be an even integer >= 2")
+        if self.inner_max < 1:
+            raise ValueError("inner_max must be >= 1")
         if self.sign not in (1.0, -1.0, 1, -1):
             raise ValueError(f"sign must be +-1, got {self.sign}")
         n = (self.T - self.tau) / self.d_t
@@ -181,7 +183,7 @@ class _Workspace:
         self.weight = solve_a(cfg.T, cfg.norm_delta, cfg.d_t)
         self.rk4 = _RK4Work(self.grid)
 
-    def coupling_forcing(self, snaps: list[np.ndarray], zeta_z: np.ndarray) -> np.ndarray:
+    def coupling_forcing(self, snaps: np.ndarray, zeta_z: np.ndarray) -> np.ndarray:
         """Phi on the field grid from stored snapshots (trapezoid over them).
 
         The integrand vanishes at s = t, so the partial leading interval
@@ -212,7 +214,7 @@ class _Workspace:
         return -(cfg.epsilon / 2.0) * phi
 
     def solve_field(
-        self, snaps: list[np.ndarray], zeta_init: np.ndarray | None
+        self, snaps: np.ndarray, zeta_init: np.ndarray | None
     ) -> tuple[np.ndarray, int, bool]:
         """Implicit field solve for frozen history, by inner substitution."""
         cfg = self.cfg
@@ -233,15 +235,15 @@ class _Workspace:
                 return zeta, inner, True
         return zeta, cfg.inner_max, False
 
-    def transport(self, zeta_z: np.ndarray) -> list[np.ndarray]:
-        """Backward Runge-Kutta pass with the field frozen; returns snapshots."""
+    def transport(self, zeta_z: np.ndarray) -> np.ndarray:
+        """Backward Runge-Kutta pass with the field frozen; returns the snapshot block."""
         cfg, grid = self.cfg, self.grid
         zr = cfg.zeta_refine
         dt = cfg.d_t
         c = self.cfg.terminal.coeffs.copy()
-        snaps: list[np.ndarray | None] = [None] * len(self.snap_idx)
+        snaps = np.empty((len(self.snap_idx),) + c.shape, dtype=np.complex128)
         pos = {int(i): m for m, i in enumerate(self.snap_idx)}
-        snaps[pos[self.n_steps]] = c.copy()
+        snaps[pos[self.n_steps]] = c
         h = -dt
         prof, eps, sign, work = cfg.background, cfg.epsilon, cfg.sign, self.rk4
         fields = [0j] * 4  # the frozen field at the four stages of the current step
@@ -260,8 +262,8 @@ class _Workspace:
                 edge = float(max(np.max(np.abs(c[:, 0])), np.max(np.abs(c[:, -1]))))
                 if edge > self.counters.max_edge_magnitude:
                     self.counters.max_edge_magnitude = edge
-                snaps[pos[i - 1]] = c.copy()
-        return snaps  # type: ignore[return-value]
+                snaps[pos[i - 1]] = c
+        return snaps
 
 
 class _TransportBlowUp(RuntimeError):
@@ -280,7 +282,7 @@ def _trace_norms(ws: _Workspace, zeta_z, snaps) -> tuple[float, float]:
     traj = Trajectory(
         grid=ws.grid,
         times=ws.snap_times[sub],
-        snapshots=[FourierField(ws.grid, snaps[m]) for m in sub],
+        snapshots=snaps[sub],
         series=FieldSeries(t=ws.t_fine, zeta1=zeta_z[:: cfg.zeta_refine]),
     )
     m_val = functional_M(traj.series, cfg.norm_lambda).value
@@ -300,7 +302,7 @@ def backward_solve(config: ScatteringConfig) -> tuple[Trajectory, PicardTrace]:
     ws = _Workspace(config)
     trace = PicardTrace()
     datum = config.terminal.coeffs
-    snaps = [datum.copy() for _ in ws.snap_idx]
+    snaps = np.broadcast_to(datum, (len(ws.snap_idx),) + datum.shape)
     zeta_prev: np.ndarray | None = None
     zeta = None
     for it in range(1, config.picard_max_iters + 1):
@@ -344,24 +346,11 @@ def backward_solve(config: ScatteringConfig) -> tuple[Trajectory, PicardTrace]:
     traj = Trajectory(
         grid=ws.grid,
         times=ws.snap_times.copy(),
-        snapshots=[FourierField(ws.grid, s) for s in snaps],
+        snapshots=snaps,
         series=FieldSeries(t=ws.t_fine.copy(), zeta1=zeta[:: config.zeta_refine].copy()),
         counters=ws.counters,
     )
     return traj, trace
-
-
-def fixed_point_residual(config: ScatteringConfig, traj: Trajectory) -> float:
-    """Sup change of the field under one extra sweep from a converged run.
-
-    The field equation is re-solved against the converged snapshots from
-    scratch and compared with the stored series on its own nodes, so the
-    residual measures the fixed-point property, not interpolation noise.
-    """
-    ws = _Workspace(config)
-    snaps = [s.coeffs for s in traj.snapshots]
-    new, _, _ = ws.solve_field(snaps, None)
-    return float(np.max(np.abs(new[:: config.zeta_refine] - traj.series.zeta1)))
 
 
 def continue_in_T(config: ScatteringConfig, t_values) -> ContinuationResult:
@@ -381,26 +370,31 @@ def continue_in_T(config: ScatteringConfig, t_values) -> ContinuationResult:
     zeta_diffs: list[float] = []
     h_diffs: list[float] = []
     ext_diffs: list[float] = []
-    prev_snaps: dict[float, np.ndarray] | None = None
-    prev_series: FieldSeries | None = None
-    last_traj = None
+    prev: Trajectory | None = None
     for T in t_values:
         cfg = replace(config, T=T)
         traj, trace = backward_solve(cfg)
         traces.append(trace)
         series.append(traj.series)
-        snap_map = {round(float(t), 9): s.coeffs for t, s in zip(traj.times, traj.snapshots)}
-        if prev_series is not None:
-            n_common = len(prev_series.t)
+        if prev is not None:
+            n_common = len(prev.series.t)
             zeta_diffs.append(
-                float(np.max(np.abs(traj.series.zeta1[:n_common] - prev_series.zeta1)))
+                float(np.max(np.abs(traj.series.zeta1[:n_common] - prev.series.zeta1)))
             )
-            common = [k for k in snap_map if k in prev_snaps]
+            # Both windows start at tau with the same step and cadence, so their
+            # snapshots agree index by index up to the shorter window's last
+            # on-cadence one; its off-cadence endpoint, if any, has no partner.
+            n_snap = len(prev.times)
+            if prev.times[-1] != traj.times[n_snap - 1]:
+                n_snap -= 1
             h_diffs.append(
-                max(float(np.max(np.abs(snap_map[k] - prev_snaps[k]))) for k in common)
+                max(
+                    float(np.max(np.abs(traj.snapshots[m] - prev.snapshots[m])))
+                    for m in range(n_snap)
+                )
             )
             # extension of the previous run by the datum, measured on (T_prev, T]
-            mask = traj.series.t > prev_series.t[-1] + 1e-12
+            mask = traj.series.t > prev.series.t[-1] + 1e-12
             ext_readout = sample_mode(
                 config.terminal.coeffs, config.terminal.grid, 1, traj.series.t[mask]
             )
@@ -409,9 +403,7 @@ def continue_in_T(config: ScatteringConfig, t_values) -> ContinuationResult:
                 if np.any(mask)
                 else 0.0
             )
-        prev_snaps = snap_map
-        prev_series = traj.series
-        last_traj = traj
+        prev = traj
     return ContinuationResult(
         t_values=t_values,
         zeta_diffs=zeta_diffs,
@@ -419,7 +411,7 @@ def continue_in_T(config: ScatteringConfig, t_values) -> ContinuationResult:
         extension_zeta_diffs=ext_diffs,
         traces=traces,
         series=series,
-        last_trajectory=last_traj,
+        last_trajectory=prev,
     )
 
 
@@ -472,14 +464,14 @@ def echo_split(traj: Trajectory, config: ScatteringConfig) -> EchoSplit:
     h0_read = np.empty((m_count, m_count), dtype=np.complex128)  # [s_m, u]
     h2_read = np.empty((m_count, m_count), dtype=np.complex128)  # [s_m, t_i]
     for m, (s, snap) in enumerate(zip(ts, traj.snapshots)):
-        h0_read[m] = sample_mode(snap.coeffs, grid, 0, u)
-        h2_read[m] = sample_mode(snap.coeffs, grid, 2, ts + s)
+        h0_read[m] = sample_mode(snap, grid, 0, u)
+        h2_read[m] = sample_mode(snap, grid, 2, ts + s)
 
     # mode-0 reconstruction on (s_m, u): reverse cumulative trapezoid over l
     rec_rows = np.empty((m_count, m_count), dtype=np.complex128)
     for m, (l, snap) in enumerate(zip(ts, traj.snapshots)):
-        r_p = sample_mode(snap.coeffs, grid, -1, u - l)
-        r_m = sample_mode(snap.coeffs, grid, 1, u + l)
+        r_p = sample_mode(snap, grid, -1, u - l)
+        r_m = sample_mode(snap, grid, 1, u + l)
         rec_rows[m] = zeta_at[m] * r_p - np.conj(zeta_at[m]) * r_m
     h0_rec = np.zeros_like(rec_rows)
     for m in range(m_count - 2, -1, -1):

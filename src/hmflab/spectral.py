@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-try:
+try:  # the one trapezoid rule of the package; volterra and scattering import it from here
     from numpy import trapezoid
 except ImportError:  # numpy < 2.0
     from numpy import trapz as trapezoid
@@ -300,21 +300,6 @@ def _sample_point(
     return complex(acc)
 
 
-def eval_shifted(
-    fld: FourierField,
-    n: int,
-    xi: float,
-    counters: TruncationCounters | None = None,
-) -> complex:
-    """Coefficient of mode n at an off-grid frequency xi.
-
-    Returns the stored value exactly when xi is a node, the cubic
-    interpolant otherwise, and 0 beyond the frequency cutoff.
-    """
-    val = sample_mode(fld.coeffs, fld.grid, n, np.array([xi]), counters)
-    return complex(val[0])
-
-
 def enforce_reality(fld: FourierField) -> FourierField:
     """Project onto the mirror symmetry by averaging conjugate pairs.
 
@@ -322,35 +307,3 @@ def enforce_reality(fld: FourierField) -> FourierField:
     """
     mirror = np.conj(fld.coeffs[::-1, ::-1])
     return FourierField(fld.grid, 0.5 * (fld.coeffs + mirror))
-
-
-@dataclass(frozen=True)
-class PhysicalSamples:
-    """Real-space reconstruction on a (x, v) product lattice."""
-
-    x: np.ndarray
-    v: np.ndarray
-    values: np.ndarray
-    max_imag_residue: float
-
-
-def to_physical(fld: FourierField, nx: int, nv: int, v_max: float) -> PhysicalSamples:
-    """Invert the transform on a nx-by-nv lattice, x in [0, 2pi), |v| <= v_max.
-
-    The inverse carries the 1/2pi on the frequency integral so that
-    forward followed by inverse is the identity on band-limited data:
-    h(x, v) = sum_n e^{i n x} (1/2pi) int e^{i v xi} h_n(xi) dxi.
-    """
-    grid = fld.grid
-    x = np.linspace(0.0, 2.0 * np.pi, nx, endpoint=False)
-    v = np.linspace(-v_max, v_max, nv)
-    xi = grid.xi
-    # (nv, n_xi) phase matrix, then trapezoid over xi per v node
-    phase = np.exp(1j * np.outer(v, xi))
-    vals = np.zeros((nx, nv), dtype=np.complex128)
-    for n in range(-grid.n_max, grid.n_max + 1):
-        row = fld.coeffs[grid.mode_index(n)]
-        vslice = trapezoid(phase * row[None, :], dx=grid.d_xi, axis=1) / (2.0 * np.pi)
-        vals += np.outer(np.exp(1j * n * x), vslice)
-    residue = float(np.max(np.abs(vals.imag))) if vals.size else 0.0
-    return PhysicalSamples(x=x, v=v, values=vals.real.copy(), max_imag_residue=residue)

@@ -290,20 +290,6 @@ def resolvent(kernel: KernelOnGrid, l1_cap: float = 1e3) -> KernelOnGrid:
     )
 
 
-def convolve_causal(kernel: KernelOnGrid, series: np.ndarray) -> np.ndarray:
-    """(K*f)(t_i) = int_0^{t_i} K(t_i - s) f(s) ds by trapezoid."""
-    k = kernel.values
-    dt = kernel.d_t
-    n = len(series)
-    out = np.zeros(n, dtype=np.complex128)
-    for i in range(1, n):
-        acc = 0.5 * (k[i] * series[0] + k[0] * series[i])
-        if i > 1:
-            acc += np.dot(k[i - 1 : 0 : -1], series[1:i])
-        out[i] = dt * acc
-    return out
-
-
 def solve_volterra(
     forcing: np.ndarray,
     kernel: KernelOnGrid,

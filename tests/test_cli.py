@@ -1,11 +1,13 @@
 import json
 import re
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from hmflab.cli import main
 from hmflab.config import ConfigError, config_from_text, load_config
-from hmflab.outputs import read_snapshots, sha256_of
+from hmflab.outputs import read_snapshots, sha256_of, write_snapshots
 from hmflab.profiles import solve_bgk
 from hmflab.runner import RunRefusedError, run
 from hmflab.spectral import make_grid
@@ -106,11 +108,37 @@ class TestLoadConfig:
             ("stability.m_bound = 0.02", "stability.lambda > 0 when stability.m_bound is set"),
             ("stability.m_bound = 0.02\nstability.lambda = 0",
              "stability.lambda > 0 when stability.m_bound is set"),
+            pytest.param(BACKWARD_SMALL + "picard.inner_max = 0", "picard.inner_max >= 1",
+                         id="inner_max-0"),
+            pytest.param(BACKWARD_SMALL + "picard.max_iters = 0", "picard.max_iters >= 1",
+                         id="max_iters-0"),
+            pytest.param(BACKWARD_SMALL + "picard.zeta_refine = 3",
+                         "picard.zeta_refine is an even integer >= 2", id="zeta_refine-odd"),
+            pytest.param(BACKWARD_SMALL + "picard.zeta_refine = 0",
+                         "picard.zeta_refine is an even integer >= 2", id="zeta_refine-0"),
+            pytest.param(BACKWARD_SMALL + "evolve.snap_stride = 0", "evolve.snap_stride >= 1",
+                         id="snap_stride-0"),
+            pytest.param(BACKWARD_SMALL + "norms.mu_points = 0", "norms.mu_points >= 2",
+                         id="mu_points-0"),
+            pytest.param(BACKWARD_SMALL + "backward.T_list = 2, 4, 6.01",
+                         "backward.T_list - evolve.tau are whole numbers of evolve.d_t steps",
+                         id="T_list-off-step"),
+            pytest.param(BACKWARD_SMALL + "evolve.tau = 4\nbackward.T_list = 4, 8",
+                         "backward.T_list windows end after evolve.tau", id="T_list-at-tau"),
+            pytest.param(BACKWARD_SMALL.replace("evolve.T = 8", "evolve.T = 7.99"),
+                         "evolve.T - evolve.tau is a whole number of evolve.d_t steps",
+                         id="T-off-step"),
+            pytest.param("run.scenario = forward\nrun.id = x\nevolve.d_t = 0.2",
+                         "evolve.d_t <= 0.1", id="forward-d_t"),
+            pytest.param("run.scenario = compare\nrun.id = x\nevolve.d_t = 0.2",
+                         "evolve.d_t <= 0.1", id="compare-d_t"),
         ],
     )
     def test_stability_keys_checked_at_load(self, lines, rule):
+        """Each row is lines added to the minimal stability config, or a whole config."""
+        text = lines if "run.scenario" in lines else MINIMAL_STABILITY + lines
         with pytest.raises(ConfigError, match=re.escape(rule)):
-            config_from_text(MINIMAL_STABILITY + lines + "\n")
+            config_from_text(text + "\n")
 
     def test_stability_t_max_nan_rejected(self):
         with pytest.raises(ConfigError, match="stability.t_max: not a finite number"):
@@ -121,6 +149,33 @@ class TestLoadConfig:
             config_from_text(
                 "run.scenario = forward\nrun.id = x\ngrid.xi_max = 10\ngrid.t_final = 20\n"
             )
+
+
+class TestSnapshotFile:
+    GRID = make_grid(4, 44.0, 0.05, 40.0)  # 9 x 1761
+
+    def test_round_trip(self, tmp_path):
+        rng = np.random.default_rng(0)
+        shape = (3, self.GRID.n_modes, self.GRID.n_xi)
+        block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        write_snapshots(tmp_path / "s.bin", tmp_path / "s.json", self.GRID, [0.0, 1.0, 2.0], block)
+        got = read_snapshots(tmp_path / "s.bin", self.GRID)
+        assert got.shape == shape and np.array_equal(got, block)
+        assert json.loads((tmp_path / "s.json").read_text())["count"] == 3
+        with pytest.raises(ValueError, match="grid needs"):
+            read_snapshots(tmp_path / "s.bin", make_grid(3, 44.0, 0.05, 40.0))
+
+    def test_write_copies_no_block(self, tmp_path):
+        block = np.zeros((33, self.GRID.n_modes, self.GRID.n_xi), dtype=np.complex128)
+        tracemalloc.start()
+        try:
+            write_snapshots(tmp_path / "s.bin", tmp_path / "s.json", self.GRID,
+                            np.arange(33.0), block)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "s.bin").stat().st_size == 4 + 24 + block.nbytes
+        assert peak < 0.1 * block.nbytes
 
 
 class TestScenarios:

@@ -153,7 +153,7 @@ class TestAuditApriori:
         traj = Trajectory(
             grid=GRID,
             times=np.array([0.0, 5.0]),
-            snapshots=[FourierField.zeros(GRID)] * 2,
+            snapshots=np.zeros((2, GRID.n_modes, GRID.n_xi), dtype=complex),
             series=zeta,
         )
         w = solve_a(5.0, 1e-3, 0.01)
@@ -220,7 +220,7 @@ class TestRegularityProfile:
         traj = Trajectory(
             grid=GRID,
             times=np.array([0.0]),
-            snapshots=[fld],
+            snapshots=fld.coeffs[None],
             series=FieldSeries(t=np.array([0.0]), zeta1=np.array([0.5 + 0j])),
         )
         lo = regularity_profile(traj, cap=1.0).mu_star[0]

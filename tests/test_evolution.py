@@ -5,9 +5,7 @@ from hmflab.evolution import (
     BlowUpError,
     EvolutionParams,
     extract_zeta,
-    extract_zeta_pair,
     forward_solve,
-    rhs,
     rhs_coeffs,
 )
 from hmflab.profiles import kernel_j, make_asymptotic_datum, maxwellian
@@ -25,12 +23,11 @@ def datum(amplitude=0.5, width=1.0, grid=GRID):
 
 class TestRhs:
     def test_linear_term_only_on_coupled_modes(self):
-        fld = FourierField.zeros(GRID)
-        params = EvolutionParams(profile=PROFILE, epsilon=0.0, d_t=0.01, t_final=20.0)
-        inc = rhs(fld, 3.0, (0.2 + 0.1j, 0.2 - 0.1j), params)
-        assert np.max(np.abs(inc.mode(3))) == 0.0
-        assert np.max(np.abs(inc.mode(0))) == 0.0
-        assert np.max(np.abs(inc.mode(1))) > 0.0
+        coeffs = FourierField.zeros(GRID).coeffs
+        inc = rhs_coeffs(coeffs, 3.0, 0.2 + 0.1j, GRID, PROFILE, 0.0)
+        assert np.max(np.abs(inc[GRID.mode_index(3)])) == 0.0
+        assert np.max(np.abs(inc[GRID.mode_index(0)])) == 0.0
+        assert np.max(np.abs(inc[GRID.mode_index(1)])) > 0.0
 
     def test_mean_entry_is_conserved(self):
         fld = datum()
@@ -82,9 +79,11 @@ class TestExtractZeta:
             assert abs(extract_zeta(fld, t=t) - np.exp(-t**2 / 2)) < 1e-6
 
     def test_conjugation_cross_check(self):
+        # the direct mode -1 read at -t agrees with the conjugation shortcut
         fld = datum()
-        z1, zm1 = extract_zeta_pair(fld, t=2.34)
-        assert zm1 == np.conj(z1)
+        z1 = extract_zeta(fld, t=2.34)
+        zm1 = sample_mode(fld.coeffs, GRID, -1, np.array([-2.34]))[0]
+        assert abs(zm1 - np.conj(z1)) < 1e-12
 
     def test_beyond_cutoff_rejected(self):
         with pytest.raises(ValueError):
@@ -95,8 +94,19 @@ class TestForwardSolve:
     def test_zero_initial_state(self):
         params = EvolutionParams(profile=PROFILE, epsilon=0.01, d_t=0.01, t_final=2.0)
         traj = forward_solve(FourierField.zeros(GRID), params)
-        assert max(s.sup_norm() for s in traj.snapshots) == 0.0
+        assert np.max(np.abs(traj.snapshots)) == 0.0
         assert np.max(np.abs(traj.series.zeta1)) == 0.0
+
+    def test_snapshots_are_one_block(self):
+        # 105 steps at stride 10: steps 0, 10, ..., 100 and the off-cadence endpoint
+        params = EvolutionParams(profile=PROFILE, epsilon=0.01, d_t=0.01, t_final=1.05)
+        traj = forward_solve(datum(), params)
+        snaps = traj.snapshots
+        assert snaps.shape == (12, GRID.n_modes, GRID.n_xi)
+        assert snaps.dtype == np.complex128 and snaps.flags.c_contiguous
+        assert np.allclose(traj.times, np.r_[np.arange(11) * 0.1, 1.05])
+        assert np.array_equal(traj.initial().coeffs, datum().coeffs)
+        assert np.shares_memory(traj.final().coeffs, snaps[-1])
 
     def test_mass_conservation(self):
         params = EvolutionParams(profile=PROFILE, epsilon=0.01, d_t=0.01, t_final=10.0)
@@ -106,7 +116,8 @@ class TestForwardSolve:
     def test_reality_preserved(self):
         params = EvolutionParams(profile=PROFILE, epsilon=0.01, d_t=0.01, t_final=10.0)
         traj = forward_solve(datum(), params)
-        assert max(s.reality_defect() for s in traj.snapshots) < 1e-10
+        for s in traj.snapshots:
+            assert np.max(np.abs(s - np.conj(s[::-1, ::-1]))) < 1e-10
 
     def test_linear_regime_volterra_oracle(self):
         params = EvolutionParams(profile=PROFILE, epsilon=0.0, d_t=0.01, t_final=10.0)

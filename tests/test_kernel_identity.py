@@ -164,7 +164,7 @@ def test_forward_solve_matches_reference_stepping():
             snaps.append(c)
     assert len(snaps) == len(traj.snapshots)
     for ref, got in zip(snaps, traj.snapshots):
-        assert same_bytes(got.coeffs, ref)
+        assert same_bytes(got, ref)
 
 
 def test_transport_matches_reference_stepping():

@@ -13,7 +13,6 @@ from hmflab.norms import (
     functional_P_Q,
     profile_analytic_norm,
     solve_a,
-    weighted_norm_p,
 )
 from hmflab.profiles import lorentzian, make_asymptotic_datum, maxwellian
 from hmflab.spectral import FourierField, make_grid
@@ -37,7 +36,7 @@ def make_traj(fields, times):
     return Trajectory(
         grid=GRID,
         times=np.asarray(times, dtype=float),
-        snapshots=list(fields),
+        snapshots=np.stack([f.coeffs for f in fields]),
         series=FieldSeries(t=np.asarray(times, dtype=float), zeta1=zeta),
     )
 
@@ -67,25 +66,6 @@ class TestAnalyticNorm:
         assert analytic_norm(scaled, 0.25).value == pytest.approx(
             3.7 * analytic_norm(fld, 0.25).value, rel=1e-14
         )
-
-
-class TestWeightedNormP:
-    def test_p_zero_reduces(self):
-        fld = gaussian_field()
-        assert weighted_norm_p(fld, 0.2, 0).value == pytest.approx(
-            analytic_norm(fld, 0.2).value, rel=1e-13
-        )
-
-    def test_zero_field(self):
-        assert weighted_norm_p(FourierField.zeros(GRID), 0.2, 3).value == 0.0
-
-    def test_refined_scan_oracle(self):
-        fld = gaussian_field()
-        lam, p = 0.2, 3
-        xi = np.linspace(-24, 24, 200001)
-        br = np.sqrt(2 + xi**2)
-        oracle = np.max(np.exp(lam * br) * br**p * np.exp(-(xi**2) / 2))
-        assert abs(weighted_norm_p(fld, lam, p).value - oracle) < 0.01 * oracle
 
 
 class TestProfileNorm:

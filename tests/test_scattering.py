@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,8 @@ from hmflab.profiles import (
 from hmflab.scattering import (
     ScatteringConfig,
     backward_solve,
+    _Workspace,
     continue_in_T,
-    fixed_point_residual,
     nonperturbative_solve,
 )
 from hmflab.spectral import FourierField, make_grid, sample_mode
@@ -42,13 +44,20 @@ def config(**kw):
     return ScatteringConfig(**base)
 
 
+def fixed_point_residual(cfg, traj):
+    """Sup change of the field when its equation is re-solved from scratch
+    against the converged snapshots, on the stored series' own nodes."""
+    new, _, _ = _Workspace(cfg).solve_field(traj.snapshots, None)
+    return float(np.max(np.abs(new[:: cfg.zeta_refine] - traj.series.zeta1)))
+
+
 class TestBackwardSolve:
     def test_zero_datum(self):
         cfg = config(terminal=FourierField.zeros(GRID))
         traj, trace = backward_solve(cfg)
         assert trace.converged
         assert trace.iterations == 1
-        assert max(s.sup_norm() for s in traj.snapshots) == 0.0
+        assert np.max(np.abs(traj.snapshots)) == 0.0
 
     def test_linear_case_two_sweeps_and_volterra_match(self):
         cfg = config(epsilon=0.0)
@@ -126,7 +135,7 @@ class TestBackwardSolve:
         traj, trace = backward_solve(cfg)
         assert trace.converged
         dev = np.array(
-            [float(np.max(np.abs(s.coeffs - cfg.terminal.coeffs))) for s in traj.snapshots]
+            [float(np.max(np.abs(s - cfg.terminal.coeffs))) for s in traj.snapshots]
         )
         tail = dev[traj.times >= 12.0]
         assert np.all(np.diff(tail) <= 0)
@@ -134,7 +143,22 @@ class TestBackwardSolve:
     def test_reality_of_solution(self):
         cfg = config()
         traj, _ = backward_solve(cfg)
-        assert max(s.reality_defect() for s in traj.snapshots) < 1e-12
+        for s in traj.snapshots:
+            assert np.max(np.abs(s - np.conj(s[::-1, ::-1]))) < 1e-12
+
+    def test_snapshots_are_one_block(self):
+        # 205 steps at stride 10: steps 0, 10, ..., 200 and the off-cadence end;
+        # the diverged run returns its never-transported initial history
+        grid = make_grid(3, 12.0, 0.1, 8.0)
+        nan_datum = datum(grid=grid).coeffs.copy()
+        nan_datum[grid.mode_index(1), grid.n_half + 20] = np.nan
+        for terminal, converged in ((datum(grid=grid), True), (FourierField(grid, nan_datum), False)):
+            traj, trace = backward_solve(config(terminal=terminal, T=2.05))
+            assert trace.converged is converged
+            snaps = traj.snapshots
+            assert snaps.shape == (22, grid.n_modes, grid.n_xi)
+            assert snaps.dtype == np.complex128 and snaps.flags.c_contiguous
+            assert np.array_equal(snaps[-1], terminal.coeffs, equal_nan=True)
 
     def test_mean_mode_conserved(self):
         cfg = config()
@@ -170,6 +194,20 @@ class TestContinuation:
         assert res.zeta_diffs[1] < res.zeta_diffs[0]
         assert res.h_diffs[1] < res.h_diffs[0]
 
+    def test_off_cadence_endpoint_has_no_partner(self):
+        # h_diff compares the snapshots both windows store at the same time:
+        # 1.55 ends off the stride-10 cadence, so its endpoint is left out
+        grid = make_grid(3, 12.0, 0.1, 8.0)
+        cfg = config(terminal=datum(grid=grid), T=3.0)
+        res = continue_in_T(cfg, [1.55, 3.0])
+        short, _ = backward_solve(replace(cfg, T=1.55))
+        long = res.last_trajectory
+        by_time = {round(float(t), 9): s for t, s in zip(long.times, long.snapshots)}
+        shared = [(s, by_time[round(float(t), 9)]) for t, s in zip(short.times, short.snapshots)
+                  if round(float(t), 9) in by_time]
+        assert len(shared) == len(short.times) - 1
+        assert res.h_diffs == [max(float(np.max(np.abs(a - b))) for a, b in shared)]
+
     def test_horizon_beyond_grid_rejected(self):
         cfg = config()
         with pytest.raises(ValueError):
@@ -181,7 +219,7 @@ class TestNonperturbative:
         cfg = config(terminal=FourierField.zeros(GRID), epsilon=1.0, tau=2.0)
         traj, trace, split = nonperturbative_solve(cfg)
         assert trace.converged
-        assert max(s.sup_norm() for s in traj.snapshots) == 0.0
+        assert np.max(np.abs(traj.snapshots)) == 0.0
 
     def test_requires_unit_epsilon(self):
         cfg = config(epsilon=0.5)
@@ -222,6 +260,11 @@ class TestConfigValidation:
     def test_window_ordering(self):
         with pytest.raises(ValueError):
             config(tau=10.0, T=10.0)
+
+    def test_inner_max_at_least_one(self):
+        # zero inner iterations would report a converged sweep with an unsolved field
+        with pytest.raises(ValueError, match="inner_max"):
+            config(inner_max=0)
 
     def test_refine_must_be_even(self):
         with pytest.raises(ValueError):

@@ -6,11 +6,9 @@ from hmflab.spectral import (
     GridError,
     TruncationCounters,
     enforce_reality,
-    eval_shifted,
     make_grid,
     sample_mode,
     shift_rows,
-    to_physical,
 )
 
 
@@ -48,6 +46,11 @@ class TestMakeGrid:
             make_grid(1, 24.0, 0.05, 20.0)
 
 
+def read_at(fld, n, xi, counters=None):
+    """One cubic read of mode n at frequency xi."""
+    return complex(sample_mode(fld.coeffs, fld.grid, n, np.array([xi]), counters)[0])
+
+
 class TestEvalShifted:
     def test_on_grid_exact(self):
         g = make_grid(4, 24.0, 0.05, 20.0)
@@ -55,25 +58,25 @@ class TestEvalShifted:
         coeffs = rng.randn(g.n_modes, g.n_xi) + 1j * rng.randn(g.n_modes, g.n_xi)
         fld = FourierField(g, coeffs)
         for j in (0, 13, 480, 960):
-            assert eval_shifted(fld, 2, g.xi[j]) == coeffs[g.mode_index(2), j]
+            assert read_at(fld, 2, g.xi[j]) == coeffs[g.mode_index(2), j]
 
     def test_gaussian_midpoint(self):
         g = make_grid(4, 24.0, 0.05, 20.0)
         fld = gaussian_field(g)
-        got = eval_shifted(fld, 1, 0.025)
+        got = read_at(fld, 1, 0.025)
         assert abs(got - np.exp(-0.025**2 / 2)) < 1e-6
 
     def test_out_of_range_zero_and_counted(self):
         g = make_grid(4, 24.0, 0.05, 20.0)
         fld = gaussian_field(g)
         counters = TruncationCounters()
-        assert eval_shifted(fld, 1, g.xi_max + 1.0, counters) == 0.0
+        assert read_at(fld, 1, g.xi_max + 1.0, counters) == 0.0
         assert counters.out_of_range_reads == 1
 
     def test_mode_out_of_range_raises(self):
         g = make_grid(4, 24.0, 0.05, 20.0)
         with pytest.raises(GridError):
-            eval_shifted(gaussian_field(g), 5, 0.0)
+            read_at(gaussian_field(g), 5, 0.0)
 
     def test_fourth_order_convergence(self):
         # halving d_xi must shrink the max interpolation error by >= 8x
@@ -120,28 +123,3 @@ class TestEnforceReality:
         a = enforce_reality(FourierField(g, 3.5 * coeffs)).coeffs
         b = 3.5 * enforce_reality(FourierField(g, coeffs)).coeffs
         assert np.max(np.abs(a - b)) < 1e-14
-
-
-class TestToPhysical:
-    def test_zero_field(self):
-        g = make_grid(4, 24.0, 0.05, 20.0)
-        out = to_physical(FourierField.zeros(g), 16, 17, 5.0)
-        assert np.max(np.abs(out.values)) == 0.0
-
-    def test_cosine_gaussian_closed_form(self):
-        # h(x, v) = cos(x) exp(-v^2/2)/sqrt(2pi) has h_{+-1}(xi) = exp(-xi^2/2)/2
-        g = make_grid(4, 24.0, 0.05, 20.0)
-        coeffs = np.zeros((g.n_modes, g.n_xi), dtype=complex)
-        coeffs[g.mode_index(1)] = 0.5 * np.exp(-g.xi**2 / 2)
-        coeffs[g.mode_index(-1)] = 0.5 * np.exp(-g.xi**2 / 2)
-        out = to_physical(FourierField(g, coeffs), 24, 33, 6.0)
-        expected = np.cos(out.x)[:, None] * np.exp(-out.v**2 / 2)[None, :] / np.sqrt(2 * np.pi)
-        assert np.max(np.abs(out.values - expected)) < 1e-6
-
-    def test_imaginary_residue_small(self):
-        g = make_grid(4, 24.0, 0.05, 20.0)
-        rng = np.random.RandomState(2)
-        noisy = FourierField(g, rng.randn(g.n_modes, g.n_xi) + 1j * rng.randn(g.n_modes, g.n_xi))
-        sym = enforce_reality(noisy)
-        out = to_physical(sym, 12, 13, 4.0)
-        assert out.max_imag_residue < 1e-12

@@ -13,12 +13,23 @@ from hmflab.volterra import (
     StabilityViolation,
     _laplace_many,
     _simpson_weights,
-    convolve_causal,
     laplace,
     resolvent,
     solve_volterra,
     stability_margin,
 )
+
+
+def convolve_causal(kernel, series):
+    """(K*f)(t_i) = int_0^{t_i} K(t_i - s) f(s) ds by the trapezoid rule."""
+    k = kernel.values
+    out = np.zeros(len(series), dtype=np.complex128)
+    for i in range(1, len(series)):
+        acc = 0.5 * (k[i] * series[0] + k[0] * series[i])
+        if i > 1:
+            acc += np.dot(k[i - 1 : 0 : -1], series[1:i])
+        out[i] = kernel.d_t * acc
+    return out
 
 
 def exp_kernel(c=0.3, a=1.0, t_max=20.0, d_t=1e-3):
