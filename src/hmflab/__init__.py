@@ -50,12 +50,9 @@ from .norms import (
     NormReport,
     WeightFunction,
     a_infinity,
-    analytic_norm,
-    functional_J_K,
     functional_M,
     functional_N,
     functional_P_Q,
-    profile_analytic_norm,
     solve_a,
 )
 from .scattering import (

@@ -62,15 +62,6 @@ def _mode_weights(raw: str) -> dict[int, float]:
     return out
 
 
-def _bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
 _REQUIRED = object()
 
 # key -> (parser, default-or-required, applicable scenarios)
@@ -323,6 +314,11 @@ def _validate(cfg: RunConfig, origin: str) -> None:
             max(ts) <= v["grid.t_final"] + 1e-12,
             "backward.T_list within grid.t_final",
         )
+        # the reported N norm is budgeted on [tau, evolve.T] and read on the last window
+        rule(ts[-1] == v["evolve.T"], "backward.T_list ends at evolve.T")
+    if scenario in ("forward", "backward", "compare"):
+        rule(all(abs(n) <= v["grid.n_max"] for n in v["datum.modes"]),
+             "datum.modes within |n| <= grid.n_max")
     if scenario == "sweep":
         rule(v["sweep.scenario"] in SCENARIOS and v["sweep.scenario"] != "sweep",
              "sweep.scenario is a non-sweep scenario")

@@ -1,34 +1,19 @@
-"""Decay-rate fits, echo detection and estimate audits.
+"""Decay-rate fits, echo detection and round-trip comparisons.
 
 The damping statements are exponential with unspecified constants, so
 verification works through log-linear least squares on field magnitudes,
-envelope-relative resurgence (echo) detection, and empirical-constant
-extraction for the two coupled a-priori inequalities
-
-    M <= C ( D + eps * M N / (lam^2 sqrt(lam - a_inf(0))) )
-    N <= C ( D + M E / delta + eps M N / delta )
-
-where M, N are the field and budget-weighted state functionals, D the
-datum norm and E the background norm at the same weight.
+envelope-relative resurgence (echo) detection, and the analytic-radius
+profiles that show which way a solve moves regularity.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .evolution import EvolutionParams, FieldSeries, Trajectory, forward_solve
-from .norms import (
-    WeightFunction,
-    _bracket,
-    _log_abs,
-    analytic_norm,
-    functional_M,
-    functional_N,
-    profile_analytic_norm,
-)
+from .norms import _bracket, _log_abs
 from .profiles import Profile
 from .spectral import FourierField
 
@@ -60,17 +45,12 @@ class EchoEvent:
 
 
 def fit_decay_values(
-    t: np.ndarray,
-    values: np.ndarray,
-    window: tuple[float, float],
-    min_nodes: int = 10,
-    min_nonzero_fraction: float = 0.8,
+    t: np.ndarray, values: np.ndarray, window: tuple[float, float]
 ) -> DecayFit:
     """Log-linear fit of a nonnegative series on a time window.
 
-    Zeros are excluded from the fit; the window must keep at least
-    ``min_nodes`` usable nodes and a ``min_nonzero_fraction`` share of
-    nonzero samples.  The residual is the RMS misfit of log values, so a
+    Zeros are excluded from the fit; the window must keep at least 10
+    usable nodes, and at least 80% of its samples must be nonzero.  The residual is the RMS misfit of log values, so a
     clean exponential scores ~0 and a Gaussian scores order one.
     """
     t = np.asarray(t, dtype=float)
@@ -82,13 +62,13 @@ def fit_decay_values(
     tw = t[in_win]
     vw = values[in_win]
     nonzero = vw > 0.0
-    if np.count_nonzero(nonzero) < min_nonzero_fraction * len(vw):
+    if np.count_nonzero(nonzero) < 0.8 * len(vw):
         raise FitWindowError(
             f"only {np.count_nonzero(nonzero)}/{len(vw)} nonzero samples in {window}"
         )
     tw, vw = tw[nonzero], vw[nonzero]
-    if len(tw) < min_nodes:
-        raise FitWindowError(f"{len(tw)} usable nodes < required {min_nodes}")
+    if len(tw) < 10:
+        raise FitWindowError(f"{len(tw)} usable nodes < required 10")
     y = np.log(vw)
     slope, intercept = np.polyfit(tw, y, 1)
     resid = float(np.sqrt(np.mean((y - (slope * tw + intercept)) ** 2)))
@@ -101,9 +81,9 @@ def fit_decay_values(
     )
 
 
-def fit_decay(zeta: FieldSeries, window: tuple[float, float], **kw) -> DecayFit:
+def fit_decay(zeta: FieldSeries, window: tuple[float, float]) -> DecayFit:
     """Exponential fit of the field magnitude |zeta_1| on a window."""
-    return fit_decay_values(zeta.t, zeta.magnitude(), window, **kw)
+    return fit_decay_values(zeta.t, zeta.magnitude(), window)
 
 
 def detect_echoes(
@@ -140,64 +120,6 @@ def detect_echoes(
 
 
 @dataclass(frozen=True)
-class AprioriAudit:
-    """Empirical constants closing the coupled field/state inequalities."""
-
-    m_value: float
-    n_value: float
-    datum_norm: float
-    background_norm: float
-    field_constant: float
-    state_constant: float
-    lam: float
-    delta: float
-    epsilon: float
-
-
-def audit_apriori(
-    traj: Trajectory,
-    zeta: FieldSeries,
-    terminal: FourierField,
-    background: Profile,
-    epsilon: float,
-    lam: float,
-    weight: WeightFunction,
-    a_inf_zero: float,
-) -> AprioriAudit:
-    """Best (smallest) constants making the two a-priori bounds hold.
-
-    Each inequality is solved for its constant given the measured
-    functionals; stability of the constants under grid refinement is the
-    check that they estimate continuum quantities rather than noise.
-    """
-    m_val = functional_M(zeta, lam).value
-    n_val = functional_N(traj, lam, weight).value
-    datum_norm = analytic_norm(terminal, lam).value
-    bg_norm = profile_analytic_norm(background, lam)
-    if lam - a_inf_zero <= 0:
-        raise ValueError("lam must exceed the limiting budget a_inf(0)")
-    field_rhs = datum_norm + epsilon * m_val * n_val / (
-        lam ** 2 * math.sqrt(lam - a_inf_zero)
-    )
-    state_rhs = (
-        datum_norm
-        + m_val * bg_norm / weight.delta
-        + epsilon * m_val * n_val / weight.delta
-    )
-    return AprioriAudit(
-        m_value=m_val,
-        n_value=n_val,
-        datum_norm=datum_norm,
-        background_norm=bg_norm,
-        field_constant=m_val / field_rhs if field_rhs > 0 else 0.0,
-        state_constant=n_val / state_rhs if state_rhs > 0 else 0.0,
-        lam=lam,
-        delta=weight.delta,
-        epsilon=epsilon,
-    )
-
-
-@dataclass(frozen=True)
 class RegularityProfile:
     """Largest weight mu with ||h(t)||_mu below a cap, per snapshot time."""
 
@@ -206,23 +128,21 @@ class RegularityProfile:
     cap: float
 
 
-def regularity_profile(
-    traj: Trajectory, cap: float, mu_max: float = 2.0, n_mu: int = 120
-) -> RegularityProfile:
+def regularity_profile(traj: Trajectory, cap: float) -> RegularityProfile:
     """Track the analytic radius of the snapshots against a norm cap.
 
-    The weighted norm is increasing in mu, so for each snapshot a scan
-    from below finds the last mu whose norm stays under the cap (mu_max
-    when even that one passes).
+    The weighted norm is increasing in mu, so for each snapshot a scan of
+    120 points on [0, 2] from below finds the last mu whose norm stays
+    under the cap (2 when even that one passes).
     """
-    mus = np.linspace(0.0, mu_max, n_mu)
+    mus = np.linspace(0.0, 2.0, 120)
     br = _bracket(traj.grid)
     out = np.empty(len(traj.times))
     for i, snap in enumerate(traj.snapshots):
         logh = _log_abs(snap)
         best = 0.0
         for mu in mus:
-            # ||h||_mu as analytic_norm evaluates it, with the log taken once per snapshot
+            # ||h||_mu = sup e^{mu <n, xi>} |h_n(xi)|, with the log taken once per snapshot
             if np.exp(np.max(mu * br + logh)) < cap:
                 best = mu
             else:
@@ -250,15 +170,14 @@ def compare_backward_forward(
     picard_tol: float,
     sign: float = 1.0,
     forward_rough: Trajectory | None = None,
-    cap: float = 10.0,
 ) -> RoundTripReport:
     """Round-trip and regularity-direction check of a converged solve.
 
     Forward integration from the backward solution's initial state must
     land on the terminal datum within 5x the sweep tolerance.  The
-    analytic-radius profile of the backward solution should not lose
-    radius as t grows, while a forward run from rough data should not
-    gain it; pass ``forward_rough`` to report the second profile.
+    analytic-radius profile (norm cap 10) of the backward solution should
+    not lose radius as t grows, while a forward run from rough data should
+    not gain it; pass ``forward_rough`` to report the second profile.
     """
     grid = backward.grid
     t0 = float(backward.times[0])
@@ -281,6 +200,6 @@ def compare_backward_forward(
         error=err,
         tolerance=tol,
         within_tolerance=err <= tol,
-        backward_profile=regularity_profile(backward, cap),
-        forward_profile=regularity_profile(forward_rough, cap) if forward_rough else None,
+        backward_profile=regularity_profile(backward, 10.0),
+        forward_profile=regularity_profile(forward_rough, 10.0) if forward_rough else None,
     )

@@ -64,8 +64,6 @@ class EvolutionParams:
     sign: float = 1.0
     snap_stride: int = 10
     overflow_cap: float = 1e6
-    reality_check_every: int = 100
-    reality_tol: float = 1e-10
 
     def __post_init__(self):
         if self.d_t <= 0 or self.d_t > 0.1:
@@ -131,23 +129,17 @@ class Trajectory:
 
 
 def extract_zeta(
-    state: FourierField | np.ndarray,
-    grid: Grid | None = None,
-    t: float = 0.0,
+    coeffs: np.ndarray,
+    grid: Grid,
+    t: float,
     check_tol: float | None = 1e-10,
     counters: TruncationCounters | None = None,
 ) -> complex:
-    """Field readout zeta_1(t) = h_1(t, t) from a state.
+    """Field readout zeta_1(t) = h_1(t, t) from a coefficient array.
 
     The conjugation shortcut zeta_{-1} = conj(zeta_1) is cross-checked
     against the direct mode -1 read at -t when ``check_tol`` is set.
     """
-    if isinstance(state, FourierField):
-        coeffs, grid = state.coeffs, state.grid
-    else:
-        if grid is None:
-            raise ValueError("grid required when passing a raw coefficient array")
-        coeffs = state
     if abs(t) > grid.xi_max:
         raise ValueError(f"readout time {t} beyond the frequency cutoff {grid.xi_max}")
     z1 = _sample_point(coeffs, grid, 1, t, counters)
@@ -256,14 +248,24 @@ def _rk4_step(c: np.ndarray, t: float, h: float, stage_rhs, work: _RK4Work) -> N
     np.add(c, np.multiply(h / 6.0, k1, out=k1), out=c)
 
 
-def _validate_initial(h0: FourierField, tol: float = 1e-10) -> None:
-    # written as not (x <= tol) so that a NaN anywhere in the state fails
+def _validate_initial(h0: FourierField) -> None:
+    # written as not (x <= 1e-10) so that a NaN anywhere in the state fails
     defect = h0.reality_defect()
-    if not defect <= tol:
+    if not defect <= 1e-10:
         raise ValueError(f"initial state breaks reality symmetry by {defect:.3e}")
     mean = abs(h0.mean_mode_at_zero())
-    if not mean <= tol:
+    if not mean <= 1e-10:
         raise ValueError(f"initial state is not mean-zero: |h_0(0)| = {mean:.3e}")
+
+
+def _snapshot_steps(n_steps: int, stride: int) -> np.ndarray:
+    """Steps that store a snapshot: every ``stride``-th from 0, plus the last."""
+    steps = np.arange(0, n_steps + 1, stride)
+    return steps if steps[-1] == n_steps else np.append(steps, n_steps)
+
+
+_REALITY_CHECK_EVERY = 100
+_REALITY_TOL = 1e-10
 
 
 def forward_solve(h0: FourierField, params: EvolutionParams) -> Trajectory:
@@ -271,7 +273,8 @@ def forward_solve(h0: FourierField, params: EvolutionParams) -> Trajectory:
 
     Returns snapshots every ``snap_stride`` steps (plus the endpoint) and
     the per-step field series.  Aborts with BlowUpError when any
-    coefficient magnitude passes the overflow cap.
+    coefficient magnitude passes the overflow cap, and with
+    RealityDriftError when the mirror symmetry drifts past 1e-10.
     """
     grid = h0.grid
     if params.t_final > grid.t_final + 1e-12:
@@ -287,11 +290,10 @@ def forward_solve(h0: FourierField, params: EvolutionParams) -> Trajectory:
     work = _RK4Work(grid)
     c = h0.coeffs.copy()
     t = 0.0
-    stride = params.snap_stride
-    count = n_steps // stride + 1 + (n_steps % stride != 0)
-    snapshots = np.empty((count, grid.n_modes, grid.n_xi), dtype=np.complex128)
+    steps = _snapshot_steps(n_steps, params.snap_stride)
+    snapshots = np.empty((len(steps), grid.n_modes, grid.n_xi), dtype=np.complex128)
     snapshots[0] = c
-    snap_times = [0.0]
+    snap = 1  # row of the next snapshot
     zs = np.empty(n_steps + 1, dtype=np.complex128)
     zs[0] = extract_zeta(c, grid, 0.0, counters=counters)
 
@@ -305,17 +307,17 @@ def forward_solve(h0: FourierField, params: EvolutionParams) -> Trajectory:
         peak = np.max(np.abs(c))
         if not peak <= params.overflow_cap:  # NaN fails too
             raise BlowUpError(t, float(peak))
-        if i % params.reality_check_every == 0:
+        if i % _REALITY_CHECK_EVERY == 0:
             mirror = np.conj(c[::-1, ::-1])
             drift = float(np.max(np.abs(c - mirror)))
-            if drift > params.reality_tol:
+            if drift > _REALITY_TOL:
                 raise RealityDriftError(
-                    f"reality drift {drift:.3e} exceeds {params.reality_tol:.1e} at t={t:.3f}"
+                    f"reality drift {drift:.3e} exceeds {_REALITY_TOL:.1e} at t={t:.3f}"
                 )
         zs[i] = extract_zeta(c, grid, t, check_tol=None, counters=counters)
-        if i % stride == 0 or i == n_steps:
-            snapshots[len(snap_times)] = c
-            snap_times.append(t)
+        if i == steps[snap]:
+            snapshots[snap] = c
+            snap += 1
             edge = float(max(np.max(np.abs(c[:, 0])), np.max(np.abs(c[:, -1]))))
             if edge > counters.max_edge_magnitude:
                 counters.max_edge_magnitude = edge
@@ -323,7 +325,7 @@ def forward_solve(h0: FourierField, params: EvolutionParams) -> Trajectory:
     series = FieldSeries(t=np.arange(n_steps + 1) * dt, zeta1=zs)
     return Trajectory(
         grid=grid,
-        times=np.array(snap_times),
+        times=steps * dt,
         snapshots=snapshots,
         series=series,
         counters=counters,

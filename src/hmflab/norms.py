@@ -25,8 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .evolution import FieldSeries, Trajectory
-from .profiles import Profile
-from .spectral import FourierField, Grid
+from .spectral import Grid
 
 
 @dataclass(frozen=True)
@@ -36,9 +35,6 @@ class NormReport:
     value: float
     where: tuple | None = None
     empty: bool = False
-
-    def __float__(self):
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -93,28 +89,24 @@ def solve_a(T: float, delta: float, d_t: float) -> WeightFunction:
     return WeightFunction(big_t=T, delta=delta, t=np.arange(n + 1) * d_t, a=ys)
 
 
-def a_infinity(
-    delta: float,
-    t_max: float,
-    d_t: float,
-    t_list: tuple[float, ...] | None = None,
-    max_retries: int = 3,
-) -> WeightFunction:
+_A_INF_RETRIES = 3
+
+
+def a_infinity(delta: float, t_max: float, d_t: float) -> WeightFunction:
     """Limit budget function on [0, t_max].
 
     The initial value is the extrapolated limit of the terminal-problem
     values a_T(0) over increasing T (they increase and converge fast);
     forward integration from it stays positive while it tracks the
-    separatrix.  A positivity failure means the extrapolation undershot;
-    the horizon list is doubled and the estimate repeated.
+    separatrix.  The horizons are max(2 t_max, 100) times 1, 2 and 4.  A
+    positivity failure means the extrapolation undershot; the horizons are
+    doubled and the estimate repeated, at most ``_A_INF_RETRIES`` times.
     """
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    if t_list is None:
-        base = max(2.0 * t_max, 100.0)
-        t_list = (base, 2.0 * base, 4.0 * base)
-    horizons = tuple(float(T) for T in t_list)
-    for _ in range(max_retries + 1):
+    base = max(2.0 * t_max, 100.0)
+    horizons = (base, 2.0 * base, 4.0 * base)
+    for _ in range(_A_INF_RETRIES + 1):
         a0s = [solve_a(T, delta, d_t).a0 for T in horizons]
         a_ext = _aitken(a0s)
         n = int(round(t_max / d_t))
@@ -126,7 +118,7 @@ def a_infinity(
             )
         horizons = tuple(2.0 * T for T in horizons)
     raise RuntimeError(
-        f"limit budget stayed nonpositive on [0, {t_max}] after {max_retries} retries"
+        f"limit budget stayed nonpositive on [0, {t_max}] after {_A_INF_RETRIES} retries"
     )
 
 
@@ -153,52 +145,6 @@ def _log_abs(coeffs: np.ndarray) -> np.ndarray:
     nz = coeffs != 0
     out[nz] = np.log(np.abs(coeffs[nz]))
     return out
-
-
-def _located_max(arr: np.ndarray, grid: Grid) -> tuple[float, tuple[int, float]]:
-    k = int(np.argmax(arr))
-    i, j = np.unravel_index(k, arr.shape)
-    return float(arr[i, j]), (int(i - grid.n_max), float(grid.xi[j]))
-
-
-def analytic_norm(fld: FourierField, mu: float) -> NormReport:
-    """sup e^{mu <n, xi>} |h_n(xi)| over the lattice, with the maximizer."""
-    if mu < 0:
-        raise ValueError(f"mu must be >= 0, got {mu}")
-    if not np.any(fld.coeffs):
-        return NormReport(0.0, None)
-    logv = mu * _bracket(fld.grid) + _log_abs(fld.coeffs)
-    val, where = _located_max(logv, fld.grid)
-    return NormReport(float(np.exp(val)), where)
-
-
-def profile_analytic_norm(profile: Profile, lam: float) -> float:
-    """sup e^{lam <xi>} |eta_hat(xi)| of a closed-form background (mode 0)."""
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
-    if lam > profile.analytic_width:
-        return math.inf
-    xi = np.linspace(0.0, 400.0, 40001)
-    vals = np.exp(lam * np.sqrt(1.0 + xi * xi)) * np.abs(profile.eta_hat(xi))
-    k = int(np.argmax(vals))
-    lo = xi[max(0, k - 1)]
-    hi = xi[min(len(xi) - 1, k + 1)]
-    for _ in range(80):  # golden-section refine
-        m1 = lo + 0.381966 * (hi - lo)
-        m2 = hi - 0.381966 * (hi - lo)
-        f1 = math.exp(lam * math.sqrt(1 + m1 * m1)) * abs(profile.eta_hat(m1))
-        f2 = math.exp(lam * math.sqrt(1 + m2 * m2)) * abs(profile.eta_hat(m2))
-        if f1 < f2:
-            lo = m1
-        else:
-            hi = m2
-    m = 0.5 * (lo + hi)
-    return float(
-        max(
-            vals[k],
-            math.exp(lam * math.sqrt(1 + m * m)) * abs(profile.eta_hat(m)),
-        )
-    )
 
 
 def functional_M(zeta: FieldSeries, lam: float) -> NormReport:
@@ -301,85 +247,3 @@ def functional_P_Q(
         traj, lam, scaled, (tau, float(traj.times[-1])), 64
     )
     return p_report, q_report
-
-
-def functional_J_K(
-    zeta: FieldSeries,
-    traj: Trajectory,
-    lambda0: float,
-    delta: float,
-    p: int,
-    q: int,
-    lambda_points: int = 64,
-) -> tuple[NormReport, NormReport]:
-    """Initial-value-problem functionals with the arctan regularity loss.
-
-    beta(lam, t) = lambda0 - lam - delta arctan(t); the field functional is
-    sup e^{lam t} <t>^p |zeta_1| over beta > 0, and the state functional
-    adds a plain cubic-weight sup to the budgeted <t>^q-discounted sup of
-    the (p+1)-weighted norm (two terms; the cubic one absorbs the
-    resonant mode pairs).  Requires delta < 2 lambda0 / pi, p >= q + 3,
-    q >= 3.
-    """
-    if not 0 < delta < 2.0 * lambda0 / math.pi:
-        raise ValueError(f"need 0 < delta < 2 lambda0/pi = {2*lambda0/math.pi:.4f}")
-    if q < 3 or p < q + 3:
-        raise ValueError("need q >= 3 and p >= q + 3")
-    fractions = _boundary_refined_fractions(lambda_points)
-
-    # field part: scan (lam, t) over the series
-    t_arr = zeta.t
-    absz = np.abs(zeta.zeta1)
-    lam_cap = lambda0 - delta * np.arctan(t_arr)
-    bracket_t = np.sqrt(1.0 + t_arr * t_arr)
-    best_j = 0.0
-    where_j = None
-    nz = absz > 0
-    if np.any(nz):
-        logz = np.log(absz[nz])
-        tv = t_arr[nz]
-        capv = lam_cap[nz]
-        logbr = np.log(bracket_t[nz])
-        for f in fractions:
-            lamv = f * capv
-            logs = lamv * tv + p * logbr + logz
-            k = int(np.argmax(logs))
-            v = float(np.exp(logs[k]))
-            if v > best_j:
-                best_j, where_j = v, (float(lamv[k]), float(tv[k]))
-    j_report = NormReport(best_j, where_j, empty=not np.any(nz))
-
-    # state part: K = sup ||h||_{lam,3} + sup beta^(1/2) ||h||_{lam,p+1} / <t>^q
-    br = _bracket(traj.grid)
-    log_br = np.log(br)
-    best_k3 = -math.inf
-    best_kpq = -math.inf
-    where_k = None
-    found = False
-    for t, snap in zip(traj.times, traj.snapshots):
-        cap = lambda0 - delta * math.atan(t)
-        if cap <= 0:
-            continue
-        found = True
-        logh = _log_abs(snap)
-        if not np.any(np.isfinite(logh)):
-            continue  # zero snapshot contributes 0 to both sups
-        log_t_disc = q * 0.5 * math.log(1.0 + t * t)
-        for f in fractions:
-            lam = f * cap
-            beta = cap - lam
-            if beta <= 0:
-                continue
-            base = lam * br + logh
-            v3 = float(np.max(base + 3 * log_br))
-            vp = float(np.max(base + (p + 1) * log_br)) + 0.5 * math.log(beta) - log_t_disc
-            if v3 > best_k3:
-                best_k3 = v3
-            if vp > best_kpq:
-                best_kpq = vp
-                where_k = (float(lam), float(t))
-    if not found:
-        return j_report, NormReport(0.0, None, empty=True)
-    k3 = math.exp(best_k3) if math.isfinite(best_k3) else 0.0
-    kpq = math.exp(best_kpq) if math.isfinite(best_kpq) else 0.0
-    return j_report, NormReport(k3 + kpq, where_k)

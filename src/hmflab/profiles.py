@@ -37,14 +37,12 @@ class Profile:
     """Closed-form homogeneous background.
 
     ``decay_rate`` and ``decay_coeff`` certify |j_1(t)| <= coeff * exp(-rate t)
-    for the induced kernel; ``analytic_width`` is the largest exponential
-    weight under which the profile norm stays finite.
+    for the induced kernel.
     """
 
     name: str
     eta_hat: Callable[[np.ndarray], np.ndarray]
     eta_prime_hat: Callable[[np.ndarray], np.ndarray]
-    analytic_width: float
     decay_rate: float
     decay_coeff: float
 
@@ -74,7 +72,6 @@ def maxwellian(beta: float = 1.0) -> Profile:
         name=name,
         eta_hat=eta_hat,
         eta_prime_hat=eta_prime_hat,
-        analytic_width=math.inf,
         decay_rate=1.0,
         decay_coeff=coeff,
     )
@@ -105,7 +102,6 @@ def lorentzian(scale: float = 1.0) -> Profile:
         name=f"lorentzian(scale={s:g})" if s != 1.0 else "lorentzian",
         eta_hat=eta_hat,
         eta_prime_hat=eta_prime_hat,
-        analytic_width=s,
         decay_rate=rate,
         decay_coeff=coeff,
     )
@@ -195,11 +191,11 @@ def omega_of_nu(beta: float, nu: float) -> float:
     return _x_average(np.cos(x), w)
 
 
-def solve_bgk(beta: float, tol: float = 1e-12) -> BGKState | None:
+def solve_bgk(beta: float) -> BGKState | None:
     """Nontrivial fixed point of Omega_beta(nu) = nu, if one exists.
 
     Scans g(nu) = Omega_beta(nu) - nu on (1e-6, 2] for a sign change and
-    bisects it down to ``tol``; below the bifurcation (beta <= 2) g is
+    bisects it down to a bracket of 1e-12; below the bifurcation (beta <= 2) g is
     negative throughout and the homogeneous state is the only equilibrium,
     reported as None.
     """
@@ -216,7 +212,7 @@ def solve_bgk(beta: float, tol: float = 1e-12) -> BGKState | None:
             lo = mid
         else:
             hi = mid
-        if hi - lo < tol:
+        if hi - lo < 1e-12:
             break
     nu = 0.5 * (lo + hi)
     # z_norm for the unit-mass x-average: integral of the x-mean Gaussian factor

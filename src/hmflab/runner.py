@@ -39,7 +39,7 @@ from .scattering import (
     nonperturbative_solve,
 )
 from .spectral import make_grid
-from .volterra import stability_margin
+from .volterra import laplace, stability_margin
 from .outputs import write_csv, write_json, write_manifest_atomic, write_snapshots
 
 
@@ -79,14 +79,14 @@ def _datum_from(cfg: RunConfig, grid):
     )
 
 
-def _scattering_config(cfg: RunConfig, grid, datum=None, background=None, tau=None):
+def _scattering_config(cfg: RunConfig, grid, datum=None, background=None):
     return ScatteringConfig(
         terminal=datum if datum is not None else _datum_from(cfg, grid),
         background=background if background is not None else _profile_from(cfg),
         epsilon=cfg.values["evolve.epsilon"],
         T=cfg.values["evolve.T"],
         d_t=cfg.values["evolve.d_t"],
-        tau=cfg.values.get("evolve.tau", 0.0) if tau is None else tau,
+        tau=cfg.values.get("evolve.tau", 0.0),
         sign=cfg.values["evolve.sign"],
         picard_max_iters=cfg.values["picard.max_iters"],
         picard_tol=cfg.values["picard.tol"],
@@ -138,8 +138,6 @@ def _run_stability(cfg: RunConfig, out: Path) -> dict:
         m_bound=cfg.values.get("stability.m_bound"),
         lam=cfg.values.get("stability.lambda"),
     )
-    from .volterra import laplace
-
     at_zero = laplace(kernel, 0.0)
     write_json(
         out / "stability.json",

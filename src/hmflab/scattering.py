@@ -30,7 +30,14 @@ from dataclasses import dataclass, field as dfield, replace
 
 import numpy as np
 
-from .evolution import FieldSeries, Trajectory, _rk4_step, _RK4Work, rhs_coeffs
+from .evolution import (
+    FieldSeries,
+    Trajectory,
+    _rk4_step,
+    _RK4Work,
+    _snapshot_steps,
+    rhs_coeffs,
+)
 from .norms import functional_M, functional_N, solve_a
 from .profiles import Profile, kernel_j
 from .spectral import FourierField, TruncationCounters, sample_mode, trapezoid
@@ -61,7 +68,6 @@ class ScatteringConfig:
     overflow_cap: float = 1e6
     norm_lambda: float = 0.3
     norm_delta: float = 1e-3
-    trace_norm_stride: int = 4
 
     def __post_init__(self):
         if self.tau < 0 or self.tau >= self.T:
@@ -175,10 +181,7 @@ class _Workspace:
         self.datum_readout = sample_mode(
             cfg.terminal.coeffs, self.grid, 1, self.t_z, self.counters
         )
-        idx = list(range(0, self.n_steps + 1, cfg.snap_stride))
-        if idx[-1] != self.n_steps:
-            idx.append(self.n_steps)
-        self.snap_idx = np.array(idx)
+        self.snap_idx = _snapshot_steps(self.n_steps, cfg.snap_stride)
         self.snap_times = self.t_fine[self.snap_idx]
         self.weight = solve_a(cfg.T, cfg.norm_delta, cfg.d_t)
         self.rk4 = _RK4Work(self.grid)
@@ -274,11 +277,9 @@ class _TransportBlowUp(RuntimeError):
 
 
 def _trace_norms(ws: _Workspace, zeta_z, snaps) -> tuple[float, float]:
+    """M and N of one sweep's iterate; N reads every 4th snapshot and the last."""
     cfg = ws.cfg
-    stride = max(1, cfg.trace_norm_stride)
-    sub = list(range(0, len(ws.snap_times), stride))
-    if sub[-1] != len(ws.snap_times) - 1:
-        sub.append(len(ws.snap_times) - 1)
+    sub = _snapshot_steps(len(ws.snap_times) - 1, 4)
     traj = Trajectory(
         grid=ws.grid,
         times=ws.snap_times[sub],

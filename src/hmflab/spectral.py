@@ -105,10 +105,6 @@ class TruncationCounters:
         self.out_of_range_reads = 0
         self.max_edge_magnitude = 0.0
 
-    def merge(self, other: "TruncationCounters") -> None:
-        self.out_of_range_reads += other.out_of_range_reads
-        self.max_edge_magnitude = max(self.max_edge_magnitude, other.max_edge_magnitude)
-
     def as_dict(self) -> dict:
         return {
             "out_of_range_reads": self.out_of_range_reads,
@@ -169,6 +165,18 @@ def _cubic_weights(u):
     )
 
 
+def _stencil(s: float) -> tuple[float, int, tuple]:
+    """Cubic stencil of a scalar read at s grid units: (s, b, weights).
+
+    An s within 1e-9 of a node snaps onto it, so node reads reproduce the
+    stored values; the four weights apply to nodes b - 1 .. b + 2.
+    """
+    if abs(s - round(s)) < 1e-9:
+        s = float(round(s))
+    b = math.floor(s)
+    return s, b, _cubic_weights(s - b)
+
+
 def shift_rows(
     coeffs: np.ndarray,
     grid: Grid,
@@ -184,11 +192,7 @@ def shift_rows(
     arrays shaped like ``coeffs`` and supply storage only, so the result is
     the same bytes with or without them.
     """
-    s = delta / grid.d_xi
-    if abs(s - round(s)) < 1e-9:  # snap so on-node shifts reproduce stored values
-        s = float(round(s))
-    b = int(np.floor(s))
-    w = _cubic_weights(s - b)
+    s, b, w = _stencil(delta / grid.d_xi)
     n = grid.n_xi
     coeffs = np.ascontiguousarray(coeffs)
     out = np.empty_like(coeffs) if out is None else out
@@ -234,10 +238,12 @@ def sample_mode(
     points: np.ndarray,
     counters: TruncationCounters | None = None,
 ) -> np.ndarray:
-    """Cubic read of one mode row at arbitrary frequencies (vectorized).
+    """Cubic read of one mode row at arbitrary frequencies.
 
-    Points beyond |xi_max| contribute zero; stencil nodes outside the grid
-    are treated as zero, consistent with the compact-support truncation.
+    The vector form of ``_stencil``: the same snap, floor and weights, one
+    array operation for all points.  Points beyond |xi_max| contribute
+    zero; stencil nodes outside the grid are treated as zero, consistent
+    with the compact-support truncation.
     """
     row = coeffs[grid.mode_index(n)]
     pts = np.asarray(points, dtype=float)
@@ -289,13 +295,11 @@ def _sample_point(
             counters.max_edge_magnitude = float(edge)
     if not inside:
         return 0j
-    s = (x + grid.xi_max) / grid.d_xi
-    if abs(s - round(s)) < 1e-9:
-        s = float(round(s))
-    b = math.floor(s)
+    _, b, w = _stencil((x + grid.xi_max) / grid.d_xi)
+    n_xi = grid.n_xi  # a computed property: read it once, not per stencil node
     acc = np.complex128(0.0)
-    for m, wm in zip((-1, 0, 1, 2), _cubic_weights(s - b)):
-        if 0 <= b + m < grid.n_xi:
+    for m, wm in zip((-1, 0, 1, 2), w):
+        if 0 <= b + m < n_xi:
             acc += wm * row[b + m]
     return complex(acc)
 

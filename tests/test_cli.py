@@ -125,6 +125,10 @@ class TestLoadConfig:
                          id="T_list-off-step"),
             pytest.param(BACKWARD_SMALL + "evolve.tau = 4\nbackward.T_list = 4, 8",
                          "backward.T_list windows end after evolve.tau", id="T_list-at-tau"),
+            pytest.param(BACKWARD_SMALL + "backward.T_list = 2, 4, 6",
+                         "backward.T_list ends at evolve.T", id="T_list-short-of-T"),
+            pytest.param(BACKWARD_SMALL + "datum.modes = 1:1, -1:1, 4:0.5, -4:0.5",
+                         "datum.modes within |n| <= grid.n_max", id="modes-beyond-n_max"),
             pytest.param(BACKWARD_SMALL.replace("evolve.T = 8", "evolve.T = 7.99"),
                          "evolve.T - evolve.tau is a whole number of evolve.d_t steps",
                          id="T-off-step"),

@@ -3,7 +3,6 @@ import pytest
 
 from hmflab.diagnostics import (
     FitWindowError,
-    audit_apriori,
     compare_backward_forward,
     detect_echoes,
     fit_decay,
@@ -11,7 +10,6 @@ from hmflab.diagnostics import (
     regularity_profile,
 )
 from hmflab.evolution import EvolutionParams, FieldSeries, forward_solve
-from hmflab.norms import a_infinity, solve_a
 from hmflab.profiles import make_asymptotic_datum, maxwellian
 from hmflab.scattering import ScatteringConfig, backward_solve
 from hmflab.spectral import FourierField, make_grid
@@ -142,39 +140,6 @@ def _backward_run(d_t=0.01, d_xi=0.05, T=10.0, eps=0.01):
     traj, trace = backward_solve(cfg)
     assert trace.converged
     return cfg, traj
-
-
-class TestAuditApriori:
-    def test_zero_solution_trivial(self):
-        t = np.linspace(0, 5, 501)
-        zeta = FieldSeries(t=t, zeta1=np.zeros(501, complex))
-        from hmflab.evolution import Trajectory
-
-        traj = Trajectory(
-            grid=GRID,
-            times=np.array([0.0, 5.0]),
-            snapshots=np.zeros((2, GRID.n_modes, GRID.n_xi), dtype=complex),
-            series=zeta,
-        )
-        w = solve_a(5.0, 1e-3, 0.01)
-        terminal = make_asymptotic_datum(0.5, {1: 1.0, -1: 1.0}, 1.0, GRID)
-        audit = audit_apriori(traj, zeta, terminal, PROFILE, 0.0, 0.3, w, 0.17)
-        assert audit.m_value == 0.0
-        assert audit.field_constant == 0.0
-
-    def test_linear_constant_refinement_stable(self):
-        w_inf0 = a_infinity(1e-3, 10.0, 0.01).a0
-        constants = []
-        for d_t, d_xi in ((0.02, 0.1), (0.01, 0.05)):
-            cfg, traj = _backward_run(d_t=d_t, d_xi=d_xi, eps=0.0)
-            w = solve_a(cfg.T, cfg.norm_delta, cfg.d_t)
-            audit = audit_apriori(
-                traj, traj.series, cfg.terminal, PROFILE, 0.0, 0.3, w, w_inf0
-            )
-            assert np.isfinite(audit.field_constant) and audit.field_constant > 0
-            constants.append((audit.field_constant, audit.state_constant))
-        for a, b in zip(constants[0], constants[1]):
-            assert abs(a - b) <= 0.1 * max(abs(a), abs(b))
 
 
 class TestCompareBackwardForward:

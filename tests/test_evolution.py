@@ -71,23 +71,23 @@ class TestRhs:
 class TestExtractZeta:
     def test_on_grid_value(self):
         fld = datum(amplitude=1.0)
-        assert extract_zeta(fld, t=0.0) == fld.mode(1)[GRID.n_half]
+        assert extract_zeta(fld.coeffs, GRID, 0.0) == fld.mode(1)[GRID.n_half]
 
     def test_gaussian_readout(self):
         fld = datum(amplitude=1.0)
         for t in (0.33, 1.7, 4.44):
-            assert abs(extract_zeta(fld, t=t) - np.exp(-t**2 / 2)) < 1e-6
+            assert abs(extract_zeta(fld.coeffs, GRID, t) - np.exp(-t**2 / 2)) < 1e-6
 
     def test_conjugation_cross_check(self):
         # the direct mode -1 read at -t agrees with the conjugation shortcut
         fld = datum()
-        z1 = extract_zeta(fld, t=2.34)
+        z1 = extract_zeta(fld.coeffs, GRID, 2.34)
         zm1 = sample_mode(fld.coeffs, GRID, -1, np.array([-2.34]))[0]
         assert abs(zm1 - np.conj(z1)) < 1e-12
 
     def test_beyond_cutoff_rejected(self):
         with pytest.raises(ValueError):
-            extract_zeta(datum(), t=30.0)
+            extract_zeta(datum().coeffs, GRID, 30.0)
 
 
 class TestForwardSolve:

@@ -1,20 +1,15 @@
-import math
-
 import numpy as np
 import pytest
 
 from hmflab.evolution import FieldSeries, Trajectory
 from hmflab.norms import (
     a_infinity,
-    analytic_norm,
-    functional_J_K,
     functional_M,
     functional_N,
     functional_P_Q,
-    profile_analytic_norm,
     solve_a,
 )
-from hmflab.profiles import lorentzian, make_asymptotic_datum, maxwellian
+from hmflab.profiles import make_asymptotic_datum
 from hmflab.spectral import FourierField, make_grid
 
 
@@ -39,45 +34,6 @@ def make_traj(fields, times):
         snapshots=np.stack([f.coeffs for f in fields]),
         series=FieldSeries(t=np.asarray(times, dtype=float), zeta1=zeta),
     )
-
-
-class TestAnalyticNorm:
-    def test_zero_field(self):
-        rep = analytic_norm(FourierField.zeros(GRID), 0.3)
-        assert rep.value == 0.0
-
-    def test_gaussian_scan_oracle(self):
-        fld = gaussian_field()
-        mu = 0.2
-        xi = np.linspace(-24, 24, 200001)
-        oracle = np.max(np.exp(mu * np.sqrt(2 + xi**2)) * np.exp(-(xi**2) / 2))
-        rep = analytic_norm(fld, mu)
-        assert abs(rep.value - oracle) < 1e-4 * oracle
-        assert rep.where[0] in (1, -1)
-
-    def test_monotone_in_mu(self):
-        fld = gaussian_field()
-        values = [analytic_norm(fld, mu).value for mu in (0.0, 0.1, 0.2, 0.4)]
-        assert all(a <= b for a, b in zip(values, values[1:]))
-
-    def test_homogeneity(self):
-        fld = gaussian_field()
-        scaled = FourierField(GRID, 3.7 * fld.coeffs)
-        assert analytic_norm(scaled, 0.25).value == pytest.approx(
-            3.7 * analytic_norm(fld, 0.25).value, rel=1e-14
-        )
-
-
-class TestProfileNorm:
-    def test_gaussian_any_weight(self):
-        val = profile_analytic_norm(maxwellian(), 0.5)
-        xi = np.linspace(0, 30, 300001)
-        oracle = np.max(np.exp(0.5 * np.sqrt(1 + xi**2)) * np.exp(-(xi**2) / 2))
-        assert abs(val - oracle) < 1e-6 * oracle
-
-    def test_lorentzian_width_limit(self):
-        assert profile_analytic_norm(lorentzian(), 1.2) == math.inf
-        assert profile_analytic_norm(lorentzian(), 0.5) < math.inf
 
 
 class TestSolveA:
@@ -214,56 +170,6 @@ class TestFunctionalPQ:
             functional_P_Q(series, traj, 0.3, 0.15, 1.0, w, 0.0)
 
 
-class TestFunctionalJK:
-    def test_zero_inputs(self):
-        series = FieldSeries(t=np.linspace(0, 5, 51), zeta1=np.zeros(51, complex))
-        traj = make_traj([FourierField.zeros(GRID)] * 2, [0.0, 5.0])
-        j_rep, k_rep = functional_J_K(series, traj, 0.5, 0.2, 6, 3)
-        assert j_rep.value == 0.0
-        assert k_rep.value == 0.0
-
-    def test_rejects_large_delta(self):
-        series = FieldSeries(t=np.linspace(0, 5, 51), zeta1=np.ones(51, complex))
-        traj = make_traj([gaussian_field()], [0.0])
-        with pytest.raises(ValueError):
-            functional_J_K(series, traj, 0.5, 0.4, 6, 3)  # 0.4 >= 2*0.5/pi
-        with pytest.raises(ValueError):
-            functional_J_K(series, traj, 0.5, 0.2, 5, 3)  # p < q + 3
-        with pytest.raises(ValueError):
-            functional_J_K(series, traj, 0.5, 0.2, 6, 2)  # q < 3
-
-    def test_matched_decay_bounded_near_one(self):
-        lambda0, delta, p, q = 0.5, 0.05, 6, 3
-        t = np.linspace(0, 30, 3001)
-        bracket = np.sqrt(1 + t**2)
-        series = FieldSeries(t=t, zeta1=np.exp(-lambda0 * t) / bracket**p + 0j)
-        traj = make_traj([FourierField.zeros(GRID)], [0.0])
-        j_rep, _ = functional_J_K(series, traj, lambda0, delta, p, q)
-        # weight e^{lam t} <t>^p with lam < lambda0 cannot beat the datum decay by much
-        assert 0.9 < j_rep.value <= 1.05
-
-    def test_constant_field_separable(self):
-        lambda0, delta, p, q = 0.5, 0.05, 6, 3
-        fld = single_entry_field(0.4)
-        times = [0.0, 1.0, 3.0]
-        traj = make_traj([fld] * 3, times)
-        series = FieldSeries(t=np.array(times), zeta1=np.zeros(3, complex))
-        _, k_rep = functional_J_K(series, traj, lambda0, delta, p, q)
-        # entry sits at bracket value 1: ||h||_{lam,p} = 0.4 e^lam for every p,
-        # so both terms reduce to separable one-dimensional maximizations
-        best3 = 0.0
-        bestpq = 0.0
-        for t in times:
-            cap = lambda0 - delta * math.atan(t)
-            lam = np.linspace(0, cap, 20001)[:-1]
-            best3 = max(best3, np.max(0.4 * np.exp(lam)))
-            bestpq = max(
-                bestpq,
-                np.max(np.sqrt(cap - lam) * 0.4 * np.exp(lam) / (1 + t * t) ** (q / 2)),
-            )
-        assert k_rep.value == pytest.approx(best3 + bestpq, rel=1e-3)
-
-
 class TestHomogeneity:
     def test_all_functionals_scale(self):
         t = np.linspace(0, 5, 501)
@@ -280,7 +186,3 @@ class TestHomogeneity:
         assert functional_N(traj_c, 0.3, w).value == pytest.approx(
             c * functional_N(traj, 0.3, w).value, rel=1e-12
         )
-        j1, k1 = functional_J_K(series, traj, 0.5, 0.1, 6, 3)
-        j2, k2 = functional_J_K(series_c, traj_c, 0.5, 0.1, 6, 3)
-        assert j2.value == pytest.approx(c * j1.value, rel=1e-12)
-        assert k2.value == pytest.approx(c * k1.value, rel=1e-12)

@@ -38,7 +38,6 @@ class TestLorentzian:
         p = lorentzian()
         assert p.eta_hat(0.0) == 1.0
         assert abs(p.eta_hat(2.0) - np.exp(-2.0)) < 1e-15
-        assert p.analytic_width == 1.0
 
     def test_decay_certificate(self):
         p = lorentzian(scale=0.7)
