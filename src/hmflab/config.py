@@ -30,8 +30,10 @@ SCENARIOS = (
 )
 
 _RUNNY = ("forward", "backward", "nonperturbative", "compare")
-_WITH_GRID = _RUNNY + ("stability",)
 _WITH_PICARD = ("backward", "nonperturbative", "compare")
+_WITH_DATUM = ("forward", "backward", "compare")
+_WITH_PROFILE = _WITH_DATUM + ("stability",)
+_WITH_FIT = ("forward", "backward")
 _ALL = SCENARIOS
 
 
@@ -68,32 +70,30 @@ _REQUIRED = object()
 SCHEMA: dict[str, tuple] = {
     "run.scenario": (str, _REQUIRED, _ALL),
     "run.id": (str, _REQUIRED, _ALL),
-    "grid.n_max": (int, 4, _WITH_GRID + ("sweep",)),
-    "grid.xi_max": (_float, 24.0, _WITH_GRID + ("sweep",)),
-    "grid.d_xi": (_float, 0.05, _WITH_GRID + ("sweep",)),
-    "grid.t_final": (_float, 20.0, _WITH_GRID + ("sweep",)),
-    "profile.kind": (str, "maxwellian", _WITH_GRID + ("sweep",)),
-    "profile.beta": (_float, 1.0, _WITH_GRID + ("sweep",)),
-    "profile.scale": (_float, 1.0, _WITH_GRID + ("sweep",)),
-    "datum.amplitude": (_float, 0.5, _RUNNY + ("sweep",)),
-    "datum.width": (_float, 1.0, _RUNNY + ("sweep",)),
-    "datum.shape": (str, "gaussian", _RUNNY + ("sweep",)),
-    "datum.modes": (_mode_weights, {1: 1.0, -1: 1.0}, _RUNNY + ("sweep",)),
-    "evolve.epsilon": (_float, 0.01, _RUNNY + ("sweep",)),
-    "evolve.sign": (_float, 1.0, _RUNNY + ("sweep",)),
-    "evolve.d_t": (_float, 0.01, _RUNNY + ("sweep",)),
-    "evolve.T": (_float, 20.0, _RUNNY + ("sweep",)),
-    "evolve.tau": (_float, 0.0, ("backward", "nonperturbative", "sweep")),
-    "evolve.snap_stride": (int, 10, _RUNNY + ("sweep",)),
-    "backward.T_list": (_float_list, None, ("backward", "sweep")),
-    "picard.max_iters": (int, 12, _WITH_PICARD + ("sweep",)),
-    "picard.tol": (_float, 1e-6, _WITH_PICARD + ("sweep",)),
-    "picard.zeta_refine": (int, 2, _WITH_PICARD + ("sweep",)),
-    "picard.inner_max": (int, 40, _WITH_PICARD + ("sweep",)),
-    "norms.lambda": (_float, 0.3, _RUNNY + ("sweep",)),
-    "norms.lambda_prime": (_float, 0.15, ("nonperturbative", "sweep")),
-    "norms.delta": (_float, 1e-3, _RUNNY + ("sweep",)),
-    "norms.mu_points": (int, 64, _RUNNY + ("sweep",)),
+    "grid.n_max": (int, 4, _RUNNY),
+    "grid.xi_max": (_float, 24.0, _RUNNY),
+    "grid.d_xi": (_float, 0.05, _RUNNY),
+    "grid.t_final": (_float, 20.0, _RUNNY),
+    "profile.kind": (str, "maxwellian", _WITH_PROFILE),
+    "profile.beta": (_float, 1.0, _WITH_PROFILE),
+    "profile.scale": (_float, 1.0, _WITH_PROFILE),
+    "datum.amplitude": (_float, 0.5, _WITH_DATUM),
+    "datum.width": (_float, 1.0, _WITH_DATUM),
+    "datum.shape": (str, "gaussian", _WITH_DATUM),
+    "datum.modes": (_mode_weights, {1: 1.0, -1: 1.0}, _WITH_DATUM),
+    "evolve.epsilon": (_float, 0.01, _RUNNY),
+    "evolve.sign": (_float, 1.0, _RUNNY),
+    "evolve.d_t": (_float, 0.01, _RUNNY),
+    "evolve.T": (_float, 20.0, _RUNNY),
+    "evolve.tau": (_float, 0.0, ("backward", "nonperturbative")),
+    "evolve.snap_stride": (int, 10, _RUNNY),
+    "backward.T_list": (_float_list, None, ("backward",)),
+    "picard.max_iters": (int, 12, _WITH_PICARD),
+    "picard.tol": (_float, 1e-6, _WITH_PICARD),
+    "norms.lambda": (_float, 0.3, _RUNNY),
+    "norms.lambda_prime": (_float, 0.15, ("nonperturbative",)),
+    "norms.delta": (_float, 1e-3, _WITH_PICARD),
+    "norms.mu_points": (int, 64, ("backward",)),
     "stability.omega_max": (_float, 20.0, ("stability",)),
     "stability.n_scan": (int, 1201, ("stability",)),
     "stability.threshold": (_float, 0.05, ("stability",)),
@@ -101,15 +101,15 @@ SCHEMA: dict[str, tuple] = {
     "stability.d_t": (_float, 1e-3, ("stability",)),
     "stability.m_bound": (_float, None, ("stability",)),
     "stability.lambda": (_float, None, ("stability",)),
-    "bgk.beta": (_float, 3.0, ("bgk", "nonperturbative", "sweep")),
+    "bgk.beta": (_float, 3.0, ("bgk", "nonperturbative")),
     "weights.T": (_float, 200.0, ("weights",)),
     "weights.d_t": (_float, 0.01, ("weights",)),
     "weights.delta_list": (_float_list, [1e-4, 1e-3, 1e-2], ("weights",)),
     "weights.delta": (_float, 1e-3, ("weights",)),
     "weights.t_max": (_float, 100.0, ("weights",)),
-    "fit.window_lo": (_float, None, ("forward", "backward", "nonperturbative", "sweep")),
-    "fit.window_hi": (_float, None, ("forward", "backward", "nonperturbative", "sweep")),
-    "echo.threshold": (_float, 2.5, ("forward", "backward", "sweep")),
+    "fit.window_lo": (_float, None, _WITH_FIT),
+    "fit.window_hi": (_float, None, _WITH_FIT),
+    "echo.threshold": (_float, 2.5, ("forward",)),
     "compare.rough_width": (_float, None, ("compare",)),
     "sweep.scenario": (str, _REQUIRED, ("sweep",)),
     "sweep.axis": (str, _REQUIRED, ("sweep",)),
@@ -177,12 +177,14 @@ def _build(raw: dict[str, str], origin: str) -> RunConfig:
         raise ConfigError(
             f"{origin}: unknown scenario {scenario!r}; valid: {', '.join(SCENARIOS)}"
         )
-    inapplicable = [
-        k for k in raw if scenario not in SCHEMA[k][2] and k not in ("run.scenario", "run.id")
-    ]
+    # a sweep takes its own keys plus those of the scenario it wraps
+    scope = raw.get("sweep.scenario") if scenario == "sweep" else scenario
+    if scope not in SCENARIOS or scope == "sweep":
+        raise ConfigError(f"{origin}: sweep.scenario must name a non-sweep scenario, got {scope!r}")
+    inapplicable = [k for k in raw if scenario not in SCHEMA[k][2] and scope not in SCHEMA[k][2]]
     if inapplicable:
         raise ConfigError(
-            f"{origin}: keys not valid for scenario {scenario!r}: "
+            f"{origin}: keys not valid for scenario {scope!r}: "
             f"{', '.join(sorted(inapplicable))}"
         )
     values: dict = {}
@@ -192,7 +194,7 @@ def _build(raw: dict[str, str], origin: str) -> RunConfig:
                 values[key] = parser(raw[key])
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"{origin}: key {key}: {exc}") from exc
-        elif scenario in scopes or key in ("run.scenario", "run.id"):
+        elif scenario in scopes or scope in scopes:
             if default is _REQUIRED:
                 raise ConfigError(f"{origin}: missing required key {key}")
             values[key] = default
@@ -224,15 +226,13 @@ def _axis_values(values: dict, origin: str) -> list:
 def member_config(cfg: RunConfig, value, origin: str = "<sweep member>") -> RunConfig:
     """The wrapped scenario's config at one axis value, validated like a loaded config.
 
-    It carries the sweep's settings, the defaults of keys the wrapped scenario
-    adds, and ``value`` on the swept key.  Raises ConfigError when the member
-    breaks a rule that a top-level config of that scenario would break.
+    It carries the sweep's settings, which hold the wrapped scenario's keys
+    with their defaults, and ``value`` on the swept key.  Raises ConfigError
+    when the member breaks a rule that a top-level config of that scenario
+    would break.
     """
     scenario = cfg.values["sweep.scenario"]
     values = {k: v for k, v in cfg.values.items() if not k.startswith("sweep.")}
-    for key, (_, default, scopes) in SCHEMA.items():
-        if scenario in scopes and key not in values and default is not _REQUIRED:
-            values[key] = default
     values[cfg.values["sweep.axis"]] = value
     values["run.scenario"] = scenario
     values["run.id"] = "member"
@@ -249,14 +249,13 @@ def _validate(cfg: RunConfig, origin: str) -> None:
         if not ok:
             raise ConfigError(f"{origin}: violated precondition: {name}")
 
-    if scenario in _WITH_GRID or scenario == "sweep":
-        if "grid.n_max" in v:
-            rule(v["grid.n_max"] >= 2, "grid.n_max >= 2")
-            rule(v["grid.d_xi"] > 0, "grid.d_xi > 0")
-            rule(
-                v["grid.xi_max"] >= v["grid.t_final"] + 4.0,
-                "grid.xi_max >= grid.t_final + 4 (horizon exceeds grid)",
-            )
+    if "grid.n_max" in v:
+        rule(v["grid.n_max"] >= 2, "grid.n_max >= 2")
+        rule(v["grid.d_xi"] > 0, "grid.d_xi > 0")
+        rule(
+            v["grid.xi_max"] >= v["grid.t_final"] + 4.0,
+            "grid.xi_max >= grid.t_final + 4 (horizon exceeds grid)",
+        )
     if "profile.kind" in v:
         rule(v["profile.kind"] in ("maxwellian", "lorentzian"), "profile.kind known")
     if "datum.width" in v:
@@ -289,13 +288,11 @@ def _validate(cfg: RunConfig, origin: str) -> None:
             rule(all(whole_steps(T) for T in ts),
                  "backward.T_list - evolve.tau are whole numbers of evolve.d_t steps")
         rule(v["evolve.snap_stride"] >= 1, "evolve.snap_stride >= 1")
+    if "norms.mu_points" in v:
         rule(v["norms.mu_points"] >= 2, "norms.mu_points >= 2")
     if scenario in _WITH_PICARD:
         rule(v["picard.tol"] > 0, "picard.tol > 0")
         rule(v["picard.max_iters"] >= 1, "picard.max_iters >= 1")
-        rule(v["picard.inner_max"] >= 1, "picard.inner_max >= 1")
-        zr = v["picard.zeta_refine"]
-        rule(zr >= 2 and zr % 2 == 0, "picard.zeta_refine is an even integer >= 2")
     if scenario == "nonperturbative":
         rule(v["evolve.epsilon"] == 1.0, "evolve.epsilon == 1 in non-perturbative mode")
     if scenario == "stability":
@@ -320,8 +317,6 @@ def _validate(cfg: RunConfig, origin: str) -> None:
         rule(all(abs(n) <= v["grid.n_max"] for n in v["datum.modes"]),
              "datum.modes within |n| <= grid.n_max")
     if scenario == "sweep":
-        rule(v["sweep.scenario"] in SCENARIOS and v["sweep.scenario"] != "sweep",
-             "sweep.scenario is a non-sweep scenario")
         rule(v["sweep.axis"] in SCHEMA, "sweep.axis names a known key")
         axis_parser = SCHEMA.get(v["sweep.axis"], (None,))[0]
         rule(axis_parser in (int, _float), "sweep.axis names a numeric key")

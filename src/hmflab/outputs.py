@@ -136,11 +136,16 @@ def sha256_of(path) -> str:
 
 
 def write_manifest_atomic(out_dir, manifest: dict) -> Path:
+    """Write ``manifest`` with a sha256 per artifact under ``out_dir``.
+
+    Manifests, sweep members' included, are left out of the map: they hold
+    wall times, and the map must repeat between runs of one config.
+    """
     out_dir = Path(out_dir)
     files = sorted(
         str(p.relative_to(out_dir))
         for p in out_dir.rglob("*")
-        if p.is_file() and p.relative_to(out_dir).parts[0] not in ("manifest.json", "manifest.json.tmp")
+        if p.is_file() and p.name not in ("manifest.json", "manifest.json.tmp")
     )
     manifest["files"] = {name: sha256_of(out_dir / name) for name in files}
     tmp = out_dir / "manifest.json.tmp"

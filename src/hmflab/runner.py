@@ -90,9 +90,7 @@ def _scattering_config(cfg: RunConfig, grid, datum=None, background=None):
         sign=cfg.values["evolve.sign"],
         picard_max_iters=cfg.values["picard.max_iters"],
         picard_tol=cfg.values["picard.tol"],
-        zeta_refine=cfg.values["picard.zeta_refine"],
         snap_stride=cfg.values["evolve.snap_stride"],
-        inner_max=cfg.values["picard.inner_max"],
         norm_lambda=cfg.values["norms.lambda"],
         norm_delta=cfg.values["norms.delta"],
     )

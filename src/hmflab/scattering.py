@@ -8,8 +8,9 @@ history h^(j) and solve the field equation
 
     Phi(t)  = -(eps/2) sum_{k=+-1} k int_t^T zeta_k(s) h^(j)_{1-k}(s, t - k s) (s - t) ds,
 
-implicitly in zeta (the coupling term is linear in the pair
-(zeta, conj zeta) once the history is frozen); then integrate the
+for zeta (the coupling term is linear in the pair (zeta, conj zeta) once
+the history is frozen, and its weight (s - t) leaves only snapshot times
+s > t, so one backward Volterra march solves it); then integrate the
 coefficient system backward from the datum with that field frozen to get
 h^(j+1).  Starting from the constant-in-time datum history, the sweep
 contracts when the coupling is weak -- small eps, or a window starting
@@ -48,9 +49,9 @@ from .volterra import solve_volterra
 class ScatteringConfig:
     """Backward-problem settings.
 
-    ``zeta_refine`` subdivides the state step for the field solve (even,
-    so half-step nodes exist for the Runge-Kutta stages).  The trace norms
-    are evaluated at ``norm_lambda`` with budget parameter ``norm_delta``.
+    The field is solved on the half steps of ``d_t``, the nodes the
+    Runge-Kutta stages read.  The trace norms are evaluated at
+    ``norm_lambda`` with budget parameter ``norm_delta``.
     """
 
     terminal: FourierField
@@ -62,9 +63,7 @@ class ScatteringConfig:
     sign: float = 1.0
     picard_max_iters: int = 12
     picard_tol: float = 1e-6
-    zeta_refine: int = 2
     snap_stride: int = 10
-    inner_max: int = 40
     overflow_cap: float = 1e6
     norm_lambda: float = 0.3
     norm_delta: float = 1e-3
@@ -78,10 +77,6 @@ class ScatteringConfig:
             raise ValueError("picard_max_iters must be >= 1")
         if self.epsilon < 0:
             raise ValueError("epsilon must be >= 0")
-        if self.zeta_refine < 2 or self.zeta_refine % 2:
-            raise ValueError("zeta_refine must be an even integer >= 2")
-        if self.inner_max < 1:
-            raise ValueError("inner_max must be >= 1")
         if self.sign not in (1.0, -1.0, 1, -1):
             raise ValueError(f"sign must be +-1, got {self.sign}")
         n = (self.T - self.tau) / self.d_t
@@ -95,14 +90,13 @@ class ScatteringConfig:
 
 @dataclass
 class PicardTrace:
-    """Per-sweep convergence record."""
+    """Per-sweep convergence record; ``inner_iterations`` counts each sweep's field marches."""
 
     sup_diffs: list[float] = dfield(default_factory=list)
     contraction_ratios: list[float] = dfield(default_factory=list)
     m_norms: list[float] = dfield(default_factory=list)
     n_norms: list[float] = dfield(default_factory=list)
     inner_iterations: list[int] = dfield(default_factory=list)
-    inner_converged: list[bool] = dfield(default_factory=list)
     converged: bool = False
     diverged: bool = False
     iterations: int = 0
@@ -115,7 +109,6 @@ class PicardTrace:
             "m_norms": self.m_norms,
             "n_norms": self.n_norms,
             "inner_iterations": self.inner_iterations,
-            "inner_converged": self.inner_converged,
             "converged": self.converged,
             "diverged": self.diverged,
             "iterations": self.iterations,
@@ -162,19 +155,18 @@ class ContinuationResult:
 
 
 class _Workspace:
-    """Shared precomputations for one backward solve."""
+    """Shared precomputations for one backward solve; the field lives on the half steps ``t_z``."""
 
     def __init__(self, cfg: ScatteringConfig):
         self.cfg = cfg
         self.grid = cfg.terminal.grid
         self.n_steps = int(round((cfg.T - cfg.tau) / cfg.d_t))
         self.t_fine = cfg.tau + np.arange(self.n_steps + 1) * cfg.d_t
-        zr = cfg.zeta_refine
-        self.d_tz = cfg.d_t / zr
-        self.t_z = cfg.tau + np.arange(self.n_steps * zr + 1) * self.d_tz
+        d_tz = cfg.d_t / 2
+        self.t_z = cfg.tau + np.arange(2 * self.n_steps + 1) * d_tz
         self.kernel = (
             kernel_j(cfg.background, -1)
-            .sample(cfg.T - cfg.tau, self.d_tz)
+            .sample(cfg.T - cfg.tau, d_tz)
             .scaled(cfg.sign)
         )
         self.counters = TruncationCounters()
@@ -183,65 +175,45 @@ class _Workspace:
         )
         self.snap_idx = _snapshot_steps(self.n_steps, cfg.snap_stride)
         self.snap_times = self.t_fine[self.snap_idx]
+        self.snap_nodes = 2 * self.snap_idx
         self.weight = solve_a(cfg.T, cfg.norm_delta, cfg.d_t)
         self.rk4 = _RK4Work(self.grid)
 
-    def coupling_forcing(self, snaps: np.ndarray, zeta_z: np.ndarray) -> np.ndarray:
-        """Phi on the field grid from stored snapshots (trapezoid over them).
+    def coupling(self, snaps: np.ndarray):
+        """The term sign * Phi as ``solve_volterra`` coefficients of zeta and conj zeta.
 
-        The integrand vanishes at s = t, so the partial leading interval
-        only needs the value at the first snapshot past t.
+        Phi(t) is the trapezoid over the snapshots s_m >= t, with a partial
+        leading interval [t, s_m]; its integrand carries the factor (s - t),
+        so snapshot m couples only to the nodes before it.  Each snapshot's
+        h_0(t - s) and h_2(t + s) rows are read once, at those nodes.
         """
-        cfg, grid = self.cfg, self.grid
+        cfg, grid, t, s = self.cfg, self.grid, self.t_z, self.snap_times
         if cfg.epsilon == 0.0:
-            return np.zeros(len(self.t_z), dtype=np.complex128)
-        t = self.t_z
-        m_count = len(self.snap_times)
-        integrand = np.empty((m_count, len(t)), dtype=np.complex128)
-        for m, (si, s) in enumerate(zip(self.snap_idx, self.snap_times)):
-            z1 = zeta_z[si * cfg.zeta_refine]
-            c = snaps[m]
-            row_p = sample_mode(c, grid, 0, t - s, self.counters)
-            row_m = sample_mode(c, grid, 2, t + s, self.counters)
-            integrand[m] = (z1 * row_p - np.conj(z1) * row_m) * (s - t)
-        # reverse cumulative trapezoid over snapshots
-        cum = np.zeros_like(integrand)
-        for m in range(m_count - 2, -1, -1):
-            ds = self.snap_times[m + 1] - self.snap_times[m]
-            cum[m] = cum[m + 1] + 0.5 * ds * (integrand[m] + integrand[m + 1])
-        first = np.searchsorted(self.snap_times, t - 1e-12)
-        first = np.minimum(first, m_count - 1)
-        cols = np.arange(len(t))
-        partial = 0.5 * (self.snap_times[first] - t) * integrand[first, cols]
-        phi = partial + cum[first, cols]
-        return -(cfg.epsilon / 2.0) * phi
+            return None
+        a, b = np.zeros((2, len(s), len(t)), dtype=np.complex128)
+        scale = -0.5 * cfg.epsilon * cfg.sign
+        last = len(s) - 1
+        for m in range(1, last + 1):
+            j, lead = self.snap_nodes[m], self.snap_nodes[m - 1]
+            tt = t[:j]
+            w = np.full(j, 0.5 * (s[m] - s[m - 1]))
+            w[lead + 1 :] = 0.5 * (s[m] - tt[lead + 1 :])  # partial leading interval
+            if m < last:
+                w += 0.5 * (s[m + 1] - s[m])
+            w *= scale * (s[m] - tt)
+            a[m, :j] = w * sample_mode(snaps[m], grid, 0, tt - s[m], self.counters)
+            b[m, :j] = -w * sample_mode(snaps[m], grid, 2, tt + s[m], self.counters)
+        return self.snap_nodes, a, b
 
-    def solve_field(
-        self, snaps: np.ndarray, zeta_init: np.ndarray | None
-    ) -> tuple[np.ndarray, int, bool]:
-        """Implicit field solve for frozen history, by inner substitution."""
-        cfg = self.cfg
-        zeta = (
-            zeta_init.copy()
-            if zeta_init is not None
-            else np.zeros(len(self.t_z), dtype=np.complex128)
+    def solve_field(self, snaps: np.ndarray) -> np.ndarray:
+        """The field for the frozen history: one backward march of the coupled equation."""
+        return solve_volterra(
+            self.datum_readout, self.kernel, "backward", self.coupling(snaps)
         )
-        inner_tol = 0.1 * cfg.picard_tol
-        for inner in range(1, cfg.inner_max + 1):
-            forcing = self.datum_readout + cfg.sign * self.coupling_forcing(snaps, zeta)
-            new = solve_volterra(forcing, self.kernel, direction="backward")
-            dz = float(np.max(np.abs(new - zeta)))
-            zeta = new
-            if not np.max(np.abs(zeta)) <= cfg.overflow_cap:  # NaN fails too
-                return zeta, inner, False
-            if cfg.epsilon == 0.0 or dz < inner_tol:
-                return zeta, inner, True
-        return zeta, cfg.inner_max, False
 
     def transport(self, zeta_z: np.ndarray) -> np.ndarray:
         """Backward Runge-Kutta pass with the field frozen; returns the snapshot block."""
         cfg, grid = self.cfg, self.grid
-        zr = cfg.zeta_refine
         dt = cfg.d_t
         c = self.cfg.terminal.coeffs.copy()
         snaps = np.empty((len(self.snap_idx),) + c.shape, dtype=np.complex128)
@@ -255,8 +227,8 @@ class _Workspace:
             rhs_coeffs(state, tt, fields[stage], grid, prof, eps, sign, out, work)
 
         for i in range(self.n_steps, 0, -1):
-            z_mid = zeta_z[i * zr - zr // 2]
-            fields[:] = (zeta_z[i * zr], z_mid, z_mid, zeta_z[(i - 1) * zr])
+            z_mid = zeta_z[2 * i - 1]
+            fields[:] = (zeta_z[2 * i], z_mid, z_mid, zeta_z[2 * i - 2])
             _rk4_step(c, self.t_fine[i], h, f, work)
             if (i - 1) in pos:
                 peak = float(np.max(np.abs(c)))
@@ -284,7 +256,7 @@ def _trace_norms(ws: _Workspace, zeta_z, snaps) -> tuple[float, float]:
         grid=ws.grid,
         times=ws.snap_times[sub],
         snapshots=snaps[sub],
-        series=FieldSeries(t=ws.t_fine, zeta1=zeta_z[:: cfg.zeta_refine]),
+        series=FieldSeries(t=ws.t_fine, zeta1=zeta_z[::2]),
     )
     m_val = functional_M(traj.series, cfg.norm_lambda).value
     n_val = functional_N(traj, cfg.norm_lambda, ws.weight, mu_points=32).value
@@ -308,10 +280,9 @@ def backward_solve(config: ScatteringConfig) -> tuple[Trajectory, PicardTrace]:
     zeta = None
     for it in range(1, config.picard_max_iters + 1):
         trace.iterations = it
-        zeta, inner_n, inner_ok = ws.solve_field(snaps, zeta_prev)
-        trace.inner_iterations.append(inner_n)
-        trace.inner_converged.append(inner_ok)
-        if not inner_ok and not float(np.max(np.abs(zeta))) <= config.overflow_cap:
+        zeta = ws.solve_field(snaps)
+        trace.inner_iterations.append(1)
+        if not float(np.max(np.abs(zeta))) <= config.overflow_cap:  # NaN fails too
             trace.diverged = True
             trace.failure = "field solve overflowed or is not finite"
             break
@@ -348,7 +319,7 @@ def backward_solve(config: ScatteringConfig) -> tuple[Trajectory, PicardTrace]:
         grid=ws.grid,
         times=ws.snap_times.copy(),
         snapshots=snaps,
-        series=FieldSeries(t=ws.t_fine.copy(), zeta1=zeta[:: config.zeta_refine].copy()),
+        series=FieldSeries(t=ws.t_fine.copy(), zeta1=zeta[::2].copy()),
         counters=ws.counters,
     )
     return traj, trace

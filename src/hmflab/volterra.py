@@ -294,6 +294,7 @@ def solve_volterra(
     forcing: np.ndarray,
     kernel: KernelOnGrid,
     direction: str = "forward",
+    coupling: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """March the second-kind equation zeta = g + K-convolution of zeta.
 
@@ -301,6 +302,12 @@ def solve_volterra(
     backward: zeta(t) = g(t) + int_t^T K(s-t) zeta(s) ds, marching down
     (equivalent to the forward march on time-reversed forcing).  The
     diagonal is implicit: each step divides by 1 - (d_t/2) K(0).
+
+    ``coupling = (nodes, a, b)`` adds the causal term
+    sum_m a[m, i] zeta[nodes[m]] + b[m, i] conj(zeta[nodes[m]]) to the
+    forcing at node i.  Column i of ``a`` and ``b`` may be nonzero only for
+    nodes strictly earlier in march order, so the march meets every term
+    already solved and one pass solves the coupled equation exactly.
     """
     g = np.asarray(forcing, dtype=np.complex128)
     if len(g) != len(kernel.t):
@@ -308,7 +315,10 @@ def solve_volterra(
             f"forcing length {len(g)} does not match kernel grid {len(kernel.t)}"
         )
     if direction == "backward":
-        return solve_volterra(g[::-1], kernel, "forward")[::-1]
+        if coupling is not None:
+            nodes, a, b = coupling
+            coupling = (len(g) - 1 - np.asarray(nodes), a[:, ::-1], b[:, ::-1])
+        return solve_volterra(g[::-1], kernel, "forward", coupling)[::-1]
     if direction != "forward":
         raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
     k = kernel.values
@@ -317,11 +327,25 @@ def solve_volterra(
     if abs(denom) < 1e-8:
         raise DegenerateStepError(f"1 - (d_t/2) K(0) = {denom} is numerically singular")
     n = len(g)
+    slot: dict[int, int] = {}  # coupling node -> its row of a and b
+    if coupling is not None:
+        nodes, a, b = coupling
+        for m, node in enumerate(nodes):
+            if np.any(a[m, : node + 1]) or np.any(b[m, : node + 1]):
+                raise ValueError(f"coupling to node {node} is not causal in march order")
+            slot[int(node)] = m
+        zn, znc = np.zeros((2, len(nodes)), dtype=np.complex128)  # zeta, conj zeta there
     z = np.empty(n, dtype=np.complex128)
     z[0] = g[0]
     for i in range(1, n):
+        m = slot.get(i - 1)
+        if m is not None:  # the node marched last feeds the coupling from here on
+            zn[m], znc[m] = z[i - 1], np.conj(z[i - 1])
         acc = 0.5 * k[i] * z[0]
         if i > 1:
             acc += np.dot(k[i - 1 : 0 : -1], z[1:i])
-        z[i] = (g[i] + dt * acc) / denom
+        gi = g[i]
+        if slot:
+            gi = gi + (np.dot(a[:, i], zn) + np.dot(b[:, i], znc))
+        z[i] = (gi + dt * acc) / denom
     return z

@@ -88,10 +88,10 @@ def test_criterion_03_linear_cross_validation():
     t0 = time.time()
     grid, cfg = _backward_setup(T=20.0, epsilon=0.0)
     traj, trace = backward_solve(cfg)
-    kernel = kernel_j(cfg.background, -1).sample(cfg.T, cfg.d_t / cfg.zeta_refine)
+    kernel = kernel_j(cfg.background, -1).sample(cfg.T, cfg.d_t / 2)
     forcing = sample_mode(cfg.terminal.coeffs, grid, 1, kernel.t)
     ref = solve_volterra(forcing, kernel, "backward")
-    err = float(np.max(np.abs(traj.series.zeta1 - ref[:: cfg.zeta_refine])))
+    err = float(np.max(np.abs(traj.series.zeta1 - ref[::2])))
     elapsed = time.time() - t0
     ok = trace.converged and err < 1e-6 and elapsed < 30.0
     report(3, ok, f"sup |zeta_sweep - zeta_volterra| = {err:.2e}", elapsed)
@@ -244,7 +244,7 @@ def test_criterion_10_nonperturbative_window():
     state = solve_bgk(3.0)
     terminal, background = bgk_to_field(state, grid)
 
-    def solve_at(tau, d_t=1e-2, max_iters=12, inner_max=40):
+    def solve_at(tau, d_t=1e-2, max_iters=12):
         cfg = ScatteringConfig(
             terminal=terminal,
             background=background,
@@ -255,7 +255,6 @@ def test_criterion_10_nonperturbative_window():
             sign=-1.0,
             picard_max_iters=max_iters,
             picard_tol=1e-8,
-            inner_max=inner_max,
             snap_stride=10,
         )
         from hmflab.scattering import nonperturbative_solve
@@ -267,7 +266,7 @@ def test_criterion_10_nonperturbative_window():
 
     sweep_report = {}
     for tau in (0.0, 10.0, 20.0):
-        _, tr, _ = solve_at(tau, d_t=2e-2, max_iters=5, inner_max=12)
+        _, tr, _ = solve_at(tau, d_t=2e-2, max_iters=5)
         sweep_report[tau] = {
             "converged": tr.converged,
             "max_ratio": max(tr.contraction_ratios) if tr.contraction_ratios else None,

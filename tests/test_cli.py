@@ -64,9 +64,42 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="duplicate"):
             config_from_text("run.scenario = bgk\nrun.id = x\nbgk.beta = 2\nbgk.beta = 3\n")
 
-    def test_scenario_scoping(self):
-        with pytest.raises(ConfigError, match="not valid for scenario"):
-            config_from_text("run.scenario = bgk\nrun.id = x\nstability.n_scan = 7\n")
+    @pytest.mark.parametrize(
+        "scenario, line",
+        [
+            ("bgk", "stability.n_scan = 7"),
+            # the non-perturbative datum and background are the BGK state's
+            ("nonperturbative", "datum.amplitude = 0.5"),
+            ("nonperturbative", "datum.width = 1.0"),
+            ("nonperturbative", "datum.shape = gaussian"),
+            ("nonperturbative", "datum.modes = 1:1, -1:1"),
+            ("nonperturbative", "profile.kind = maxwellian"),
+            ("nonperturbative", "profile.beta = 1.0"),
+            ("nonperturbative", "profile.scale = 1.0"),
+            ("nonperturbative", "fit.window_lo = 1.0"),
+            ("nonperturbative", "fit.window_hi = 2.0"),
+            ("nonperturbative", "norms.mu_points = 64"),
+            ("stability", "grid.n_max = 4"),
+            ("stability", "grid.xi_max = 24"),
+            ("stability", "grid.d_xi = 0.05"),
+            ("stability", "grid.t_final = 20"),
+            ("backward", "echo.threshold = 2.5"),
+            ("forward", "norms.delta = 1e-3"),
+            ("forward", "norms.mu_points = 64"),
+            ("compare", "norms.mu_points = 64"),
+            ("forward", "picard.tol = 5"),
+        ],
+        ids=lambda v: v.split(" =")[0],
+    )
+    def test_scenario_scoping(self, scenario, line):
+        """A key the scenario never reads is an error, also in a sweep over that scenario."""
+        with pytest.raises(ConfigError, match=f"not valid for scenario '{scenario}'"):
+            config_from_text(f"run.scenario = {scenario}\nrun.id = x\n{line}\n")
+        with pytest.raises(ConfigError, match=f"not valid for scenario '{scenario}'"):
+            config_from_text(
+                f"run.scenario = sweep\nrun.id = x\nsweep.scenario = {scenario}\n"
+                f"sweep.axis = evolve.epsilon\nsweep.values = 0.1\n{line}\n"
+            )
 
     @pytest.mark.parametrize("run_id", [".", "..", "a/b", "../escape", "a\\b", ""])
     def test_run_id_must_be_one_path_component(self, run_id):
@@ -108,14 +141,15 @@ class TestLoadConfig:
             ("stability.m_bound = 0.02", "stability.lambda > 0 when stability.m_bound is set"),
             ("stability.m_bound = 0.02\nstability.lambda = 0",
              "stability.lambda > 0 when stability.m_bound is set"),
-            pytest.param(BACKWARD_SMALL + "picard.inner_max = 0", "picard.inner_max >= 1",
+            # the field solve is one march on the half steps: neither knob exists
+            pytest.param(BACKWARD_SMALL + "picard.inner_max = 0", "unknown keys: picard.inner_max",
                          id="inner_max-0"),
             pytest.param(BACKWARD_SMALL + "picard.max_iters = 0", "picard.max_iters >= 1",
                          id="max_iters-0"),
             pytest.param(BACKWARD_SMALL + "picard.zeta_refine = 3",
-                         "picard.zeta_refine is an even integer >= 2", id="zeta_refine-odd"),
+                         "unknown keys: picard.zeta_refine", id="zeta_refine-odd"),
             pytest.param(BACKWARD_SMALL + "picard.zeta_refine = 0",
-                         "picard.zeta_refine is an even integer >= 2", id="zeta_refine-0"),
+                         "unknown keys: picard.zeta_refine", id="zeta_refine-0"),
             pytest.param(BACKWARD_SMALL + "evolve.snap_stride = 0", "evolve.snap_stride >= 1",
                          id="snap_stride-0"),
             pytest.param(BACKWARD_SMALL + "norms.mu_points = 0", "norms.mu_points >= 2",
@@ -373,6 +407,19 @@ class TestSweep:
         assert [line.split(",")[:2] for line in lines[1:]] == [["2", "true"], ["3", "true"]]
         member = json.loads((tmp_path / "sw-int" / "runs" / "000" / "member" / "manifest.json").read_text())
         assert member["config"]["grid.n_max"] == 2
+
+    def test_sweep_files_map_comparable(self, tmp_path):
+        # member manifests hold wall times, so the map leaves them out;
+        # the members' own artifacts are hashed under runs/NNN/
+        cfg = config_from_text(
+            "run.scenario = sweep\nrun.id = sw-bgk\nsweep.scenario = bgk\n"
+            "sweep.axis = bgk.beta\nsweep.values = 2.5, 3\n"
+        )
+        first = run(cfg, tmp_path / "a").data["files"]
+        second = run(cfg, tmp_path / "b").data["files"]
+        assert first == second
+        assert "runs/001/member/bgk.json" in first
+        assert not any(name.endswith("manifest.json") for name in first)
 
     def test_integer_axis_rejects_fractions(self):
         with pytest.raises(ConfigError, match="not an integer"):

@@ -44,11 +44,40 @@ def config(**kw):
     return ScatteringConfig(**base)
 
 
+def reference_coupling(ws, snaps, zeta_fine):
+    """The coupling term Phi on the half-step nodes, as a trapezoid over the
+    snapshots with a partial leading interval, evaluated for a given field
+    (on the state steps): the explicit form the one-pass solve folds into
+    its march."""
+    cfg, grid, t = ws.cfg, ws.grid, ws.t_z
+    m_count = len(ws.snap_times)
+    integrand = np.empty((m_count, len(t)), dtype=np.complex128)
+    for m, (si, s) in enumerate(zip(ws.snap_idx, ws.snap_times)):
+        z1 = zeta_fine[si]
+        row_p = sample_mode(snaps[m], grid, 0, t - s)
+        row_m = sample_mode(snaps[m], grid, 2, t + s)
+        integrand[m] = (z1 * row_p - np.conj(z1) * row_m) * (s - t)
+    cum = np.zeros_like(integrand)
+    for m in range(m_count - 2, -1, -1):
+        ds = ws.snap_times[m + 1] - ws.snap_times[m]
+        cum[m] = cum[m + 1] + 0.5 * ds * (integrand[m] + integrand[m + 1])
+    first = np.minimum(np.searchsorted(ws.snap_times, t - 1e-12), m_count - 1)
+    cols = np.arange(len(t))
+    partial = 0.5 * (ws.snap_times[first] - t) * integrand[first, cols]
+    return -(cfg.epsilon / 2.0) * (partial + cum[first, cols])
+
+
+def field_equation_solution(ws, snaps, zeta_fine):
+    """Plain Volterra march with the coupling evaluated on ``zeta_fine``."""
+    forcing = ws.datum_readout + ws.cfg.sign * reference_coupling(ws, snaps, zeta_fine)
+    return solve_volterra(forcing, ws.kernel, "backward")
+
+
 def fixed_point_residual(cfg, traj):
-    """Sup change of the field when its equation is re-solved from scratch
-    against the converged snapshots, on the stored series' own nodes."""
-    new, _, _ = _Workspace(cfg).solve_field(traj.snapshots, None)
-    return float(np.max(np.abs(new[:: cfg.zeta_refine] - traj.series.zeta1)))
+    """Sup change of the stored field when its equation, with the coupling
+    evaluated on that field and the converged snapshots, is marched again."""
+    new = field_equation_solution(_Workspace(cfg), traj.snapshots, traj.series.zeta1)
+    return float(np.max(np.abs(new[::2] - traj.series.zeta1)))
 
 
 class TestBackwardSolve:
@@ -65,10 +94,10 @@ class TestBackwardSolve:
         assert trace.converged
         assert trace.iterations <= 2
         # independent route: second-kind equation marched on the same grid
-        kern = kernel_j(PROFILE, -1).sample(cfg.T, cfg.d_t / cfg.zeta_refine)
+        kern = kernel_j(PROFILE, -1).sample(cfg.T, cfg.d_t / 2)
         g = sample_mode(cfg.terminal.coeffs, GRID, 1, kern.t)
         ref = solve_volterra(g, kern, "backward")
-        assert np.max(np.abs(traj.series.zeta1 - ref[:: cfg.zeta_refine])) < 1e-6
+        assert np.max(np.abs(traj.series.zeta1 - ref[::2])) < 1e-6
 
     def test_weak_coupling_contracts(self):
         cfg = config()
@@ -104,7 +133,6 @@ class TestBackwardSolve:
             epsilon=1.0,
             T=10.0,
             picard_max_iters=4,
-            inner_max=10,
             overflow_cap=1e4,
         )
         traj, trace = backward_solve(cfg)
@@ -164,6 +192,36 @@ class TestBackwardSolve:
         cfg = config()
         traj, _ = backward_solve(cfg)
         assert traj.max_mean_drift() < 1e-12
+
+
+class TestFieldSolve:
+    @staticmethod
+    def _window(name):
+        grid = make_grid(4, 12.0, 0.1, 8.0)
+        if name == "weak":
+            return config(terminal=datum(grid=grid), T=8.0, d_t=0.05)
+        terminal, background = bgk_to_field(solve_bgk(3.0), grid)
+        return config(terminal=terminal, background=background, epsilon=1.0, sign=-1.0,
+                      T=8.0, d_t=0.05)
+
+    @pytest.mark.parametrize("name", ["weak", "strong_tau0"])
+    def test_one_pass_solves_field_equation(self, name):
+        # the one march must be the exact discrete solution: re-evaluating the
+        # explicit trapezoid coupling on its field and marching reproduces it
+        cfg = self._window(name)
+        ws = _Workspace(cfg)
+        first = np.broadcast_to(cfg.terminal.coeffs, (len(ws.snap_idx),) + cfg.terminal.coeffs.shape)
+        snaps = ws.transport(ws.solve_field(first))  # the history after one sweep
+        zeta = ws.solve_field(snaps)
+        uncoupled = solve_volterra(ws.datum_readout, ws.kernel, "backward")
+        assert np.max(np.abs(zeta - uncoupled)) > 1e-6  # the coupling is felt
+        assert np.max(np.abs(field_equation_solution(ws, snaps, zeta[::2]) - zeta)) <= 1e-12
+
+    def test_one_march_per_sweep(self):
+        _, trace = backward_solve(self._window("weak"))
+        assert trace.iterations > 1
+        assert trace.inner_iterations == [1] * trace.iterations
+        assert "inner_converged" not in trace.as_dict()
 
 
 class TestContinuation:
@@ -260,15 +318,6 @@ class TestConfigValidation:
     def test_window_ordering(self):
         with pytest.raises(ValueError):
             config(tau=10.0, T=10.0)
-
-    def test_inner_max_at_least_one(self):
-        # zero inner iterations would report a converged sweep with an unsolved field
-        with pytest.raises(ValueError, match="inner_max"):
-            config(inner_max=0)
-
-    def test_refine_must_be_even(self):
-        with pytest.raises(ValueError):
-            config(zeta_refine=3)
 
     def test_horizon_vs_grid(self):
         with pytest.raises(ValueError):

@@ -279,6 +279,36 @@ class TestSolveVolterra:
         bwd = solve_volterra(g[::-1], k, "backward")
         assert np.max(np.abs(fwd - bwd[::-1])) < 1e-13
 
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_causal_coupling_solved_in_one_pass(self, direction):
+        # the coupled march is the fixed point of the plain march with the
+        # coupling evaluated on its own output
+        k = exp_kernel(0.2, 1.1, 2.0, 1e-2)
+        n = len(k.t)
+        rng = np.random.default_rng(5)
+        g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        nodes = np.arange(0, n, 20)
+        a, b = (0.05 * (rng.standard_normal((len(nodes), n)) + 1j * rng.standard_normal((len(nodes), n)))
+                for _ in range(2))
+        # node m may feed only the nodes marched after it
+        cols = np.arange(n)[None, :]
+        fed = cols > nodes[:, None] if direction == "forward" else cols < nodes[:, None]
+        a[~fed] = 0.0
+        b[~fed] = 0.0
+        z = solve_volterra(g, k, direction, (nodes, a, b))
+        forcing = g + a.T @ z[nodes] + b.T @ np.conj(z[nodes])
+        assert np.max(np.abs(solve_volterra(forcing, k, direction) - z)) < 1e-13
+        assert np.max(np.abs(solve_volterra(g, k, direction) - z)) > 1e-3
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_coupling_to_own_node_rejected(self, direction):
+        k = exp_kernel(0.3, 1.0, 1.0, 1e-2)
+        n = len(k.t)
+        a = np.zeros((1, n), complex)
+        a[0, 50] = 1.0
+        with pytest.raises(ValueError, match="not causal"):
+            solve_volterra(np.ones(n, complex), k, direction, (np.array([50]), a, np.zeros_like(a)))
+
     def test_degenerate_diagonal_rejected(self):
         d_t = 1e-2
         t = np.arange(0, 1 + 1e-9, d_t)
