@@ -58,7 +58,9 @@ def _mode_weights(raw: str) -> dict[int, float]:
         if not part:
             continue
         mode, _, weight = part.partition(":")
-        out[int(mode.strip())] = _float(weight)
+        if int(mode) in out:
+            raise ValueError(f"duplicate mode {int(mode)}")
+        out[int(mode)] = _float(weight)
     if not out:
         raise ValueError("empty mode weights")
     return out
@@ -241,6 +243,13 @@ def member_config(cfg: RunConfig, value, origin: str = "<sweep member>") -> RunC
     return member
 
 
+_POSITIVE = (
+    "grid.d_xi", "profile.beta", "profile.scale", "datum.width", "evolve.d_t", "picard.tol",
+    "norms.delta", "stability.omega_max", "stability.t_max", "stability.threshold", "bgk.beta",
+    "weights.delta",
+)
+
+
 def _validate(cfg: RunConfig, origin: str) -> None:
     v = cfg.values
     scenario = cfg.scenario
@@ -249,24 +258,27 @@ def _validate(cfg: RunConfig, origin: str) -> None:
         if not ok:
             raise ConfigError(f"{origin}: violated precondition: {name}")
 
+    for key in _POSITIVE:
+        if key in v:
+            rule(v[key] > 0, f"{key} > 0")
     if "grid.n_max" in v:
         rule(v["grid.n_max"] >= 2, "grid.n_max >= 2")
-        rule(v["grid.d_xi"] > 0, "grid.d_xi > 0")
+        cells = v["grid.xi_max"] / v["grid.d_xi"]
+        rule(abs(cells - round(cells)) <= 1e-9 * max(1.0, cells),
+             "grid.xi_max is a whole multiple of grid.d_xi")
         rule(
             v["grid.xi_max"] >= v["grid.t_final"] + 4.0,
             "grid.xi_max >= grid.t_final + 4 (horizon exceeds grid)",
         )
     if "profile.kind" in v:
         rule(v["profile.kind"] in ("maxwellian", "lorentzian"), "profile.kind known")
-    if "datum.width" in v:
-        rule(v["datum.width"] > 0, "datum.width > 0")
+    if "datum.shape" in v:
         rule(v["datum.shape"] in ("gaussian", "exponential"), "datum.shape known")
         rule(0 not in v["datum.modes"], "datum.modes carries no weight on mode 0")
     if "evolve.sign" in v:
         rule(v["evolve.sign"] in (1.0, -1.0), "evolve.sign is +1 or -1")
     if scenario in _RUNNY:
         rule(v["evolve.epsilon"] >= 0, "evolve.epsilon >= 0")
-        rule(v["evolve.d_t"] > 0, "evolve.d_t > 0")
         if scenario in ("forward", "compare"):
             rule(v["evolve.d_t"] <= 0.1, "evolve.d_t <= 0.1 (forward integration step limit)")
         rule(
@@ -290,17 +302,20 @@ def _validate(cfg: RunConfig, origin: str) -> None:
         rule(v["evolve.snap_stride"] >= 1, "evolve.snap_stride >= 1")
     if "norms.mu_points" in v:
         rule(v["norms.mu_points"] >= 2, "norms.mu_points >= 2")
+    if "norms.lambda_prime" in v:
+        rule(0 < v["norms.lambda_prime"] < v["norms.lambda"], "0 < norms.lambda_prime < norms.lambda")
+    if "weights.T" in v:
+        # each budget integration needs at least one step
+        rule(0 < v["weights.d_t"] <= v["weights.T"], "0 < weights.d_t <= weights.T")
+        rule(v["weights.d_t"] <= v["weights.t_max"], "weights.d_t <= weights.t_max")
+        rule(all(d > 0 for d in v["weights.delta_list"]), "weights.delta_list entries > 0")
     if scenario in _WITH_PICARD:
-        rule(v["picard.tol"] > 0, "picard.tol > 0")
         rule(v["picard.max_iters"] >= 1, "picard.max_iters >= 1")
     if scenario == "nonperturbative":
         rule(v["evolve.epsilon"] == 1.0, "evolve.epsilon == 1 in non-perturbative mode")
     if scenario == "stability":
-        rule(v["stability.omega_max"] > 0, "stability.omega_max > 0")
         rule(v["stability.n_scan"] >= 2, "stability.n_scan >= 2")
-        rule(v["stability.t_max"] > 0, "stability.t_max > 0")
         rule(0 < v["stability.d_t"] <= v["stability.t_max"], "0 < stability.d_t <= stability.t_max")
-        rule(v["stability.threshold"] > 0, "stability.threshold > 0")
         if v["stability.m_bound"] is not None:
             lam = v["stability.lambda"]
             rule(lam is not None and lam > 0, "stability.lambda > 0 when stability.m_bound is set")

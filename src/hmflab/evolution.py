@@ -12,8 +12,9 @@ vanishing right-hand side, so the mean is conserved exactly; the system
 also commutes with the reality mirror, so symmetry is preserved without
 re-projection.
 
-Time stepping is classical four-stage Runge-Kutta with the field extracted
-from each stage state (the readout is explicit, so no predictor is needed).
+Time stepping is one classical four-stage Runge-Kutta march for both
+directions: forward it extracts the field from each stage state (the readout
+is explicit, so no predictor is needed); a backward transport pass freezes it.
 """
 
 from __future__ import annotations
@@ -48,6 +49,18 @@ class RealityDriftError(RuntimeError):
     """Mirror-symmetry defect grew beyond tolerance during a run."""
 
 
+_OVERFLOW_CAP = 1e6  # largest coefficient magnitude a march or field solve may reach
+
+
+def _check_march_settings(d_t: float, epsilon: float, sign: float, snap_stride: int) -> None:
+    """The step, coupling, force and snapshot settings every solver shares."""
+    if not (d_t > 0 and epsilon >= 0 and sign in (1, -1) and snap_stride >= 1):
+        raise ValueError(
+            "need d_t > 0, epsilon >= 0, sign +-1 and snap_stride >= 1; got "
+            f"d_t={d_t}, epsilon={epsilon}, sign={sign}, snap_stride={snap_stride}"
+        )
+
+
 @dataclass(frozen=True)
 class EvolutionParams:
     """Settings for a time integration.
@@ -63,17 +76,11 @@ class EvolutionParams:
     t_final: float
     sign: float = 1.0
     snap_stride: int = 10
-    overflow_cap: float = 1e6
 
     def __post_init__(self):
-        if self.d_t <= 0 or self.d_t > 0.1:
+        _check_march_settings(self.d_t, self.epsilon, self.sign, self.snap_stride)
+        if self.d_t > 0.1:
             raise ValueError(f"d_t must lie in (0, 0.1], got {self.d_t}")
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
-        if self.sign not in (1.0, -1.0, 1, -1):
-            raise ValueError(f"sign must be +-1, got {self.sign}")
-        if self.snap_stride < 1:
-            raise ValueError("snap_stride must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -163,6 +170,7 @@ class _RK4Work:
 
     def __init__(self, grid: Grid):
         shape = (grid.n_modes, grid.n_xi)
+        self.grid = grid
         self.xi = grid.xi
         # xi and n at every entry, so (xi - n t) is two whole-array operations
         self.xi_all = np.tile(self.xi, (grid.n_modes, 1))
@@ -227,27 +235,6 @@ def rhs_coeffs(
     return inc
 
 
-def _rk4_step(c: np.ndarray, t: float, h: float, stage_rhs, work: _RK4Work) -> None:
-    """Advance ``c`` in place by one classical RK4 step of size ``h``.
-
-    ``stage_rhs(state, tt, stage, out)`` writes the right-hand side of stage
-    0..3 into ``out``.  A negative ``h`` marches backward.  The update is
-    c + (h/6) (k1 + 2 k2 + 2 k3 + k4), evaluated left to right as written.
-    """
-    k1, k2, k3, k4, y = work.k1, work.k2, work.k3, work.k4, work.stage
-    stage_rhs(c, t, 0, k1)
-    np.add(c, np.multiply(0.5 * h, k1, out=y), out=y)
-    stage_rhs(y, t + 0.5 * h, 1, k2)
-    np.add(c, np.multiply(0.5 * h, k2, out=y), out=y)
-    stage_rhs(y, t + 0.5 * h, 2, k3)
-    np.add(c, np.multiply(h, k3, out=y), out=y)
-    stage_rhs(y, t + h, 3, k4)
-    np.add(k1, np.multiply(2.0, k2, out=k2), out=k1)
-    np.add(k1, np.multiply(2.0, k3, out=k3), out=k1)
-    np.add(k1, k4, out=k1)
-    np.add(c, np.multiply(h / 6.0, k1, out=k1), out=c)
-
-
 def _validate_initial(h0: FourierField) -> None:
     # written as not (x <= 1e-10) so that a NaN anywhere in the state fails
     defect = h0.reality_defect()
@@ -262,6 +249,51 @@ def _snapshot_steps(n_steps: int, stride: int) -> np.ndarray:
     """Steps that store a snapshot: every ``stride``-th from 0, plus the last."""
     steps = np.arange(0, n_steps + 1, stride)
     return steps if steps[-1] == n_steps else np.append(steps, n_steps)
+
+
+def _march(c, times, h, zeta, profile, epsilon, sign, steps, snaps, counters, work):
+    """Classical RK4 over ``times`` in place on ``c``, yielding (time index, time) after each step.
+
+    ``h`` > 0 marches up from times[0], ``h`` < 0 down from times[-1].  With
+    ``zeta`` None each stage reads its field off the stage state; otherwise
+    step k reads the frozen half-step field zeta[2k], zeta[2k+1] (twice) and
+    zeta[2k+2], in march order.  After every step a coefficient past the
+    overflow cap, or a NaN, raises BlowUpError; the states at the time
+    indices ``steps`` fill ``snaps`` in time order, edge columns tallied.
+    """
+    k1, k2, k3, k4, y = work.k1, work.k2, work.k3, work.k4, work.stage
+    row = np.full(len(times), -1)
+    row[steps] = np.arange(len(steps))
+    order = range(len(times)) if h > 0 else range(len(times) - 1, -1, -1)  # time indices
+    snaps[row[order[0]]] = c
+
+    def rhs(state, tt, node, out):
+        z = extract_zeta(state, work.grid, tt, None, counters) if zeta is None else zeta[node]
+        rhs_coeffs(state, tt, z, work.grid, profile, epsilon, sign, out, work)
+
+    for k, i in enumerate(order[1:]):
+        t = times[order[k]]
+        rhs(c, t, 2 * k, k1)
+        np.add(c, np.multiply(0.5 * h, k1, out=y), out=y)
+        rhs(y, t + 0.5 * h, 2 * k + 1, k2)
+        np.add(c, np.multiply(0.5 * h, k2, out=y), out=y)
+        rhs(y, t + 0.5 * h, 2 * k + 1, k3)
+        np.add(c, np.multiply(h, k3, out=y), out=y)
+        rhs(y, t + h, 2 * k + 2, k4)
+        # c + (h/6) (k1 + 2 k2 + 2 k3 + k4), evaluated left to right as written
+        np.add(k1, np.multiply(2.0, k2, out=k2), out=k1)
+        np.add(k1, np.multiply(2.0, k3, out=k3), out=k1)
+        np.add(k1, k4, out=k1)
+        np.add(c, np.multiply(h / 6.0, k1, out=k1), out=c)
+        peak = np.max(np.abs(c))
+        if not peak <= _OVERFLOW_CAP:  # NaN fails too
+            raise BlowUpError(float(times[i]), float(peak))
+        if row[i] >= 0:
+            snaps[row[i]] = c
+            edge = float(max(np.max(np.abs(c[:, 0])), np.max(np.abs(c[:, -1]))))
+            if edge > counters.max_edge_magnitude:
+                counters.max_edge_magnitude = edge
+        yield i, times[i]
 
 
 _REALITY_CHECK_EVERY = 100
@@ -285,28 +317,15 @@ def forward_solve(h0: FourierField, params: EvolutionParams) -> Trajectory:
     n_steps = int(round(params.t_final / params.d_t))
     if abs(n_steps * params.d_t - params.t_final) > 1e-9:
         raise ValueError("t_final must be an integer number of steps")
-    dt = params.d_t
     counters = TruncationCounters()
-    work = _RK4Work(grid)
     c = h0.coeffs.copy()
-    t = 0.0
+    times = np.arange(n_steps + 1) * params.d_t
     steps = _snapshot_steps(n_steps, params.snap_stride)
     snapshots = np.empty((len(steps), grid.n_modes, grid.n_xi), dtype=np.complex128)
-    snapshots[0] = c
-    snap = 1  # row of the next snapshot
     zs = np.empty(n_steps + 1, dtype=np.complex128)
     zs[0] = extract_zeta(c, grid, 0.0, counters=counters)
-
-    def f(state, tt, stage, out):
-        z = extract_zeta(state, grid, tt, check_tol=None, counters=counters)
-        rhs_coeffs(state, tt, z, grid, params.profile, params.epsilon, params.sign, out, work)
-
-    for i in range(1, n_steps + 1):
-        _rk4_step(c, t, dt, f, work)
-        t = i * dt
-        peak = np.max(np.abs(c))
-        if not peak <= params.overflow_cap:  # NaN fails too
-            raise BlowUpError(t, float(peak))
+    for i, t in _march(c, times, params.d_t, None, params.profile, params.epsilon, params.sign,
+                       steps, snapshots, counters, _RK4Work(grid)):
         if i % _REALITY_CHECK_EVERY == 0:
             mirror = np.conj(c[::-1, ::-1])
             drift = float(np.max(np.abs(c - mirror)))
@@ -315,18 +334,11 @@ def forward_solve(h0: FourierField, params: EvolutionParams) -> Trajectory:
                     f"reality drift {drift:.3e} exceeds {_REALITY_TOL:.1e} at t={t:.3f}"
                 )
         zs[i] = extract_zeta(c, grid, t, check_tol=None, counters=counters)
-        if i == steps[snap]:
-            snapshots[snap] = c
-            snap += 1
-            edge = float(max(np.max(np.abs(c[:, 0])), np.max(np.abs(c[:, -1]))))
-            if edge > counters.max_edge_magnitude:
-                counters.max_edge_magnitude = edge
 
-    series = FieldSeries(t=np.arange(n_steps + 1) * dt, zeta1=zs)
     return Trajectory(
         grid=grid,
-        times=steps * dt,
+        times=times[steps],
         snapshots=snapshots,
-        series=series,
+        series=FieldSeries(t=times, zeta1=zs),
         counters=counters,
     )

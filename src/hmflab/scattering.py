@@ -32,12 +32,14 @@ from dataclasses import dataclass, field as dfield, replace
 import numpy as np
 
 from .evolution import (
+    _OVERFLOW_CAP,
+    BlowUpError,
     FieldSeries,
     Trajectory,
-    _rk4_step,
+    _check_march_settings,
+    _march,
     _RK4Work,
     _snapshot_steps,
-    rhs_coeffs,
 )
 from .norms import functional_M, functional_N, solve_a
 from .profiles import Profile, kernel_j
@@ -64,21 +66,17 @@ class ScatteringConfig:
     picard_max_iters: int = 12
     picard_tol: float = 1e-6
     snap_stride: int = 10
-    overflow_cap: float = 1e6
     norm_lambda: float = 0.3
     norm_delta: float = 1e-3
 
     def __post_init__(self):
+        _check_march_settings(self.d_t, self.epsilon, self.sign, self.snap_stride)
         if self.tau < 0 or self.tau >= self.T:
             raise ValueError(f"window needs 0 <= tau < T, got tau={self.tau}, T={self.T}")
         if self.picard_tol <= 0:
             raise ValueError("picard_tol must be positive")
         if self.picard_max_iters < 1:
             raise ValueError("picard_max_iters must be >= 1")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
-        if self.sign not in (1.0, -1.0, 1, -1):
-            raise ValueError(f"sign must be +-1, got {self.sign}")
         n = (self.T - self.tau) / self.d_t
         if abs(n - round(n)) > 1e-9:
             raise ValueError("window length must be an integer number of steps")
@@ -213,39 +211,13 @@ class _Workspace:
 
     def transport(self, zeta_z: np.ndarray) -> np.ndarray:
         """Backward Runge-Kutta pass with the field frozen; returns the snapshot block."""
-        cfg, grid = self.cfg, self.grid
-        dt = cfg.d_t
-        c = self.cfg.terminal.coeffs.copy()
-        snaps = np.empty((len(self.snap_idx),) + c.shape, dtype=np.complex128)
-        pos = {int(i): m for m, i in enumerate(self.snap_idx)}
-        snaps[pos[self.n_steps]] = c
-        h = -dt
-        prof, eps, sign, work = cfg.background, cfg.epsilon, cfg.sign, self.rk4
-        fields = [0j] * 4  # the frozen field at the four stages of the current step
-
-        def f(state, tt, stage, out):
-            rhs_coeffs(state, tt, fields[stage], grid, prof, eps, sign, out, work)
-
-        for i in range(self.n_steps, 0, -1):
-            z_mid = zeta_z[2 * i - 1]
-            fields[:] = (zeta_z[2 * i], z_mid, z_mid, zeta_z[2 * i - 2])
-            _rk4_step(c, self.t_fine[i], h, f, work)
-            if (i - 1) in pos:
-                peak = float(np.max(np.abs(c)))
-                if not peak <= cfg.overflow_cap:  # NaN fails too
-                    raise _TransportBlowUp(self.t_fine[i - 1], peak)
-                edge = float(max(np.max(np.abs(c[:, 0])), np.max(np.abs(c[:, -1]))))
-                if edge > self.counters.max_edge_magnitude:
-                    self.counters.max_edge_magnitude = edge
-                snaps[pos[i - 1]] = c
+        cfg = self.cfg
+        snaps = np.empty((len(self.snap_idx),) + cfg.terminal.coeffs.shape, dtype=np.complex128)
+        for _ in _march(cfg.terminal.coeffs.copy(), self.t_fine, -cfg.d_t, zeta_z[::-1],
+                        cfg.background, cfg.epsilon, cfg.sign, self.snap_idx, snaps,
+                        self.counters, self.rk4):
+            pass
         return snaps
-
-
-class _TransportBlowUp(RuntimeError):
-    def __init__(self, t, magnitude):
-        super().__init__(f"transport pass overflowed at t={t:.3f} (|h|={magnitude:.3e})")
-        self.t = t
-        self.magnitude = magnitude
 
 
 def _trace_norms(ws: _Workspace, zeta_z, snaps) -> tuple[float, float]:
@@ -282,13 +254,13 @@ def backward_solve(config: ScatteringConfig) -> tuple[Trajectory, PicardTrace]:
         trace.iterations = it
         zeta = ws.solve_field(snaps)
         trace.inner_iterations.append(1)
-        if not float(np.max(np.abs(zeta))) <= config.overflow_cap:  # NaN fails too
+        if not float(np.max(np.abs(zeta))) <= _OVERFLOW_CAP:  # NaN fails too
             trace.diverged = True
             trace.failure = "field solve overflowed or is not finite"
             break
         try:
             new_snaps = ws.transport(zeta)
-        except _TransportBlowUp as exc:
+        except BlowUpError as exc:
             trace.diverged = True
             trace.failure = str(exc)
             break

@@ -34,6 +34,10 @@ evolve.T = 8
 picard.tol = 1e-7
 """
 
+WEIGHTS = "run.scenario = weights\nrun.id = x\n"
+
+NONPERTURBATIVE = "run.scenario = nonperturbative\nrun.id = x\nevolve.epsilon = 1\n"
+
 
 class TestLoadConfig:
     def test_minimal_stability(self, tmp_path):
@@ -170,6 +174,29 @@ class TestLoadConfig:
                          "evolve.d_t <= 0.1", id="forward-d_t"),
             pytest.param("run.scenario = compare\nrun.id = x\nevolve.d_t = 0.2",
                          "evolve.d_t <= 0.1", id="compare-d_t"),
+            # without these rules each config below would fail only inside the run
+            pytest.param(WEIGHTS + "weights.delta_list = 1e-3, 0", "weights.delta_list entries > 0",
+                         id="delta_list-0"),
+            pytest.param(WEIGHTS + "weights.delta = -1e-3", "weights.delta > 0", id="delta-negative"),
+            pytest.param(WEIGHTS + "weights.d_t = 0", "0 < weights.d_t <= weights.T", id="weights-d_t-0"),
+            pytest.param(WEIGHTS + "weights.T = -5", "0 < weights.d_t <= weights.T",
+                         id="weights-T-negative"),
+            pytest.param(WEIGHTS + "weights.t_max = 0", "weights.d_t <= weights.t_max",
+                         id="weights-t_max-0"),
+            pytest.param("profile.beta = 0", "profile.beta > 0", id="profile-beta-0"),
+            pytest.param("run.scenario = stability\nrun.id = x\nprofile.kind = lorentzian\n"
+                         "profile.scale = -1", "profile.scale > 0", id="profile-scale-negative"),
+            pytest.param("run.scenario = bgk\nrun.id = x\nbgk.beta = -3", "bgk.beta > 0",
+                         id="bgk-beta-negative"),
+            pytest.param(BACKWARD_SMALL.replace("grid.xi_max = 12", "grid.xi_max = 12.05"),
+                         "grid.xi_max is a whole multiple of grid.d_xi", id="xi_max-off-lattice"),
+            pytest.param(BACKWARD_SMALL + "norms.delta = 0", "norms.delta > 0", id="norms-delta-0"),
+            pytest.param(NONPERTURBATIVE + "norms.lambda_prime = 0.3",
+                         "0 < norms.lambda_prime < norms.lambda", id="lambda_prime-at-lambda"),
+            pytest.param(NONPERTURBATIVE + "norms.lambda_prime = 0",
+                         "0 < norms.lambda_prime < norms.lambda", id="lambda_prime-0"),
+            pytest.param(BACKWARD_SMALL + "datum.modes = 1:1, 1:5, -1:1", "duplicate mode 1",
+                         id="modes-repeated"),
         ],
     )
     def test_stability_keys_checked_at_load(self, lines, rule):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hmflab import evolution
 from hmflab.evolution import (
     BlowUpError,
     EvolutionParams,
@@ -156,10 +157,9 @@ class TestForwardSolve:
         err_fine = np.max(np.abs(final_state(0.04) - ref))
         assert 10.0 < err_coarse / err_fine < 24.0
 
-    def test_overflow_abort(self):
-        params = EvolutionParams(
-            profile=PROFILE, epsilon=0.5, d_t=0.01, t_final=10.0, overflow_cap=0.3
-        )
+    def test_overflow_abort(self, monkeypatch):
+        monkeypatch.setattr(evolution, "_OVERFLOW_CAP", 0.3)
+        params = EvolutionParams(profile=PROFILE, epsilon=0.5, d_t=0.01, t_final=10.0)
         with pytest.raises(BlowUpError):
             forward_solve(datum(), params)
 

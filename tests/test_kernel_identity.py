@@ -167,11 +167,11 @@ def test_forward_solve_matches_reference_stepping():
         assert same_bytes(got, ref)
 
 
-def test_transport_matches_reference_stepping():
+def check_transport_against_reference(T):
     grid = make_grid(4, 12.0, 0.05, 8.0)
     datum, background = bgk_to_field(solve_bgk(3.0), grid)
     cfg = ScatteringConfig(
-        terminal=datum, background=background, epsilon=1.0, T=6.0, d_t=0.05, tau=4.0,
+        terminal=datum, background=background, epsilon=1.0, T=T, d_t=0.05, tau=4.0,
         sign=-1.0,
     )
     ws = _Workspace(cfg)
@@ -192,9 +192,21 @@ def test_transport_matches_reference_stepping():
 
         c = reference_rk4_step(c, ws.t_fine[i], -cfg.d_t, f)
         ref[i - 1] = c
+    assert len(got) == len(ws.snap_idx)
     for m, i in enumerate(ws.snap_idx):
         assert same_bytes(got[m], ref[int(i)])
         assert same_bytes(again[m], ref[int(i)])
+    return ws
+
+
+def test_transport_matches_reference_stepping():
+    check_transport_against_reference(6.0)
+
+
+def test_transport_off_cadence_endpoint_matches_reference_stepping():
+    # 41 steps at stride 10: the terminal step 41 is a snapshot off the cadence
+    ws = check_transport_against_reference(6.05)
+    assert ws.n_steps == 41 and list(ws.snap_idx) == [0, 10, 20, 30, 40, 41]
 
 
 @pytest.mark.parametrize("size", sorted(GRIDS))

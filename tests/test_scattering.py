@@ -133,7 +133,6 @@ class TestBackwardSolve:
             epsilon=1.0,
             T=10.0,
             picard_max_iters=4,
-            overflow_cap=1e4,
         )
         traj, trace = backward_solve(cfg)
         assert trace.diverged
@@ -143,7 +142,8 @@ class TestBackwardSolve:
     @pytest.mark.parametrize("mode", [1, 3])
     def test_nan_datum_diverges_in_first_sweep(self, mode):
         # mode 1 feeds the field readout (caught by the field solve), mode 3
-        # reaches the field only through transport (caught at a snapshot)
+        # reaches the field only through transport, which checks the cap after
+        # every step: the failure names the first step's time T - d_t
         grid = make_grid(3, 12.0, 0.1, 8.0)
         coeffs = datum(grid=grid).coeffs.copy()
         j = grid.n_half + 20
@@ -155,6 +155,8 @@ class TestBackwardSolve:
         assert not trace.converged
         assert trace.failure
         assert trace.iterations == 1
+        expected = {1: "field solve overflowed", 3: "exceeded the overflow cap at t=3.980"}
+        assert expected[mode] in trace.failure
 
     def test_deviation_decreasing_over_last_quarter(self):
         cfg = config(
@@ -322,6 +324,19 @@ class TestConfigValidation:
     def test_horizon_vs_grid(self):
         with pytest.raises(ValueError):
             config(T=24.5)
+
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            (dict(d_t=0.0), "d_t=0.0,"),
+            (dict(d_t=-0.05), "d_t=-0.05,"),
+            (dict(snap_stride=0), "snap_stride=0"),
+            (dict(snap_stride=-3), "snap_stride=-3"),
+        ],
+    )
+    def test_step_and_stride_checked(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            config(**kw)
 
     def test_step_commensurate(self):
         with pytest.raises(ValueError):
