@@ -208,6 +208,9 @@ def _build(raw: dict[str, str], origin: str) -> RunConfig:
     except ConfigError as exc:
         raise ConfigError(f"{origin}: {exc}") from None
     _validate(cfg, origin)
+    if scenario == "sweep":  # every member is checked before any member runs
+        for value in values["sweep.values"]:
+            member_config(cfg, value, origin=f"{origin}: sweep member {value}")
     return cfg
 
 

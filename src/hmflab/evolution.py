@@ -8,13 +8,18 @@ The coefficient system for the perturbation h around a background eta is
 with the field read directly off the state, zeta_n(t) = h_n(t, n t) for
 n = +-1 and zeta_{-1} = conj(zeta_1).  ``sign`` is +1 for the repulsive
 force and -1 for the attractive variant.  The (n, xi) = (0, 0) entry has a
-vanishing right-hand side, so the mean is conserved exactly; the system
-also commutes with the reality mirror, so symmetry is preserved without
-re-projection.
+vanishing right-hand side, so the mean is conserved exactly.
 
-Time stepping is one classical four-stage Runge-Kutta march for both
-directions: forward it extracts the field from each stage state (the readout
-is explicit, so no predictor is needed); a backward transport pass freezes it.
+The system commutes with the reality mirror h_{-n}(-xi) = conj h_n(xi), so
+the rows n < 0 carry no information of their own.  Time stepping is one
+classical four-stage Runge-Kutta march for both directions, on the half
+spectrum: it advances rows n = 0 .. n_max and re-sets row -1, the one
+negative row the n = 0 coupling reads, as the mirror of row +1 after every
+stage (the Hermitian half-storage of real-data transforms, as in numpy's
+``rfft``).  Row 0 is its own mirror partner and is still computed directly;
+``forward_solve`` checks its symmetry.  Forward, the march extracts the field
+from each stage state (the readout is explicit, so no predictor is needed);
+a backward transport pass freezes it.
 """
 
 from __future__ import annotations
@@ -161,25 +166,30 @@ def extract_zeta(
 
 
 class _RK4Work:
-    """Preallocated blocks for the RK4 stages of one solve.
+    """Preallocated blocks for the half-spectrum RK4 stages of one solve.
 
     Every right-hand side writes into these instead of allocating: the two
     shifted copies of the state, one weighted term, the coupling
-    accumulator, the (xi - n t) factor, the stage state and k1..k4.
+    accumulator, the (xi - n t) factor and k1..k4, each on the rows
+    n = 0 .. n_max the march advances (the k = -1 shifted copy needs rows
+    1 .. n_max only).  The stage state keeps the full (n_modes, n_xi) layout,
+    so ``extract_zeta`` and ``rhs_coeffs`` read it like any state; the march
+    writes its rows -1 .. n_max, and the rows below stay zero, unread.
     """
 
     def __init__(self, grid: Grid):
-        shape = (grid.n_modes, grid.n_xi)
+        half = (grid.n_max + 1, grid.n_xi)
         self.grid = grid
         self.xi = grid.xi
         # xi and n at every entry, so (xi - n t) is two whole-array operations
-        self.xi_all = np.tile(self.xi, (grid.n_modes, 1))
-        self.n_all = np.repeat(np.arange(-grid.n_max, grid.n_max + 1.0)[:, None], grid.n_xi, axis=1)
-        self.fac = np.empty(shape)
-        (self.sp, self.sm, self.term, self.acc, self.stage,
-         self.k1, self.k2, self.k3, self.k4) = (
-            np.empty(shape, dtype=np.complex128) for _ in range(9)
+        self.xi_all = np.tile(self.xi, (grid.n_max + 1, 1))
+        self.n_all = np.repeat(np.arange(grid.n_max + 1.0)[:, None], grid.n_xi, axis=1)
+        self.fac = np.empty(half)
+        (self.sp, self.term, self.acc, self.k1, self.k2, self.k3, self.k4) = (
+            np.empty(half, dtype=np.complex128) for _ in range(7)
         )
+        self.sm = np.empty((grid.n_max, grid.n_xi), dtype=np.complex128)
+        self.stage = np.zeros((grid.n_modes, grid.n_xi), dtype=np.complex128)
 
 
 def rhs_coeffs(
@@ -193,43 +203,41 @@ def rhs_coeffs(
     out: np.ndarray | None = None,
     work: _RK4Work | None = None,
 ) -> np.ndarray:
-    """Right-hand side on raw coefficient arrays (hot path).
+    """Right-hand side of rows n = 0 .. n_max (hot path).
 
-    The coupling reads h_{n-k}(xi - k t): the shift -k t is common to all
-    rows, so one whole-array shifted read per k serves every mode, and the
-    mode recursion n -> n -+ 1 is a one-row offset between whole blocks.
-    ``out`` and ``work`` supply storage only; the result is the same bytes
-    with or without them.
+    ``coeffs`` is a full (n_modes, n_xi) state of which rows -1 .. n_max
+    are read; the result has n_max + 1 rows, mode n in row n.  The rows
+    n < 0 are the reality mirror of these and are not computed.  The
+    coupling reads h_{n-k}(xi - k t): the shift -k t is common to all rows,
+    so one shifted read of rows -1 .. n_max - 1 serves k = +1 and one of
+    rows 1 .. n_max serves k = -1, and the mode recursion n -> n -+ 1 is a
+    one-row offset between the blocks.  Only mode +1 carries the eta'
+    forcing.  ``out`` and ``work`` supply storage only; the result is the
+    same bytes with or without them.
     """
     if work is None:
         work = _RK4Work(grid)
-    inc = np.empty_like(coeffs) if out is None else out
-    xi = work.xi
-    zm1 = np.conj(zeta1)
+    m = grid.n_max
+    inc = np.empty((m + 1, grid.n_xi), dtype=np.complex128) if out is None else out
     if epsilon != 0.0:
-        sp = shift_rows(coeffs, grid, -t, work.sp, work.term)  # values at xi - t   (k = +1)
-        sm = shift_rows(coeffs, grid, +t, work.sm, work.term)  # values at xi + t   (k = -1)
-        half_zp = 0.5 * epsilon * zeta1
-        half_zm = 0.5 * epsilon * zm1
-        # row n: acc = half_zp h_{n-1}(xi - t) - half_zm h_{n+1}(xi + t), each
-        # term present only where mode n -+ 1 exists
+        sp = shift_rows(coeffs[m - 1 : 2 * m], grid, -t, work.sp, work.term)  # h_{n-1}(xi - t)
+        sm = shift_rows(coeffs[m + 1 :], grid, +t, work.sm, work.term[:-1])  # h_{n+1}(xi + t)
+        # row n: acc = (eps/2) zeta_1 h_{n-1}(xi - t) - (eps/2) zeta_-1 h_{n+1}(xi + t),
+        # the second term present only where mode n + 1 exists
         acc, term = work.acc, work.term
-        np.multiply(half_zp, sp[:-1], out=acc[1:])
-        np.multiply(half_zm, sm[1:], out=term[:-1])
-        np.negative(term[0], out=acc[0])
-        np.subtract(acc[1:-1], term[1:-1], out=acc[1:-1])
+        np.multiply(0.5 * epsilon * zeta1, sp, out=acc)
+        np.multiply(0.5 * epsilon * np.conj(zeta1), sm, out=term[:-1])
+        np.subtract(acc[:-1], term[:-1], out=acc[:-1])
         np.subtract(work.xi_all, np.multiply(work.n_all, t, out=work.fac), out=work.fac)
         np.multiply(work.fac, acc, out=acc)
         np.subtract(0.0, acc, out=inc)
     else:
         inc.fill(0.0)
-    for n, zn in ((1, zeta1), (-1, zm1)):
-        row = grid.mode_index(n)
-        forcing = (n * 0.5j * zn) * profile.eta_prime_hat(xi - n * t)
-        if epsilon != 0.0:
-            np.subtract(forcing, acc[row], out=inc[row])
-        else:
-            inc[row] = forcing
+    forcing = (0.5j * zeta1) * profile.eta_prime_hat(work.xi - t)
+    if epsilon != 0.0:
+        np.subtract(forcing, acc[1], out=inc[1])
+    else:
+        inc[1] = forcing
     if sign != 1.0:
         inc *= sign
     return inc
@@ -257,11 +265,17 @@ def _march(c, times, h, zeta, profile, epsilon, sign, steps, snaps, counters, wo
     ``h`` > 0 marches up from times[0], ``h`` < 0 down from times[-1].  With
     ``zeta`` None each stage reads its field off the stage state; otherwise
     step k reads the frozen half-step field zeta[2k], zeta[2k+1] (twice) and
-    zeta[2k+2], in march order.  After every step a coefficient past the
-    overflow cap, or a NaN, raises BlowUpError; the states at the time
-    indices ``steps`` fill ``snaps`` in time order, edge columns tallied.
+    zeta[2k+2], in march order.  Each step advances the rows n = 0 .. n_max
+    of ``c``; after every stage and step row -1 is re-set to the mirror
+    conj(h_1(-xi)), and the rows below -1 are left as given.  After every
+    step a coefficient of rows -1 .. n_max past the overflow cap, or a NaN,
+    raises BlowUpError.  The states at the time indices ``steps`` fill
+    ``snaps`` in time order as full blocks, rows n < 0 from the mirror and
+    edge columns tallied; the first is ``c`` as given.
     """
+    m = work.grid.n_max
     k1, k2, k3, k4, y = work.k1, work.k2, work.k3, work.k4, work.stage
+    c_half, y_half = c[m:], y[m:]  # rows 0 .. n_max, the ones advanced
     row = np.full(len(times), -1)
     row[steps] = np.arange(len(steps))
     order = range(len(times)) if h > 0 else range(len(times) - 1, -1, -1)  # time indices
@@ -271,26 +285,34 @@ def _march(c, times, h, zeta, profile, epsilon, sign, steps, snaps, counters, wo
         z = extract_zeta(state, work.grid, tt, None, counters) if zeta is None else zeta[node]
         rhs_coeffs(state, tt, z, work.grid, profile, epsilon, sign, out, work)
 
+    def stage(kx, scale):
+        np.add(c_half, np.multiply(scale, kx, out=y_half), out=y_half)
+        np.conjugate(y[m + 1, ::-1], out=y[m - 1])
+
     for k, i in enumerate(order[1:]):
         t = times[order[k]]
         rhs(c, t, 2 * k, k1)
-        np.add(c, np.multiply(0.5 * h, k1, out=y), out=y)
+        stage(k1, 0.5 * h)
         rhs(y, t + 0.5 * h, 2 * k + 1, k2)
-        np.add(c, np.multiply(0.5 * h, k2, out=y), out=y)
+        stage(k2, 0.5 * h)
         rhs(y, t + 0.5 * h, 2 * k + 1, k3)
-        np.add(c, np.multiply(h, k3, out=y), out=y)
+        stage(k3, h)
         rhs(y, t + h, 2 * k + 2, k4)
         # c + (h/6) (k1 + 2 k2 + 2 k3 + k4), evaluated left to right as written
         np.add(k1, np.multiply(2.0, k2, out=k2), out=k1)
         np.add(k1, np.multiply(2.0, k3, out=k3), out=k1)
         np.add(k1, k4, out=k1)
-        np.add(c, np.multiply(h / 6.0, k1, out=k1), out=c)
-        peak = np.max(np.abs(c))
+        np.add(c_half, np.multiply(h / 6.0, k1, out=k1), out=c_half)
+        np.conjugate(c[m + 1, ::-1], out=c[m - 1])
+        peak = np.max(np.abs(c[m - 1 :]))
         if not peak <= _OVERFLOW_CAP:  # NaN fails too
             raise BlowUpError(float(times[i]), float(peak))
         if row[i] >= 0:
-            snaps[row[i]] = c
-            edge = float(max(np.max(np.abs(c[:, 0])), np.max(np.abs(c[:, -1]))))
+            snap = snaps[row[i]]
+            snap[m:] = c_half
+            np.conjugate(c[:m:-1, ::-1], out=snap[:m])  # rows -n_max .. -1
+            # the rows n < 0 mirror these edge columns, so they add nothing
+            edge = float(max(np.max(np.abs(c_half[:, 0])), np.max(np.abs(c_half[:, -1]))))
             if edge > counters.max_edge_magnitude:
                 counters.max_edge_magnitude = edge
         yield i, times[i]
@@ -306,7 +328,8 @@ def forward_solve(h0: FourierField, params: EvolutionParams) -> Trajectory:
     Returns snapshots every ``snap_stride`` steps (plus the endpoint) and
     the per-step field series.  Aborts with BlowUpError when any
     coefficient magnitude passes the overflow cap, and with
-    RealityDriftError when the mirror symmetry drifts past 1e-10.
+    RealityDriftError when mode 0, the one row the march does not mirror,
+    drifts from h_0(-xi) = conj h_0(xi) by more than 1e-10.
     """
     grid = h0.grid
     if params.t_final > grid.t_final + 1e-12:
@@ -326,12 +349,12 @@ def forward_solve(h0: FourierField, params: EvolutionParams) -> Trajectory:
     zs[0] = extract_zeta(c, grid, 0.0, counters=counters)
     for i, t in _march(c, times, params.d_t, None, params.profile, params.epsilon, params.sign,
                        steps, snapshots, counters, _RK4Work(grid)):
-        if i % _REALITY_CHECK_EVERY == 0:
-            mirror = np.conj(c[::-1, ::-1])
-            drift = float(np.max(np.abs(c - mirror)))
+        if i % _REALITY_CHECK_EVERY == 0:  # row 0 is its own mirror partner
+            h_0 = c[grid.n_max]
+            drift = float(np.max(np.abs(h_0 - np.conj(h_0[::-1]))))
             if drift > _REALITY_TOL:
                 raise RealityDriftError(
-                    f"reality drift {drift:.3e} exceeds {_REALITY_TOL:.1e} at t={t:.3f}"
+                    f"reality drift {drift:.3e} of mode 0 exceeds {_REALITY_TOL:.1e} at t={t:.3f}"
                 )
         zs[i] = extract_zeta(c, grid, t, check_tol=None, counters=counters)
 

@@ -84,6 +84,11 @@ class ScatteringConfig:
             raise ValueError(
                 f"T={self.T} exceeds the grid horizon {self.terminal.grid.t_final}"
             )
+        # the march reads no row below -1 and mirrors the rest, so a non-real
+        # datum would run unnoticed; a NaN datum passes here and diverges in sweep 1
+        defect = self.terminal.reality_defect()
+        if defect > 1e-10:
+            raise ValueError(f"terminal datum breaks reality symmetry by {defect:.3e}")
 
 
 @dataclass

@@ -197,6 +197,16 @@ class TestLoadConfig:
                          "0 < norms.lambda_prime < norms.lambda", id="lambda_prime-0"),
             pytest.param(BACKWARD_SMALL + "datum.modes = 1:1, 1:5, -1:1", "duplicate mode 1",
                          id="modes-repeated"),
+            # every sweep member is checked at load, before any member runs
+            pytest.param(BACKWARD_SMALL.replace("run.scenario = backward", "run.scenario = sweep")
+                         + "sweep.scenario = backward\nsweep.axis = evolve.T\n"
+                         "sweep.values = 8.0, 100.0",
+                         "sweep member 100.0: violated precondition: evolve.T <= grid.t_final",
+                         id="sweep-member-beyond-grid"),
+            pytest.param("run.scenario = sweep\nrun.id = x\nsweep.scenario = weights\n"
+                         "sweep.axis = weights.d_t\nsweep.values = 0.02, 0",
+                         "sweep member 0.0: violated precondition: 0 < weights.d_t <= weights.T",
+                         id="sweep-member-weights-d_t-0"),
         ],
     )
     def test_stability_keys_checked_at_load(self, lines, rule):
@@ -395,17 +405,21 @@ class TestSweep:
         assert (out / "runs" / "000" / "member" / "manifest.json").exists()
 
     def test_sweep_member_failure_recorded(self, tmp_path):
+        # beta = 1.5 loads (beta > 0) but has no self-consistent state to run from
         cfg = config_from_text(
-            BACKWARD_SMALL.replace("run.scenario = backward", "run.scenario = sweep")
-            .replace("run.id = bw-1", "run.id = sw-2")
-            + "sweep.scenario = backward\nsweep.axis = evolve.T\n"
-            + "sweep.values = 8.0, 100.0\n"  # second value exceeds the grid
+            "run.scenario = sweep\nrun.id = sw-2\nsweep.scenario = nonperturbative\n"
+            "sweep.axis = bgk.beta\nsweep.values = 3, 1.5\n"
+            "evolve.epsilon = 1.0\nevolve.sign = -1\nevolve.T = 8\nevolve.tau = 4\n"
+            "evolve.d_t = 0.05\ngrid.n_max = 3\ngrid.xi_max = 12\ngrid.d_xi = 0.1\n"
+            "grid.t_final = 8\npicard.tol = 1e-7\n"
         )
         manifest = run(cfg, tmp_path)
         assert manifest.data["status"] == "ok"
         assert manifest.data["headline"]["n_failed"] == 1
         lines = (tmp_path / "sw-2" / "sweep.csv").read_text().splitlines()
-        assert lines[2].startswith("100,false") or lines[2].startswith("100.0,false")
+        assert lines[1].startswith("3,true")
+        assert lines[2].startswith("1.5,false")
+        assert "need beta > 2" in manifest.data["headline"]["failures"]["1.5"]
 
     def test_epsilon_sweep_ratio_degrades_monotonically(self, tmp_path):
         cfg = config_from_text(

@@ -23,18 +23,21 @@ def datum(amplitude=0.5, width=1.0, grid=GRID):
 
 
 class TestRhs:
+    # rhs_coeffs returns the rows n = 0 .. n_max, mode n in row n
+
     def test_linear_term_only_on_coupled_modes(self):
         coeffs = FourierField.zeros(GRID).coeffs
         inc = rhs_coeffs(coeffs, 3.0, 0.2 + 0.1j, GRID, PROFILE, 0.0)
-        assert np.max(np.abs(inc[GRID.mode_index(3)])) == 0.0
-        assert np.max(np.abs(inc[GRID.mode_index(0)])) == 0.0
-        assert np.max(np.abs(inc[GRID.mode_index(1)])) > 0.0
+        assert inc.shape == (GRID.n_max + 1, GRID.n_xi)
+        assert np.max(np.abs(inc[3])) == 0.0
+        assert np.max(np.abs(inc[0])) == 0.0
+        assert np.max(np.abs(inc[1])) > 0.0
 
     def test_mean_entry_is_conserved(self):
         fld = datum()
         for eps in (0.0, 0.3):
             inc = rhs_coeffs(fld.coeffs, 2.17, 0.4 + 0.2j, GRID, PROFILE, eps)
-            assert inc[GRID.mode_index(0), GRID.n_half] == 0.0
+            assert inc[0, GRID.n_half] == 0.0
 
     def test_single_entry_hand_formula(self):
         # one coefficient h_2(xi0) = 1; the coupling writes onto modes 1 and 3
@@ -53,14 +56,18 @@ class TestRhs:
         j1 = j0 - 12
         expected1 = -eps * (-1) * (np.conj(z1) / 2) * 1.0 * (GRID.xi[j1] - 1 * t)
         linear1 = (1 * 0.5j * z1) * PROFILE.eta_prime_hat(GRID.xi[j1] - t)
-        assert abs(inc[GRID.mode_index(3), j3] - expected3) < 1e-14
-        assert abs(inc[GRID.mode_index(1), j1] - (expected1 + linear1)) < 1e-14
+        assert abs(inc[3, j3] - expected3) < 1e-14
+        assert abs(inc[1, j1] - (expected1 + linear1)) < 1e-14
 
     def test_reality_preserved_exactly(self):
+        # row 0 is its own mirror partner; below it only row -1 is read
         fld = datum()
         inc = rhs_coeffs(fld.coeffs, 7.305, 0.3 + 0.17j, GRID, PROFILE, 0.01)
-        defect = np.max(np.abs(inc - np.conj(inc[::-1, ::-1])))
-        assert defect < 1e-16
+        assert np.max(np.abs(inc[0] - np.conj(inc[0, ::-1]))) < 1e-16
+        unread = fld.coeffs.copy()
+        unread[: GRID.mode_index(-1)] = np.nan
+        again = rhs_coeffs(unread, 7.305, 0.3 + 0.17j, GRID, PROFILE, 0.01)
+        assert again.tobytes() == inc.tobytes()
 
     def test_attractive_sign_flips(self):
         fld = datum()
@@ -115,10 +122,16 @@ class TestForwardSolve:
         assert traj.max_mean_drift() < 1e-10
 
     def test_reality_preserved(self):
+        # the march advances rows 0 .. n_max and stores the rows n < 0 as their
+        # mirror, so only row 0 can drift; the first snapshot is h0 as given
         params = EvolutionParams(profile=PROFILE, epsilon=0.01, d_t=0.01, t_final=10.0)
-        traj = forward_solve(datum(), params)
-        for s in traj.snapshots:
-            assert np.max(np.abs(s - np.conj(s[::-1, ::-1]))) < 1e-10
+        h0 = datum()
+        traj = forward_solve(h0, params)
+        assert traj.snapshots[0].tobytes() == h0.coeffs.tobytes()
+        m = GRID.n_max
+        for s in traj.snapshots[1:]:
+            assert s[:m].tobytes() == np.conj(s[:m:-1, ::-1]).tobytes()
+            assert np.max(np.abs(s[m] - np.conj(s[m, ::-1]))) < 1e-10
 
     def test_linear_regime_volterra_oracle(self):
         params = EvolutionParams(profile=PROFILE, epsilon=0.0, d_t=0.01, t_final=10.0)

@@ -1,9 +1,11 @@
 """The buffered RK4 kernels reproduce the straightforward per-row ones byte for byte.
 
 ``reference_shift_rows``, ``reference_rhs_coeffs`` and ``reference_rk4_step``
-are the allocating, row-by-row forms the hot path was written from.  The
-production kernels reorganise storage only, so every comparison here is on
-``tobytes()``: values, signed zeros and all.
+are the allocating, full-spectrum, row-by-row forms the hot path was written
+from.  The production march computes rows n = 0 .. n_max only and takes the
+rows n < 0 from the reality mirror; the reference marches match it when
+``mirror`` resets those rows after every stage and step.  Every comparison
+here is on ``tobytes()``: values, signed zeros and all.
 """
 
 import numpy as np
@@ -86,6 +88,23 @@ def reference_rk4_step(c, t, h, f):
     return c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def mirror(c):
+    """``c`` with the rows n < 0 reset to the mirror of the rows n > 0."""
+    n_max = c.shape[0] // 2
+    out = c.copy()
+    out[:n_max] = np.conj(c[:n_max:-1, ::-1])
+    return out
+
+
+def mirrored(f):
+    """A reference right-hand side that reads each stage state through ``mirror``.
+
+    Stage 0 reads the step's start state as it is: the initial state as
+    given, and after that a state ``mirror`` has already reset.
+    """
+    return lambda state, tt, stage: f(state if stage == 0 else mirror(state), tt, stage)
+
+
 PROFILE = maxwellian()
 GRIDS = {
     "9x481": make_grid(4, 12.0, 0.05, 8.0),
@@ -131,13 +150,14 @@ def test_shift_rows_bytes(size):
 def test_rhs_coeffs_bytes(size):
     grid = GRIDS[size]
     work = _RK4Work(grid)
-    out = np.empty((grid.n_modes, grid.n_xi), dtype=np.complex128)
+    out = np.empty((grid.n_max + 1, grid.n_xi), dtype=np.complex128)
     zeta = 0.31 - 0.17j
     for name, c in states(grid).items():
         for t in TIMES:
             for eps in (0.0, 0.01, 1.0):
                 for sign in (1.0, -1.0):
-                    ref = reference_rhs_coeffs(c, t, zeta, grid, PROFILE, eps, sign)
+                    # rows 0 .. n_max; they read rows -1 .. n_max only
+                    ref = reference_rhs_coeffs(c, t, zeta, grid, PROFILE, eps, sign)[grid.n_max :]
                     fresh = rhs_coeffs(c, t, zeta, grid, PROFILE, eps, sign)
                     reused = rhs_coeffs(c, t, zeta, grid, PROFILE, eps, sign, out, work)
                     assert reused is out
@@ -152,6 +172,7 @@ def test_forward_solve_matches_reference_stepping():
     params = EvolutionParams(profile=PROFILE, epsilon=0.2, d_t=0.05, t_final=2.0, snap_stride=7)
     traj = forward_solve(h0, params)
 
+    @mirrored
     def f(state, tt, stage):
         z = complex(sample_mode(state, grid, 1, np.array([tt]))[0])
         return reference_rhs_coeffs(state, tt, z, grid, PROFILE, params.epsilon)
@@ -159,7 +180,7 @@ def test_forward_solve_matches_reference_stepping():
     c = h0.coeffs.copy()
     snaps = [c]
     for i in range(1, 41):
-        c = reference_rk4_step(c, (i - 1) * params.d_t, params.d_t, f)
+        c = mirror(reference_rk4_step(c, (i - 1) * params.d_t, params.d_t, f))
         if i % 7 == 0 or i == 40:
             snaps.append(c)
     assert len(snaps) == len(traj.snapshots)
@@ -187,10 +208,11 @@ def check_transport_against_reference(T):
         z_mid = zeta_z[i * zr - zr // 2]
         fields = (zeta_z[i * zr], z_mid, z_mid, zeta_z[(i - 1) * zr])
 
+        @mirrored
         def f(state, tt, stage):
             return reference_rhs_coeffs(state, tt, fields[stage], grid, background, 1.0, -1.0)
 
-        c = reference_rk4_step(c, ws.t_fine[i], -cfg.d_t, f)
+        c = mirror(reference_rk4_step(c, ws.t_fine[i], -cfg.d_t, f))
         ref[i - 1] = c
     assert len(got) == len(ws.snap_idx)
     for m, i in enumerate(ws.snap_idx):

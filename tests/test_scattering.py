@@ -338,6 +338,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=message):
             config(**kw)
 
+    def test_datum_must_be_real(self):
+        coeffs = datum().coeffs.copy()
+        coeffs[GRID.mode_index(2), GRID.n_half + 7] += 1e-9  # no mirror partner
+        with pytest.raises(ValueError, match="reality symmetry by 1.000e-09"):
+            config(terminal=FourierField(GRID, coeffs))
+        coeffs[GRID.mode_index(-2), GRID.n_half - 7] += 1e-9
+        config(terminal=FourierField(GRID, coeffs))
+
     def test_step_commensurate(self):
         with pytest.raises(ValueError):
             config(T=10.0, d_t=0.013)
