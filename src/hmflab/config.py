@@ -316,6 +316,8 @@ def _validate(cfg: RunConfig, origin: str) -> None:
         rule(v["picard.max_iters"] >= 1, "picard.max_iters >= 1")
     if scenario == "nonperturbative":
         rule(v["evolve.epsilon"] == 1.0, "evolve.epsilon == 1 in non-perturbative mode")
+        # below the bifurcation the BGK family has no self-consistent state to run from
+        rule(v["bgk.beta"] > 2, "bgk.beta > 2 in non-perturbative mode")
     if scenario == "stability":
         rule(v["stability.n_scan"] >= 2, "stability.n_scan >= 2")
         rule(0 < v["stability.d_t"] <= v["stability.t_max"], "0 < stability.d_t <= stability.t_max")

@@ -144,25 +144,15 @@ def extract_zeta(
     coeffs: np.ndarray,
     grid: Grid,
     t: float,
-    check_tol: float | None = 1e-10,
     counters: TruncationCounters | None = None,
 ) -> complex:
     """Field readout zeta_1(t) = h_1(t, t) from a coefficient array.
 
-    The conjugation shortcut zeta_{-1} = conj(zeta_1) is cross-checked
-    against the direct mode -1 read at -t when ``check_tol`` is set.
+    Mode -1 is not read: for a real state zeta_{-1} = conj(zeta_1).
     """
     if abs(t) > grid.xi_max:
         raise ValueError(f"readout time {t} beyond the frequency cutoff {grid.xi_max}")
-    z1 = _sample_point(coeffs, grid, 1, t, counters)
-    if check_tol is not None:
-        zm = _sample_point(coeffs, grid, -1, -t, counters)
-        defect = abs(np.conj(z1) - zm)
-        if defect > check_tol:
-            raise RealityDriftError(
-                f"conjugation shortcut defect {defect:.3e} exceeds {check_tol:.1e} at t={t:.3f}"
-            )
-    return z1
+    return _sample_point(coeffs, grid, 1, t, counters)
 
 
 class _RK4Work:
@@ -282,7 +272,7 @@ def _march(c, times, h, zeta, profile, epsilon, sign, steps, snaps, counters, wo
     snaps[row[order[0]]] = c
 
     def rhs(state, tt, node, out):
-        z = extract_zeta(state, work.grid, tt, None, counters) if zeta is None else zeta[node]
+        z = extract_zeta(state, work.grid, tt, counters) if zeta is None else zeta[node]
         rhs_coeffs(state, tt, z, work.grid, profile, epsilon, sign, out, work)
 
     def stage(kx, scale):
@@ -346,7 +336,7 @@ def forward_solve(h0: FourierField, params: EvolutionParams) -> Trajectory:
     steps = _snapshot_steps(n_steps, params.snap_stride)
     snapshots = np.empty((len(steps), grid.n_modes, grid.n_xi), dtype=np.complex128)
     zs = np.empty(n_steps + 1, dtype=np.complex128)
-    zs[0] = extract_zeta(c, grid, 0.0, counters=counters)
+    zs[0] = extract_zeta(c, grid, 0.0, counters)
     for i, t in _march(c, times, params.d_t, None, params.profile, params.epsilon, params.sign,
                        steps, snapshots, counters, _RK4Work(grid)):
         if i % _REALITY_CHECK_EVERY == 0:  # row 0 is its own mirror partner
@@ -356,7 +346,7 @@ def forward_solve(h0: FourierField, params: EvolutionParams) -> Trajectory:
                 raise RealityDriftError(
                     f"reality drift {drift:.3e} of mode 0 exceeds {_REALITY_TOL:.1e} at t={t:.3f}"
                 )
-        zs[i] = extract_zeta(c, grid, t, check_tol=None, counters=counters)
+        zs[i] = extract_zeta(c, grid, t, counters)
 
     return Trajectory(
         grid=grid,

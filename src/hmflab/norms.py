@@ -238,9 +238,7 @@ def functional_P_Q(
     if a_inf_at_tau <= 0:
         raise ValueError("a_inf(tau) must be positive")
     mask = zeta.t >= tau - 1e-12
-    vals = np.exp(lam * zeta.t[mask]) * np.abs(zeta.zeta1[mask])
-    k = int(np.argmax(vals))
-    p_report = NormReport(float(vals[k]), (float(zeta.t[mask][k]),))
+    p_report = functional_M(FieldSeries(t=zeta.t[mask], zeta1=zeta.zeta1[mask]), lam)
     delta_scale = lam_prime / a_inf_at_tau
     scaled = lambda t: delta_scale * weight(t)
     q_report = _weighted_snapshot_sup(

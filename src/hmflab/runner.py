@@ -79,10 +79,10 @@ def _datum_from(cfg: RunConfig, grid):
     )
 
 
-def _scattering_config(cfg: RunConfig, grid, datum=None, background=None):
+def _scattering_config(cfg: RunConfig, terminal, background):
     return ScatteringConfig(
-        terminal=datum if datum is not None else _datum_from(cfg, grid),
-        background=background if background is not None else _profile_from(cfg),
+        terminal=terminal,
+        background=background,
         epsilon=cfg.values["evolve.epsilon"],
         T=cfg.values["evolve.T"],
         d_t=cfg.values["evolve.d_t"],
@@ -96,33 +96,52 @@ def _scattering_config(cfg: RunConfig, grid, datum=None, background=None):
     )
 
 
-def _write_zeta_csv(out, series):
-    write_csv(
-        out / "zeta.csv",
-        ["t", "re_zeta1", "im_zeta1", "abs_zeta1"],
-        (
-            (t, z.real, z.imag, abs(z))
-            for t, z in zip(series.t, series.zeta1)
-        ),
+def _evolution_params(cfg: RunConfig):
+    return EvolutionParams(
+        profile=_profile_from(cfg),
+        epsilon=cfg.values["evolve.epsilon"],
+        d_t=cfg.values["evolve.d_t"],
+        t_final=cfg.values["evolve.T"],
+        sign=cfg.values["evolve.sign"],
+        snap_stride=cfg.values["evolve.snap_stride"],
     )
 
 
-def _write_picard_csv(out, trace):
-    rows = []
-    for i, diff in enumerate(trace.sup_diffs):
-        ratio = trace.contraction_ratios[i - 1] if i >= 1 else math.nan
-        rows.append((i + 1, diff, ratio))
-    write_csv(out / "picard.csv", ["iter", "sup_diff", "contraction_ratio"], rows)
+def _write_solution(out, traj, trace):
+    write_csv(
+        out / "zeta.csv",
+        ["t", "re_zeta1", "im_zeta1", "abs_zeta1"],
+        ((t, z.real, z.imag, abs(z)) for t, z in zip(traj.series.t, traj.series.zeta1)),
+    )
+    if trace is not None:  # sweep 1 has no contraction ratio
+        write_csv(
+            out / "picard.csv",
+            ["iter", "sup_diff", "contraction_ratio"],
+            zip(range(1, len(trace.sup_diffs) + 1), trace.sup_diffs, [math.nan, *trace.contraction_ratios]),
+        )
+    write_snapshots(out / "snapshots.bin", out / "snapshots.json", traj.grid, traj.times, traj.snapshots)
 
 
-def _decay_window(cfg: RunConfig, series):
-    lo = cfg.values.get("fit.window_lo")
-    hi = cfg.values.get("fit.window_hi")
-    if lo is None:
-        lo = 0.5 * float(series.t[-1])
-    if hi is None:
-        hi = float(series.t[-1])
-    return (lo, hi)
+def _decay_fit(cfg: RunConfig, series):
+    """The decay fit on the configured window (default: the second half) and its record."""
+    end = float(series.t[-1])
+    lo, hi = cfg.values.get("fit.window_lo"), cfg.values.get("fit.window_hi")
+    window = (0.5 * end if lo is None else lo, end if hi is None else hi)
+    try:
+        fit = fit_decay(series, window)
+    except ValueError as exc:
+        return None, {"error": str(exc)}
+    return fit, {"rate": fit.rate, "amplitude": fit.amplitude, "residual": fit.residual}
+
+
+def _picard_headline(trace, m_norm, n_norm) -> dict:
+    return {
+        "converged": trace.converged,
+        "iterations": trace.iterations,
+        "contraction_ratio": max(trace.contraction_ratios, default=math.nan),
+        "m_norm": m_norm,
+        "n_norm": n_norm,
+    }
 
 
 def _run_stability(cfg: RunConfig, out: Path) -> dict:
@@ -203,19 +222,9 @@ def _run_weights(cfg: RunConfig, out: Path) -> dict:
 
 def _run_forward(cfg: RunConfig, out: Path) -> dict:
     grid = _grid_from(cfg)
-    profile = _profile_from(cfg)
-    datum = _datum_from(cfg, grid)
-    params = EvolutionParams(
-        profile=profile,
-        epsilon=cfg.values["evolve.epsilon"],
-        d_t=cfg.values["evolve.d_t"],
-        t_final=cfg.values["evolve.T"],
-        sign=cfg.values["evolve.sign"],
-        snap_stride=cfg.values["evolve.snap_stride"],
-    )
-    traj = forward_solve(datum, params)
-    _write_zeta_csv(out, traj.series)
-    write_snapshots(out / "snapshots.bin", out / "snapshots.json", grid, traj.times, traj.snapshots)
+    params = _evolution_params(cfg)
+    traj = forward_solve(_datum_from(cfg, grid), params)
+    _write_solution(out, traj, None)
     half = 0.5 * params.t_final
     mags = traj.series.magnitude()
     first = float(np.max(mags[traj.series.t <= half]))
@@ -228,67 +237,48 @@ def _run_forward(cfg: RunConfig, out: Path) -> dict:
         "truncation": traj.counters.as_dict(),
         "m_norm": functional_M(traj.series, cfg.values["norms.lambda"]).value,
     }
-    try:
-        fit = fit_decay(traj.series, _decay_window(cfg, traj.series))
-        diag["decay"] = {"rate": fit.rate, "amplitude": fit.amplitude, "residual": fit.residual}
+    fit, diag["decay"] = _decay_fit(cfg, traj.series)
+    if fit is not None:
         echoes = detect_echoes(traj.series, fit, cfg.values["echo.threshold"])
         diag["echoes"] = [{"time": e.time, "prominence": e.prominence} for e in echoes]
-    except ValueError as exc:
-        diag["decay"] = {"error": str(exc)}
     write_json(out / "diagnostics.json", diag)
     return {"converged": True, "damped": diag["damped"], "mass_drift": diag["mass_drift"]}
 
 
 def _run_backward(cfg: RunConfig, out: Path) -> dict:
+    """One window, or the continuation over ``backward.T_list`` with its ``cauchy.csv``."""
     grid = _grid_from(cfg)
-    scfg = _scattering_config(cfg, grid)
-    t_list = cfg.values.get("backward.T_list")
+    scfg = _scattering_config(cfg, _datum_from(cfg, grid), _profile_from(cfg))
+    t_list = cfg.values["backward.T_list"]
+    cont = continue_in_T(scfg, t_list or [scfg.T])
     if t_list:
-        cont = continue_in_T(scfg, t_list)
         write_csv(
             out / "cauchy.csv",
             ["t_star", "zeta_diff", "h_diff", "extension_zeta_diff"],
-            (
-                (cont.t_values[i], cont.zeta_diffs[i], cont.h_diffs[i], cont.extension_zeta_diffs[i])
-                for i in range(len(cont.zeta_diffs))
-            ),
+            zip(cont.t_values, cont.zeta_diffs, cont.h_diffs, cont.extension_zeta_diffs),
         )
-        traj = cont.last_trajectory
-        trace = cont.traces[-1]
-        m_values = [
-            functional_M(s, cfg.values["norms.lambda"]).value for s in cont.series
-        ]
-    else:
-        traj, trace = backward_solve(scfg)
-        m_values = [functional_M(traj.series, cfg.values["norms.lambda"]).value]
-    _write_zeta_csv(out, traj.series)
-    _write_picard_csv(out, trace)
-    write_snapshots(out / "snapshots.bin", out / "snapshots.json", grid, traj.times, traj.snapshots)
+    traj, trace = cont.last_trajectory, cont.traces[-1]
+    _write_solution(out, traj, trace)
+    lam = cfg.values["norms.lambda"]
+    m_values = [functional_M(s, lam).value for s in cont.series]
     weight = solve_a(scfg.T, scfg.norm_delta, scfg.d_t)
-    norms_payload = {
-        "lambda": cfg.values["norms.lambda"],
-        "m_norm": functional_M(traj.series, cfg.values["norms.lambda"]).value,
-        "n_norm": functional_N(traj, cfg.values["norms.lambda"], weight,
-                               mu_points=cfg.values["norms.mu_points"]).value,
-        "m_norm_per_T": m_values,
-        "picard": trace.as_dict(),
-        "truncation": traj.counters.as_dict(),
-    }
-    try:
-        fit = fit_decay(traj.series, _decay_window(cfg, traj.series))
-        norms_payload["decay"] = {
-            "rate": fit.rate, "amplitude": fit.amplitude, "residual": fit.residual,
-        }
-    except ValueError as exc:
-        norms_payload["decay"] = {"error": str(exc)}
-    write_json(out / "norms.json", norms_payload)
+    n_norm = functional_N(traj, lam, weight, mu_points=cfg.values["norms.mu_points"]).value
+    fit, decay = _decay_fit(cfg, traj.series)
+    write_json(
+        out / "norms.json",
+        {
+            "lambda": lam,
+            "m_norm": m_values[-1],
+            "n_norm": n_norm,
+            "m_norm_per_T": m_values,
+            "picard": trace.as_dict(),
+            "truncation": traj.counters.as_dict(),
+            "decay": decay,
+        },
+    )
     return {
-        "converged": trace.converged,
-        "iterations": trace.iterations,
-        "contraction_ratio": max(trace.contraction_ratios) if trace.contraction_ratios else math.nan,
-        "m_norm": norms_payload["m_norm"],
-        "n_norm": norms_payload["n_norm"],
-        "lambda_fit": norms_payload["decay"].get("rate", math.nan),
+        **_picard_headline(trace, m_values[-1], n_norm),
+        "lambda_fit": fit.rate if fit is not None else math.nan,
     }
 
 
@@ -296,16 +286,14 @@ def _run_nonperturbative(cfg: RunConfig, out: Path) -> dict:
     grid = _grid_from(cfg)
     beta = cfg.values["bgk.beta"]
     state = solve_bgk(beta)
-    if state is None:
+    if state is None:  # the load rule beta > 2 leaves a sliver just above 2
         raise ConfigError(f"no self-consistent state at beta={beta}; need beta > 2")
     datum, background = bgk_to_field(state, grid)
-    scfg = _scattering_config(cfg, grid, datum=datum, background=background)
+    scfg = _scattering_config(cfg, datum, background)
     kernel = kernel_j(background, 1).sample(max(25.0, scfg.T - scfg.tau), 5e-3).scaled(scfg.sign)
     margin_report = stability_margin(kernel, 20.0, 801)
     traj, trace, split = nonperturbative_solve(scfg)
-    _write_zeta_csv(out, traj.series)
-    _write_picard_csv(out, trace)
-    write_snapshots(out / "snapshots.bin", out / "snapshots.json", grid, traj.times, traj.snapshots)
+    _write_solution(out, traj, trace)
     if split is not None:
         write_csv(
             out / "echoes.csv",
@@ -335,18 +323,12 @@ def _run_nonperturbative(cfg: RunConfig, out: Path) -> dict:
         "truncation": traj.counters.as_dict(),
     }
     write_json(out / "norms.json", payload)
-    return {
-        "converged": trace.converged,
-        "iterations": trace.iterations,
-        "contraction_ratio": max(trace.contraction_ratios) if trace.contraction_ratios else math.nan,
-        "m_norm": p_rep.value,
-        "n_norm": q_rep.value,
-    }
+    return _picard_headline(trace, p_rep.value, q_rep.value)
 
 
 def _run_compare(cfg: RunConfig, out: Path) -> dict:
     grid = _grid_from(cfg)
-    scfg = _scattering_config(cfg, grid)
+    scfg = _scattering_config(cfg, _datum_from(cfg, grid), _profile_from(cfg))
     traj, trace = backward_solve(scfg)
     rough_forward = None
     rough_width = cfg.values.get("compare.rough_width")
@@ -355,15 +337,7 @@ def _run_compare(cfg: RunConfig, out: Path) -> dict:
             cfg.values["datum.amplitude"], cfg.values["datum.modes"], rough_width, grid,
             shape=cfg.values["datum.shape"],
         )
-        params = EvolutionParams(
-            profile=scfg.background,
-            epsilon=scfg.epsilon,
-            d_t=scfg.d_t,
-            t_final=scfg.T,
-            sign=scfg.sign,
-            snap_stride=scfg.snap_stride,
-        )
-        rough_forward = forward_solve(rough, params)
+        rough_forward = forward_solve(rough, _evolution_params(cfg))
     report = compare_backward_forward(
         traj, scfg.terminal, scfg.background, scfg.epsilon, scfg.picard_tol,
         sign=scfg.sign, forward_rough=rough_forward,
@@ -480,23 +454,17 @@ def sweep(cfg: RunConfig, out: Path, threads: int = 1) -> dict:
             results = list(pool.map(_sweep_member, jobs))
     else:
         results = [_sweep_member(j) for j in jobs]
-    rows = []
-    n_failed = 0
-    for res in results:
-        if res["ok"]:
-            rows.append(
-                (
-                    res["value"],
-                    res.get("converged", False),
-                    res.get("lambda_fit", math.nan),
-                    res.get("contraction_ratio", math.nan),
-                    res.get("m_norm", math.nan),
-                    res.get("n_norm", math.nan),
-                )
-            )
-        else:
-            n_failed += 1
-            rows.append((res["value"], False, math.nan, math.nan, math.nan, math.nan))
+    rows = [  # a failed member's record holds only value, ok and error
+        (
+            r["value"],
+            r.get("converged", False),
+            r.get("lambda_fit", math.nan),
+            r.get("contraction_ratio", math.nan),
+            r.get("m_norm", math.nan),
+            r.get("n_norm", math.nan),
+        )
+        for r in results
+    ]
     write_csv(
         out / "sweep.csv",
         ["axis_value", "converged", "lambda_fit", "contraction_ratio", "M_norm", "N_norm"],
@@ -506,7 +474,7 @@ def sweep(cfg: RunConfig, out: Path, threads: int = 1) -> dict:
     headline = {
         "axis": axis,
         "n_values": len(values),
-        "n_failed": n_failed,
+        "n_failed": sum(not r["ok"] for r in results),
         "converged_values": [r["value"] for r in results if r.get("converged")],
     }
     if failures:

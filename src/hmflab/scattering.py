@@ -27,7 +27,7 @@ explains why late windows are echo-safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dfield, replace
+from dataclasses import asdict, dataclass, field as dfield, replace
 
 import numpy as np
 
@@ -106,17 +106,7 @@ class PicardTrace:
     failure: str | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "sup_diffs": self.sup_diffs,
-            "contraction_ratios": self.contraction_ratios,
-            "m_norms": self.m_norms,
-            "n_norms": self.n_norms,
-            "inner_iterations": self.inner_iterations,
-            "converged": self.converged,
-            "diverged": self.diverged,
-            "iterations": self.iterations,
-            "failure": self.failure,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,20 @@
 import json
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hmflab.cli import main
-from hmflab.config import ConfigError, config_from_text, load_config
+from hmflab.config import SCENARIOS, ConfigError, config_from_text, load_config
 from hmflab.outputs import read_snapshots, sha256_of, write_snapshots
 from hmflab.profiles import solve_bgk
 from hmflab.runner import RunRefusedError, run
 from hmflab.spectral import make_grid
 
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 MINIMAL_STABILITY = """
 run.scenario = stability
@@ -207,6 +210,13 @@ class TestLoadConfig:
                          "sweep.axis = weights.d_t\nsweep.values = 0.02, 0",
                          "sweep member 0.0: violated precondition: 0 < weights.d_t <= weights.T",
                          id="sweep-member-weights-d_t-0"),
+            # below the bifurcation there is no BGK state to start a non-perturbative run from
+            pytest.param(NONPERTURBATIVE + "bgk.beta = 2", "bgk.beta > 2 in non-perturbative mode",
+                         id="nonperturbative-beta-2"),
+            pytest.param("run.scenario = sweep\nrun.id = x\nsweep.scenario = nonperturbative\n"
+                         "sweep.axis = bgk.beta\nsweep.values = 3, 1.5\nevolve.epsilon = 1",
+                         "sweep member 1.5: violated precondition: bgk.beta > 2",
+                         id="sweep-member-nonperturbative-beta-1.5"),
         ],
     )
     def test_stability_keys_checked_at_load(self, lines, rule):
@@ -218,6 +228,17 @@ class TestLoadConfig:
     def test_stability_t_max_nan_rejected(self):
         with pytest.raises(ConfigError, match="stability.t_max: not a finite number"):
             config_from_text(MINIMAL_STABILITY + "stability.t_max = nan\n")
+
+    def test_shipped_configs_load(self):
+        paths = sorted(CONFIGS.glob("*.cfg"))
+        assert paths
+        for path in paths:
+            assert load_config(path).scenario in SCENARIOS, path.name  # each names a subcommand
+
+    def test_bgk_below_bifurcation_loads(self, tmp_path):
+        # the beta > 2 rule is the non-perturbative scenario's; a bgk run reports no state
+        run(config_from_text("run.scenario = bgk\nrun.id = b15\nbgk.beta = 1.5\n"), tmp_path)
+        assert json.loads((tmp_path / "b15" / "bgk.json").read_text())["has_fixed_point"] is False
 
     def test_horizon_precondition(self):
         with pytest.raises(ConfigError, match="horizon exceeds grid"):
@@ -296,6 +317,19 @@ class TestScenarios:
         sidecar = json.loads((out / "snapshots.json").read_text())
         assert len(snaps) == sidecar["count"]
         assert manifest.data["headline"]["converged"] is True
+
+    @pytest.mark.parametrize("t_list", [None, "4, 8"])
+    def test_backward_file_set(self, tmp_path, t_list):
+        """One backward path: the same artifacts with or without continuation, plus cauchy.csv."""
+        text = BACKWARD_SMALL.replace("evolve.d_t = 0.02", "evolve.d_t = 0.1")
+        if t_list:
+            text += f"backward.T_list = {t_list}\n"
+        run(config_from_text(text), tmp_path)
+        expected = {"manifest.json", "norms.json", "picard.csv", "snapshots.bin",
+                    "snapshots.json", "zeta.csv"}
+        if t_list:
+            expected.add("cauchy.csv")
+        assert {p.name for p in (tmp_path / "bw-1").iterdir()} == expected
 
     def test_manifest_lists_all_files(self, tmp_path):
         cfg = config_from_text(BACKWARD_SMALL)
@@ -377,7 +411,8 @@ class TestScenarios:
 
     def test_failed_run_manifest(self, tmp_path):
         cfg = config_from_text(
-            "run.scenario = nonperturbative\nrun.id = np-bad\nbgk.beta = 1.5\n"
+            # loads (the rule is beta > 2), yet solve_bgk finds no state this close to 2
+            "run.scenario = nonperturbative\nrun.id = np-bad\nbgk.beta = 2.00000000001\n"
             "evolve.epsilon = 1.0\nevolve.T = 8\nevolve.tau = 4\nevolve.d_t = 0.02\n"
             "grid.n_max = 3\ngrid.xi_max = 12\ngrid.d_xi = 0.1\ngrid.t_final = 8\n"
         )
@@ -405,21 +440,20 @@ class TestSweep:
         assert (out / "runs" / "000" / "member" / "manifest.json").exists()
 
     def test_sweep_member_failure_recorded(self, tmp_path):
-        # beta = 1.5 loads (beta > 0) but has no self-consistent state to run from
+        # epsilon = 1000 loads but blows up within the first steps of the run
         cfg = config_from_text(
-            "run.scenario = sweep\nrun.id = sw-2\nsweep.scenario = nonperturbative\n"
-            "sweep.axis = bgk.beta\nsweep.values = 3, 1.5\n"
-            "evolve.epsilon = 1.0\nevolve.sign = -1\nevolve.T = 8\nevolve.tau = 4\n"
-            "evolve.d_t = 0.05\ngrid.n_max = 3\ngrid.xi_max = 12\ngrid.d_xi = 0.1\n"
-            "grid.t_final = 8\npicard.tol = 1e-7\n"
+            "run.scenario = sweep\nrun.id = sw-2\nsweep.scenario = forward\n"
+            "sweep.axis = evolve.epsilon\nsweep.values = 0.01, 1000\n"
+            "evolve.T = 8\nevolve.d_t = 0.05\ngrid.n_max = 3\ngrid.xi_max = 12\n"
+            "grid.d_xi = 0.1\ngrid.t_final = 8\n"
         )
         manifest = run(cfg, tmp_path)
         assert manifest.data["status"] == "ok"
         assert manifest.data["headline"]["n_failed"] == 1
         lines = (tmp_path / "sw-2" / "sweep.csv").read_text().splitlines()
-        assert lines[1].startswith("3,true")
-        assert lines[2].startswith("1.5,false")
-        assert "need beta > 2" in manifest.data["headline"]["failures"]["1.5"]
+        assert lines[1].startswith("0.01,true")
+        assert lines[2].startswith("1000,false")
+        assert "BlowUpError" in manifest.data["headline"]["failures"]["1000"]
 
     def test_epsilon_sweep_ratio_degrades_monotonically(self, tmp_path):
         cfg = config_from_text(

@@ -256,11 +256,9 @@ def test_sample_point_matches_sample_mode(size):
 def test_extract_zeta_matches_sample_mode():
     grid = GRIDS["9x481"]
     c = states(grid)["perturbed"]
-    c = 0.5 * (c + np.conj(c[::-1, ::-1]))  # real state, so the cross-check passes
     for t in (0.0, 0.6, 1.2345, -2.5, 8.0, grid.xi_max):
         ref_counters, got_counters = TruncationCounters(), TruncationCounters()
         ref = complex(sample_mode(c, grid, 1, np.array([t]), ref_counters)[0])
-        sample_mode(c, grid, -1, np.array([-t]), ref_counters)
         got = extract_zeta(c, grid, t, counters=got_counters)
         assert np.complex128(got).tobytes() == np.complex128(ref).tobytes()
         assert ref_counters.out_of_range_reads == got_counters.out_of_range_reads
