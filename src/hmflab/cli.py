@@ -27,12 +27,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="scenario config file")
         p.add_argument("--out", required=True, help="output root directory")
         p.add_argument("--overwrite", action="store_true", help="redo a completed run id")
-        p.add_argument("--threads", type=int, default=1, help="parallel sweep members")
+        p.add_argument("--threads", type=int, default=1, help="parallel sweep members (>= 1)")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error(f"--threads must be >= 1, got {args.threads}")
     try:
         cfg = load_config(args.config)
     except ConfigError as exc:

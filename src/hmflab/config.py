@@ -139,9 +139,6 @@ class RunConfig:
                 "(no separator, not empty, '.' or '..')"
             )
 
-    def get(self, key: str):
-        return self.values[key]
-
     def as_dict(self) -> dict:
         plain = {}
         for k, v in sorted(self.values.items()):
@@ -345,6 +342,8 @@ def _validate(cfg: RunConfig, origin: str) -> None:
             "sweep.axis applies to sweep.scenario",
         )
         rule(len(v["sweep.values"]) > 0, "sweep.values nonempty")
+        # checked on the typed values, so 3 and 3.0 on an integer axis repeat
+        rule(len(set(v["sweep.values"])) == len(v["sweep.values"]), "sweep.values has no repeated value")
 
 
 def load_config(path) -> RunConfig:

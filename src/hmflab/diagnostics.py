@@ -14,8 +14,7 @@ import numpy as np
 
 from .evolution import EvolutionParams, FieldSeries, Trajectory, forward_solve
 from .norms import _bracket, _log_abs
-from .profiles import Profile
-from .spectral import FourierField
+from .scattering import ScatteringConfig
 
 
 class FitWindowError(ValueError):
@@ -29,7 +28,6 @@ class DecayFit:
     rate: float
     amplitude: float
     residual: float
-    window: tuple[float, float]
     n_used: int
 
     def envelope(self, t):
@@ -76,7 +74,6 @@ def fit_decay_values(
         rate=float(-slope),
         amplitude=float(np.exp(intercept)),
         residual=resid,
-        window=(float(lo), float(hi)),
         n_used=len(tw),
     )
 
@@ -125,7 +122,6 @@ class RegularityProfile:
 
     t: np.ndarray
     mu_star: np.ndarray
-    cap: float
 
 
 def regularity_profile(traj: Trajectory, cap: float) -> RegularityProfile:
@@ -148,7 +144,7 @@ def regularity_profile(traj: Trajectory, cap: float) -> RegularityProfile:
             else:
                 break
         out[i] = best
-    return RegularityProfile(t=traj.times.copy(), mu_star=out, cap=cap)
+    return RegularityProfile(t=traj.times.copy(), mu_star=out)
 
 
 @dataclass(frozen=True)
@@ -164,20 +160,17 @@ class RoundTripReport:
 
 def compare_backward_forward(
     backward: Trajectory,
-    terminal: FourierField,
-    background: Profile,
-    epsilon: float,
-    picard_tol: float,
-    sign: float = 1.0,
+    config: ScatteringConfig,
     forward_rough: Trajectory | None = None,
 ) -> RoundTripReport:
     """Round-trip and regularity-direction check of a converged solve.
 
-    Forward integration from the backward solution's initial state must
-    land on the terminal datum within 5x the sweep tolerance.  The
-    analytic-radius profile (norm cap 10) of the backward solution should
-    not lose radius as t grows, while a forward run from rough data should
-    not gain it; pass ``forward_rough`` to report the second profile.
+    Forward integration from the backward solution's initial state, with
+    the background, coupling and sign of ``config``, must land on its
+    terminal datum within 5x its sweep tolerance.  The analytic-radius
+    profile (norm cap 10) of the backward solution should not lose radius
+    as t grows, while a forward run from rough data should not gain it;
+    pass ``forward_rough`` to report the second profile.
     """
     grid = backward.grid
     t0 = float(backward.times[0])
@@ -186,16 +179,16 @@ def compare_backward_forward(
         raise ValueError("round trip needs a backward run with window start 0")
     d_t = float(backward.series.t[1] - backward.series.t[0])
     params = EvolutionParams(
-        profile=background,
-        epsilon=epsilon,
+        profile=config.background,
+        epsilon=config.epsilon,
         d_t=d_t,
         t_final=t1,
-        sign=sign,
+        sign=config.sign,
         snap_stride=max(1, len(backward.series.t) // 4),
     )
     fwd = forward_solve(backward.initial(), params)
-    err = float(np.max(np.abs(fwd.final().coeffs - terminal.coeffs)))
-    tol = 5.0 * picard_tol
+    err = float(np.max(np.abs(fwd.final().coeffs - config.terminal.coeffs)))
+    tol = 5.0 * config.picard_tol
     return RoundTripReport(
         error=err,
         tolerance=tol,

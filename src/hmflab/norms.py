@@ -39,14 +39,8 @@ class NormReport:
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """Sampled regularity budget a(t) with its defining parameters.
+    """Sampled regularity budget a(t) on a uniform grid."""
 
-    ``big_t`` is the terminal time, math.inf for the extrapolated limit
-    function.
-    """
-
-    big_t: float
-    delta: float
     t: np.ndarray
     a: np.ndarray
 
@@ -86,7 +80,7 @@ def solve_a(T: float, delta: float, d_t: float) -> WeightFunction:
     # equality allowed: once a*t is large the decay underflows one ulp per step
     if np.any(np.diff(ys) > 0.0):
         raise RuntimeError("budget integration lost monotonicity")
-    return WeightFunction(big_t=T, delta=delta, t=np.arange(n + 1) * d_t, a=ys)
+    return WeightFunction(t=np.arange(n + 1) * d_t, a=ys)
 
 
 _A_INF_RETRIES = 3
@@ -102,8 +96,6 @@ def a_infinity(delta: float, t_max: float, d_t: float) -> WeightFunction:
     positivity failure means the extrapolation undershot; the horizons are
     doubled and the estimate repeated, at most ``_A_INF_RETRIES`` times.
     """
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
     base = max(2.0 * t_max, 100.0)
     horizons = (base, 2.0 * base, 4.0 * base)
     for _ in range(_A_INF_RETRIES + 1):
@@ -113,9 +105,7 @@ def a_infinity(delta: float, t_max: float, d_t: float) -> WeightFunction:
         f = lambda t, a: -delta * math.exp(-a * t) * (1.0 + t)
         ys = _rk4_scalar(f, a_ext, 0.0, t_max, n)
         if np.all(ys > 0.0):
-            return WeightFunction(
-                big_t=math.inf, delta=delta, t=np.arange(n + 1) * d_t, a=ys
-            )
+            return WeightFunction(t=np.arange(n + 1) * d_t, a=ys)
         horizons = tuple(2.0 * T for T in horizons)
     raise RuntimeError(
         f"limit budget stayed nonpositive on [0, {t_max}] after {_A_INF_RETRIES} retries"
@@ -189,9 +179,7 @@ def _weighted_snapshot_sup(
             continue  # zero snapshot contributes 0
         for f in fractions:
             mu = f * mu_cap
-            alpha = mu_cap - mu
-            if alpha <= 0.0:
-                continue
+            alpha = mu_cap - mu  # > 0: every fraction is below 1
             val = math.exp(float(np.max(mu * br + logh)) + 0.5 * math.log(alpha))
             if val > best_val:
                 best_val, best_where = val, (float(mu), float(t))

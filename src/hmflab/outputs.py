@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from pathlib import Path
 
@@ -59,15 +60,10 @@ def _emit_json(obj, indent: int = 0) -> str:
         return "[\n" + ",\n".join(parts) + f"\n{pad}]"
     if obj is None:
         return "null"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if x != x or x in (float("inf"), float("-inf")):
-            return json.dumps(str(x))
-        return f"{x:.17g}"
+    if isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
+        return json.dumps(str(float(obj)))  # JSON has no nan or inf literal
+    if isinstance(obj, (bool, np.bool_, int, np.integer, float, np.floating)):
+        return fmt(obj)
     if isinstance(obj, complex):
         return _emit_json({"re": obj.real, "im": obj.imag}, indent)
     return json.dumps(str(obj))

@@ -42,9 +42,12 @@ class Profile:
 
     name: str
     eta_hat: Callable[[np.ndarray], np.ndarray]
-    eta_prime_hat: Callable[[np.ndarray], np.ndarray]
     decay_rate: float
     decay_coeff: float
+
+    def eta_prime_hat(self, xi):
+        """Transform of the velocity derivative, i xi eta_hat(xi)."""
+        return 1j * xi * self.eta_hat(xi)
 
 
 def maxwellian(beta: float = 1.0) -> Profile:
@@ -60,10 +63,6 @@ def maxwellian(beta: float = 1.0) -> Profile:
         xi = np.asarray(xi, dtype=float)
         return np.exp(-(xi * xi) / (2.0 * b))
 
-    def eta_prime_hat(xi):
-        xi = np.asarray(xi, dtype=float)
-        return 1j * xi * np.exp(-(xi * xi) / (2.0 * b))
-
     # |j_1(t)| = (t/2) e^{-t^2/2b} <= C e^{-t}: C = max (t/2) e^{t - t^2/2b}
     t_star = (b + math.sqrt(b * b + 4.0 * b)) / 2.0
     coeff = (t_star / 2.0) * math.exp(t_star - t_star * t_star / (2.0 * b))
@@ -71,7 +70,6 @@ def maxwellian(beta: float = 1.0) -> Profile:
     return Profile(
         name=name,
         eta_hat=eta_hat,
-        eta_prime_hat=eta_prime_hat,
         decay_rate=1.0,
         decay_coeff=coeff,
     )
@@ -92,16 +90,11 @@ def lorentzian(scale: float = 1.0) -> Profile:
         xi = np.asarray(xi, dtype=float)
         return np.exp(-s * np.abs(xi))
 
-    def eta_prime_hat(xi):
-        xi = np.asarray(xi, dtype=float)
-        return 1j * xi * np.exp(-s * np.abs(xi))
-
     rate = 0.8 * s
     coeff = 0.5 / (math.e * (s - rate))  # max of (t/2) e^{-(s-rate) t}
     return Profile(
         name=f"lorentzian(scale={s:g})" if s != 1.0 else "lorentzian",
         eta_hat=eta_hat,
-        eta_prime_hat=eta_prime_hat,
         decay_rate=rate,
         decay_coeff=coeff,
     )

@@ -13,7 +13,7 @@ import shutil
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +40,7 @@ from .scattering import (
 )
 from .spectral import make_grid
 from .volterra import laplace, stability_margin
-from .outputs import write_csv, write_json, write_manifest_atomic, write_snapshots
+from .outputs import fmt, write_csv, write_json, write_manifest_atomic, write_snapshots
 
 
 class RunRefusedError(RuntimeError):
@@ -271,7 +271,7 @@ def _run_backward(cfg: RunConfig, out: Path) -> dict:
             "m_norm": m_values[-1],
             "n_norm": n_norm,
             "m_norm_per_T": m_values,
-            "picard": trace.as_dict(),
+            "picard": asdict(trace),
             "truncation": traj.counters.as_dict(),
             "decay": decay,
         },
@@ -305,10 +305,9 @@ def _run_nonperturbative(cfg: RunConfig, out: Path) -> dict:
         )
     weight = solve_a(scfg.T, 1.0, scfg.d_t)
     w_inf = a_infinity(1.0, max(scfg.tau, 1.0), min(scfg.d_t, 0.01))
-    a_inf_tau = float(w_inf(scfg.tau)) if scfg.tau > 0 else w_inf.a0
     p_rep, q_rep = functional_P_Q(
         traj.series, traj, cfg.values["norms.lambda"], cfg.values["norms.lambda_prime"],
-        scfg.tau, weight, a_inf_tau,
+        scfg.tau, weight, float(w_inf(scfg.tau)),
     )
     payload = {
         "beta": beta,
@@ -318,7 +317,7 @@ def _run_nonperturbative(cfg: RunConfig, out: Path) -> dict:
         "kernel_margin": margin_report.as_dict(),
         "p_norm": p_rep.value,
         "q_norm": q_rep.value,
-        "picard": trace.as_dict(),
+        "picard": asdict(trace),
         "echo_split": split.sup_values() if split is not None else None,
         "truncation": traj.counters.as_dict(),
     }
@@ -338,10 +337,7 @@ def _run_compare(cfg: RunConfig, out: Path) -> dict:
             shape=cfg.values["datum.shape"],
         )
         rough_forward = forward_solve(rough, _evolution_params(cfg))
-    report = compare_backward_forward(
-        traj, scfg.terminal, scfg.background, scfg.epsilon, scfg.picard_tol,
-        sign=scfg.sign, forward_rough=rough_forward,
-    )
+    report = compare_backward_forward(traj, scfg, forward_rough=rough_forward)
     rows = []
     for i, t in enumerate(report.backward_profile.t):
         row = [t, report.backward_profile.mu_star[i]]
@@ -359,7 +355,7 @@ def _run_compare(cfg: RunConfig, out: Path) -> dict:
             "round_trip_error": report.error,
             "tolerance": report.tolerance,
             "within_tolerance": report.within_tolerance,
-            "picard": trace.as_dict(),
+            "picard": asdict(trace),
         },
     )
     return {
@@ -432,7 +428,7 @@ def run(cfg: RunConfig, out_root, overwrite: bool = False, threads: int = 1) -> 
 def _sweep_member(args):
     cfg, value, member_dir = args
     try:
-        member = member_config(cfg, value, origin=f"sweep member {fmt_axis(value)}")
+        member = member_config(cfg, value, origin=f"sweep member {fmt(value)}")
         result = run(member, member_dir, overwrite=True)
         headline = result.data["headline"]
         return {"value": value, "ok": True, **headline}
@@ -443,14 +439,15 @@ def _sweep_member(args):
 def sweep(cfg: RunConfig, out: Path, threads: int = 1) -> dict:
     """Run the wrapped scenario across the axis values; failures recorded.
 
-    Members execute in input order (in parallel when threads > 1) and the
-    aggregate lands in ``sweep.csv`` in input order regardless.
+    Members execute in input order (in parallel when threads > 1, on at
+    most one worker process per member) and the aggregate lands in
+    ``sweep.csv`` in input order regardless.
     """
     axis = cfg.values["sweep.axis"]
     values = cfg.values["sweep.values"]
     jobs = [(cfg, v, str(out / "runs" / f"{i:03d}")) for i, v in enumerate(values)]
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
             results = list(pool.map(_sweep_member, jobs))
     else:
         results = [_sweep_member(j) for j in jobs]
@@ -470,7 +467,7 @@ def sweep(cfg: RunConfig, out: Path, threads: int = 1) -> dict:
         ["axis_value", "converged", "lambda_fit", "contraction_ratio", "M_norm", "N_norm"],
         rows,
     )
-    failures = {fmt_axis(r["value"]): r["error"] for r in results if not r["ok"]}
+    failures = {fmt(r["value"]): r["error"] for r in results if not r["ok"]}
     headline = {
         "axis": axis,
         "n_values": len(values),
@@ -480,7 +477,3 @@ def sweep(cfg: RunConfig, out: Path, threads: int = 1) -> dict:
     if failures:
         headline["failures"] = failures
     return headline
-
-
-def fmt_axis(v) -> str:
-    return f"{float(v):.17g}"

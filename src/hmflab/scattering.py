@@ -27,7 +27,7 @@ explains why late windows are echo-safe.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field as dfield, replace
+from dataclasses import dataclass, field as dfield, replace
 
 import numpy as np
 
@@ -104,9 +104,6 @@ class PicardTrace:
     diverged: bool = False
     iterations: int = 0
     failure: str | None = None
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)

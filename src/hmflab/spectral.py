@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-try:  # the one trapezoid rule of the package; volterra and scattering import it from here
+try:  # the one trapezoid rule of the package; scattering imports it from here
     from numpy import trapezoid
 except ImportError:  # numpy < 2.0
     from numpy import trapz as trapezoid
@@ -146,9 +146,6 @@ class FourierField:
 
     def mean_mode_at_zero(self) -> complex:
         return complex(self.coeffs[self.grid.mode_index(0), self.grid.n_half])
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.coeffs)))
 
 
 def _cubic_weights(u):

@@ -20,8 +20,6 @@ from typing import Callable
 
 import numpy as np
 
-from .spectral import trapezoid
-
 
 class StabilityViolation(RuntimeError):
     """Resolvent mass blew past the cap: the kernel fails the stability test."""
@@ -88,9 +86,6 @@ class KernelOnGrid:
     @property
     def t_max(self) -> float:
         return float(self.t[-1])
-
-    def l1_norm(self) -> float:
-        return float(trapezoid(np.abs(self.values), dx=self.d_t))
 
     def scaled(self, factor: complex) -> "KernelOnGrid":
         return KernelOnGrid(
@@ -255,32 +250,20 @@ def stability_margin(
 
 
 def resolvent(kernel: KernelOnGrid, l1_cap: float = 1e3) -> KernelOnGrid:
-    """Solve r + K*r = K by forward substitution with trapezoid weights.
+    """Solve r + K*r = K, that is r = K + (-K)*r, with ``solve_volterra``.
 
     The discrete L1 mass of r is monitored; exceeding ``l1_cap`` flags a
     stability violation (the continuum resolvent is integrable exactly
-    when L[K] avoids -1 on the closed right half-plane).
+    when L[K] avoids -1 on the closed right half-plane).  The whole grid is
+    marched before the mass is checked.
     """
-    k = kernel.values
-    dt = kernel.d_t
-    n = len(k)
-    denom = 1.0 + 0.5 * dt * k[0]
-    if abs(denom) < 1e-8:
-        raise DegenerateStepError(f"1 + (d_t/2) K(0) = {denom} is numerically singular")
-    r = np.empty(n, dtype=np.complex128)
-    r[0] = k[0]
-    mass = 0.0
-    for i in range(1, n):
-        acc = 0.5 * k[i] * r[0]
-        if i > 1:
-            acc += np.dot(k[i - 1 : 0 : -1], r[1:i])
-        r[i] = (k[i] - dt * acc) / denom
-        mass += abs(r[i]) * dt
-        if mass > l1_cap:
-            raise StabilityViolation(
-                f"resolvent L1 mass exceeded {l1_cap} at t={kernel.t[i]:.3f}; "
-                f"kernel {kernel.label} fails the stability condition"
-            )
+    r = solve_volterra(kernel.values, kernel.scaled(-1.0))
+    over = np.flatnonzero(np.cumsum(np.abs(r[1:]) * kernel.d_t) > l1_cap)
+    if over.size:
+        raise StabilityViolation(
+            f"resolvent L1 mass exceeded {l1_cap} at t={kernel.t[over[0] + 1]:.3f}; "
+            f"kernel {kernel.label} fails the stability condition"
+        )
     return KernelOnGrid(
         t=kernel.t,
         values=r,

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hmflab import runner
 from hmflab.cli import main
 from hmflab.config import SCENARIOS, ConfigError, config_from_text, load_config
 from hmflab.outputs import read_snapshots, sha256_of, write_snapshots
@@ -217,6 +218,13 @@ class TestLoadConfig:
                          "sweep.axis = bgk.beta\nsweep.values = 3, 1.5\nevolve.epsilon = 1",
                          "sweep member 1.5: violated precondition: bgk.beta > 2",
                          id="sweep-member-nonperturbative-beta-1.5"),
+            # a repeated member would run twice and share one failures key
+            pytest.param("run.scenario = sweep\nrun.id = x\nsweep.scenario = forward\n"
+                         "sweep.axis = evolve.epsilon\nsweep.values = 1000, 1000",
+                         "sweep.values has no repeated value", id="sweep-values-repeated"),
+            pytest.param("run.scenario = sweep\nrun.id = x\nsweep.scenario = backward\n"
+                         "sweep.axis = grid.n_max\nsweep.values = 3, 3.0",
+                         "sweep.values has no repeated value", id="sweep-values-repeated-integer-axis"),
         ],
     )
     def test_stability_keys_checked_at_load(self, lines, rule):
@@ -496,6 +504,53 @@ class TestSweep:
         assert "runs/001/member/bgk.json" in first
         assert not any(name.endswith("manifest.json") for name in first)
 
+    def test_parallel_sweep_matches_serial(self, tmp_path):
+        cfg = config_from_text(
+            "run.scenario = sweep\nrun.id = sw-par\nsweep.scenario = forward\n"
+            "sweep.axis = evolve.epsilon\nsweep.values = 0.01, 0.02\n"
+            "evolve.T = 8\nevolve.d_t = 0.05\ngrid.n_max = 3\ngrid.xi_max = 12\n"
+            "grid.d_xi = 0.1\ngrid.t_final = 8\n"
+        )
+        serial = run(cfg, tmp_path / "serial", threads=1).data
+        parallel = run(cfg, tmp_path / "parallel", threads=2).data
+        assert parallel["headline"] == serial["headline"]
+        assert parallel["headline"]["n_failed"] == 0
+        assert parallel["files"] == serial["files"]
+        csv = [(tmp_path / side / "sw-par" / "sweep.csv").read_bytes() for side in ("serial", "parallel")]
+        assert csv[0] == csv[1]
+
+    @pytest.mark.parametrize(
+        "threads, values, workers",
+        [(64, "2.5, 3", [2]), (2, "2.5, 3, 3.5", [2]), (1, "2.5, 3", [])],
+    )
+    def test_pool_capped_at_member_count(self, tmp_path, monkeypatch, threads, values, workers):
+        # the fork start method forks all max_workers processes at the first
+        # submit, so the pool must not outnumber the members; the stand-in
+        # records the size it is asked for and runs the members in-process
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+        cfg = config_from_text(
+            "run.scenario = sweep\nrun.id = sw-pool\nsweep.scenario = bgk\n"
+            f"sweep.axis = bgk.beta\nsweep.values = {values}\n"
+        )
+        manifest = run(cfg, tmp_path, threads=threads)
+        assert sizes == workers
+        assert manifest.data["headline"]["n_failed"] == 0
+
     def test_integer_axis_rejects_fractions(self):
         with pytest.raises(ConfigError, match="not an integer"):
             config_from_text(
@@ -538,6 +593,16 @@ class TestMain:
         out = str(tmp_path / "out")
         assert main(["bgk", "--config", p.as_posix(), "--out", out]) == 0
         assert main(["bgk", "--config", p.as_posix(), "--out", out]) == 3
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_rejected(self, tmp_path, threads):
+        p = tmp_path / "bgk.cfg"
+        p.write_text("run.scenario = bgk\nrun.id = cli-t\n")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["bgk", "--config", str(p), "--out", str(out), "--threads", threads])
+        assert exc.value.code == 2
+        assert not out.exists()  # rejected before any run starts
 
     def test_bad_config_exit_code(self, tmp_path):
         p = tmp_path / "bad.cfg"

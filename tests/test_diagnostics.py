@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -145,9 +147,7 @@ def _backward_run(d_t=0.01, d_xi=0.05, T=10.0, eps=0.01):
 class TestCompareBackwardForward:
     def test_round_trip_linear(self):
         cfg, traj = _backward_run(eps=0.0)
-        rep = compare_backward_forward(
-            traj, cfg.terminal, PROFILE, 0.0, picard_tol=1e-6
-        )
+        rep = compare_backward_forward(traj, replace(cfg, picard_tol=1e-6))
         assert rep.error < 1e-6
         assert rep.within_tolerance
 
@@ -158,9 +158,7 @@ class TestCompareBackwardForward:
             profile=PROFILE, epsilon=0.01, d_t=0.01, t_final=10.0, snap_stride=100
         )
         fwd = forward_solve(rough, params)
-        rep = compare_backward_forward(
-            traj, cfg.terminal, PROFILE, 0.01, picard_tol=1e-6, forward_rough=fwd
-        )
+        rep = compare_backward_forward(traj, replace(cfg, picard_tol=1e-6), forward_rough=fwd)
         b = rep.backward_profile.mu_star
         assert b[-1] >= b[0] - 1e-9  # radius not lost toward the datum
         f = rep.forward_profile.mu_star
@@ -173,7 +171,7 @@ class TestCompareBackwardForward:
             T=5.0, d_t=0.01,
         )
         traj, _ = backward_solve(cfg)
-        rep = compare_backward_forward(traj, cfg.terminal, PROFILE, 0.0, 1e-6)
+        rep = compare_backward_forward(traj, replace(cfg, picard_tol=1e-6))
         assert rep.error == 0.0
 
 

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -223,7 +223,7 @@ class TestFieldSolve:
         _, trace = backward_solve(self._window("weak"))
         assert trace.iterations > 1
         assert trace.inner_iterations == [1] * trace.iterations
-        assert "inner_converged" not in trace.as_dict()
+        assert "inner_converged" not in asdict(trace)
 
 
 class TestContinuation:

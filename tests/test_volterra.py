@@ -5,7 +5,7 @@ import pytest
 
 from hmflab import volterra
 from hmflab.profiles import bgk_to_field, kernel_j, lorentzian, maxwellian, solve_bgk
-from hmflab.spectral import make_grid
+from hmflab.spectral import make_grid, trapezoid
 from hmflab.volterra import (
     DegenerateStepError,
     KernelFunction,
@@ -205,7 +205,10 @@ class TestResolvent:
         assert np.max(np.abs(residual)) < 1e-10
 
     def test_l1_mass_stable_under_refinement(self):
-        masses = [resolvent(exp_kernel(0.3, 1.0, 25.0, d_t)).l1_norm() for d_t in (4e-3, 2e-3)]
+        masses = [
+            trapezoid(np.abs(resolvent(exp_kernel(0.3, 1.0, 25.0, d_t)).values), dx=d_t)
+            for d_t in (4e-3, 2e-3)
+        ]
         # exact resolvent mass: int 0.3 e^{-1.3 t} = 0.3/1.3
         assert abs(masses[1] - 0.3 / 1.3) < 1e-5
         assert abs(masses[0] - masses[1]) <= 0.01 * masses[1]
@@ -219,6 +222,21 @@ class TestResolvent:
         ).sample(60.0, 1e-2)
         with pytest.raises(StabilityViolation):
             resolvent(k, l1_cap=50.0)
+
+    @pytest.mark.parametrize("cap", [1.0, 3.0, 10.0, 50.0, 500.0])
+    def test_violation_names_first_node_past_cap(self, cap):
+        # r = -2 e^{t} for K = -2 e^{-t}: the mass passes each cap at a different node
+        k = exp_kernel(-2.0, 1.0, 8.0, 1e-2)
+        r = resolvent(k, l1_cap=np.inf).values
+        mass, first = 0.0, None
+        for i in range(1, len(r)):
+            mass += abs(r[i]) * k.d_t
+            if mass > cap:
+                first = i
+                break
+        assert first is not None
+        with pytest.raises(StabilityViolation, match=f"exceeded {cap} at t={k.t[first]:.3f};"):
+            resolvent(k, l1_cap=cap)
 
 
 class TestSolveVolterra:
