@@ -35,6 +35,8 @@ from .spectral import (
     GridError,
     TruncationCounters,
     _sample_point,
+    _shift_plan,
+    _ShiftPlan,
     shift_rows,
 )
 
@@ -156,15 +158,25 @@ def extract_zeta(
 
 
 class _RK4Work:
-    """Preallocated blocks for the half-spectrum RK4 stages of one solve.
+    """Preallocated blocks and per-time tables for the half-spectrum RK4 stages of one solve.
 
     Every right-hand side writes into these instead of allocating: the two
     shifted copies of the state, one weighted term, the coupling
-    accumulator, the (xi - n t) factor and k1..k4, each on the rows
-    n = 0 .. n_max the march advances (the k = -1 shifted copy needs rows
-    1 .. n_max only).  The stage state keeps the full (n_modes, n_xi) layout,
-    so ``extract_zeta`` and ``rhs_coeffs`` read it like any state; the march
-    writes its rows -1 .. n_max, and the rows below stay zero, unread.
+    accumulator and k1..k4, each on the rows n = 0 .. n_max the march
+    advances (the k = -1 shifted copy needs rows 1 .. n_max only).  The
+    stage state keeps the full (n_modes, n_xi) layout, so ``extract_zeta``
+    and ``rhs_coeffs`` read it like any state; the march writes its rows
+    -1 .. n_max, and the rows below stay zero, unread.
+
+    What depends on the stage time alone is worked out once per time:
+    - ``shift_plans(t)`` keeps the ``shift_rows`` plans of the reads at
+      xi -+ t, scalars only, for every time the solve has read, so each
+      Picard sweep after the first reuses them;
+    - ``stage_rows(t, profile)`` keeps (xi - n t) and eta'(xi - t) for the
+      two most recent (time, profile) pairs: a step reads t, t + h/2 twice
+      and t + h, and the next step starts at t + h.
+    Both return what a fresh computation would, so the result is the same
+    bytes with or without them.
     """
 
     def __init__(self, grid: Grid):
@@ -174,12 +186,39 @@ class _RK4Work:
         # xi and n at every entry, so (xi - n t) is two whole-array operations
         self.xi_all = np.tile(self.xi, (grid.n_max + 1, 1))
         self.n_all = np.repeat(np.arange(grid.n_max + 1.0)[:, None], grid.n_xi, axis=1)
-        self.fac = np.empty(half)
         (self.sp, self.term, self.acc, self.k1, self.k2, self.k3, self.k4) = (
             np.empty(half, dtype=np.complex128) for _ in range(7)
         )
         self.sm = np.empty((grid.n_max, grid.n_xi), dtype=np.complex128)
         self.stage = np.zeros((grid.n_modes, grid.n_xi), dtype=np.complex128)
+        self._plans = {}
+        # the two most recent stage times: [t, profile, eta'(xi - t), (xi - n t)], latest last
+        self._recent = [[None, None, None, np.empty(half)] for _ in range(2)]
+
+    def shift_plans(self, t: float) -> tuple[_ShiftPlan, _ShiftPlan]:
+        """Plans of the coupling's reads h_{n-1}(xi - t) and h_{n+1}(xi + t)."""
+        plans = self._plans.get(t)
+        if plans is None:
+            plans = self._plans[t] = (
+                _shift_plan(self.grid, -t),
+                _shift_plan(self.grid, t),
+            )
+        return plans
+
+    def stage_rows(self, t: float, profile: Profile) -> tuple[np.ndarray, np.ndarray]:
+        """eta'(xi - t) of ``profile`` and (xi - n t) on rows n = 0 .. n_max."""
+        recent = self._recent
+        if not (recent[1][0] == t and recent[1][1] is profile):
+            if recent[0][0] == t and recent[0][1] is profile:
+                recent.reverse()
+            else:
+                eta_row = profile.eta_prime_hat(self.xi - t)
+                entry = recent.pop(0)
+                entry[:3] = t, profile, eta_row
+                fac = entry[3]
+                np.subtract(self.xi_all, np.multiply(self.n_all, t, out=fac), out=fac)
+                recent.append(entry)
+        return recent[1][2], recent[1][3]
 
 
 def rhs_coeffs(
@@ -202,28 +241,32 @@ def rhs_coeffs(
     so one shifted read of rows -1 .. n_max - 1 serves k = +1 and one of
     rows 1 .. n_max serves k = -1, and the mode recursion n -> n -+ 1 is a
     one-row offset between the blocks.  Only mode +1 carries the eta'
-    forcing.  ``out`` and ``work`` supply storage only; the result is the
-    same bytes with or without them.
+    forcing.  The two reads' plans and the (xi - n t) and eta'(xi - t)
+    rows come from ``work``'s per-time tables, so a time the solve has
+    already read costs no stencil set-up and no profile evaluation.
+    ``out`` and ``work`` supply storage only; the result is the same bytes
+    with or without them.
     """
     if work is None:
         work = _RK4Work(grid)
     m = grid.n_max
     inc = np.empty((m + 1, grid.n_xi), dtype=np.complex128) if out is None else out
+    eta_row, fac = work.stage_rows(t, profile)
     if epsilon != 0.0:
-        sp = shift_rows(coeffs[m - 1 : 2 * m], grid, -t, work.sp, work.term)  # h_{n-1}(xi - t)
-        sm = shift_rows(coeffs[m + 1 :], grid, +t, work.sm, work.term[:-1])  # h_{n+1}(xi + t)
+        plan_p, plan_m = work.shift_plans(t)
+        sp = shift_rows(coeffs[m - 1 : 2 * m], grid, plan_p, work.sp, work.term)  # h_{n-1}(xi - t)
+        sm = shift_rows(coeffs[m + 1 :], grid, plan_m, work.sm, work.term[:-1])  # h_{n+1}(xi + t)
         # row n: acc = (eps/2) zeta_1 h_{n-1}(xi - t) - (eps/2) zeta_-1 h_{n+1}(xi + t),
         # the second term present only where mode n + 1 exists
         acc, term = work.acc, work.term
         np.multiply(0.5 * epsilon * zeta1, sp, out=acc)
         np.multiply(0.5 * epsilon * np.conj(zeta1), sm, out=term[:-1])
         np.subtract(acc[:-1], term[:-1], out=acc[:-1])
-        np.subtract(work.xi_all, np.multiply(work.n_all, t, out=work.fac), out=work.fac)
-        np.multiply(work.fac, acc, out=acc)
+        np.multiply(fac, acc, out=acc)
         np.subtract(0.0, acc, out=inc)
     else:
         inc.fill(0.0)
-    forcing = (0.5j * zeta1) * profile.eta_prime_hat(work.xi - t)
+    forcing = (0.5j * zeta1) * eta_row
     if epsilon != 0.0:
         np.subtract(forcing, acc[1], out=inc[1])
     else:

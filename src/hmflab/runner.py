@@ -380,8 +380,10 @@ def run(cfg: RunConfig, out_root, overwrite: bool = False, threads: int = 1) -> 
 
     A non-empty run directory is cleared only when it holds a manifest, that
     is, when this program wrote it, and ``overwrite`` is set; otherwise the
-    run is refused and nothing is deleted.
+    run is refused and nothing is deleted.  ``threads`` below 1 is refused
+    before the run directory exists.
     """
+    _check_threads(threads)
     out = Path(out_root) / cfg.run_id
     if out.is_dir() and any(out.iterdir()):
         if not (out / "manifest.json").is_file():
@@ -425,6 +427,11 @@ def run(cfg: RunConfig, out_root, overwrite: bool = False, threads: int = 1) -> 
     return RunManifest(path=path, data=manifest)
 
 
+def _check_threads(threads: int) -> None:
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+
+
 def _sweep_member(args):
     cfg, value, member_dir = args
     try:
@@ -441,8 +448,10 @@ def sweep(cfg: RunConfig, out: Path, threads: int = 1) -> dict:
 
     Members execute in input order (in parallel when threads > 1, on at
     most one worker process per member) and the aggregate lands in
-    ``sweep.csv`` in input order regardless.
+    ``sweep.csv`` in input order regardless.  ``threads`` below 1 is
+    refused before any member runs.
     """
+    _check_threads(threads)
     axis = cfg.values["sweep.axis"]
     values = cfg.values["sweep.values"]
     jobs = [(cfg, v, str(out / "runs" / f"{i:03d}")) for i, v in enumerate(values)]

@@ -93,7 +93,15 @@ class ScatteringConfig:
 
 @dataclass
 class PicardTrace:
-    """Per-sweep convergence record; ``inner_iterations`` counts each sweep's field marches."""
+    """Per-sweep convergence record; ``inner_iterations`` counts each sweep's field marches.
+
+    Sweep j's ``sup_diffs`` entry is the larger of the field and snapshot
+    changes from sweep j - 1.  Sweep 1 has no earlier field, so its entry is
+    the snapshot change from the datum history alone, and a window can
+    converge in sweep 1 with an empty ``contraction_ratios`` list.  That
+    certifies the field only up to the field map's Lipschitz constant times
+    ``picard_tol``; a second sweep would cost every such window twice.
+    """
 
     sup_diffs: list[float] = dfield(default_factory=list)
     contraction_ratios: list[float] = dfield(default_factory=list)

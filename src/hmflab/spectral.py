@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -174,38 +175,72 @@ def _stencil(s: float) -> tuple[float, int, tuple]:
     return s, b, _cubic_weights(s - b)
 
 
+class _ShiftPlan(NamedTuple):
+    """What ``shift_rows`` derives from the shift alone: four scalars and the weights.
+
+    Columns j_lo .. j_hi - 1 are read inside the cutoff; ``b`` is the
+    stencil's base node offset, and ``weights`` is None when the read snaps
+    onto a node, which makes it one shifted copy.
+    """
+
+    j_lo: int
+    j_hi: int
+    b: int
+    weights: tuple | None
+
+
+def _shift_plan(grid: Grid, delta: float) -> _ShiftPlan:
+    """The plan of a read at xi + delta on ``grid``."""
+    s, b, w = _stencil(delta / grid.d_xi)
+    n = grid.n_xi
+    # columns sampled inside the cutoff; the rest are zero (compact-support truncation)
+    j_lo = min(max(math.ceil(-s - 1e-9), 0), n)
+    j_hi = min(max(math.floor(n - 1 - s + 1e-9) + 1, 0), n)
+    return _ShiftPlan(j_lo, j_hi, b, None if s == b else w)
+
+
 def shift_rows(
     coeffs: np.ndarray,
     grid: Grid,
-    delta: float,
+    delta: float | _ShiftPlan,
     out: np.ndarray | None = None,
     scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """Sample every mode row at xi + delta (cubic, zero beyond the cutoff).
 
     The shift is common to all rows, so the interpolation reduces to four
-    shifted accumulations with scalar weights.  ``out`` receives the result
-    and ``scratch`` holds one weighted term at a time; both are C-contiguous
-    arrays shaped like ``coeffs`` and supply storage only, so the result is
-    the same bytes with or without them.
+    shifted accumulations with scalar weights.  A read that snaps onto a
+    node has the weights (-0, 1, 0, -0); summed from +0 they give
+    ``0.0 + coeffs`` at the shifted columns for finite data, signed zeros
+    included, so a node read is that one shifted copy.  (A NaN or inf now
+    stays in its own column; the four-term sum also put 0 * NaN into its
+    three neighbours.)
+
+    ``delta`` may instead be ``_shift_plan(grid, delta)``, which a caller
+    that repeats a shift keeps so the stencil is worked out once.  ``out``
+    receives the result and ``scratch`` holds one weighted term at a time;
+    both are C-contiguous arrays shaped like ``coeffs`` and supply storage
+    only, so the result is the same bytes with or without them.
     """
-    s, b, w = _stencil(delta / grid.d_xi)
-    n = grid.n_xi
+    j_lo, j_hi, b, w = delta if isinstance(delta, _ShiftPlan) else _shift_plan(grid, delta)
     coeffs = np.ascontiguousarray(coeffs)
     out = np.empty_like(coeffs) if out is None else out
-    scratch = np.empty_like(coeffs) if scratch is None else scratch
-    if not (out.flags.c_contiguous and scratch.flags.c_contiguous):
+    if not (out.flags.c_contiguous and (scratch is None or scratch.flags.c_contiguous)):
         raise ValueError("shift_rows buffers must be C-contiguous")
-    # columns sampled inside the cutoff; the rest are zero (compact-support truncation)
-    j_lo = min(max(int(np.ceil(-s - 1e-9)), 0), n)
-    j_hi = min(max(int(np.floor(2 * grid.n_half - s + 1e-9)) + 1, 0), n)
-    if j_lo < j_hi:
-        # In row-major order one stencil term over all rows is one contiguous
-        # slice.  Where a term's source column lies off the row, that slice
-        # read the neighbouring row instead of the zero beyond the cutoff: the
-        # term is zeroed there, and adding +0 leaves every sum unchanged.
-        flat_c, flat_o, flat_s = coeffs.reshape(-1), out.reshape(-1), scratch.reshape(-1)
-        first, stop = j_lo, flat_o.size - n + j_hi
+    n = coeffs.shape[-1]
+    flat_c, flat_o = coeffs.reshape(-1), out.reshape(-1)
+    # in row-major order the in-range columns of all rows lie in one flat range
+    first, stop = j_lo, flat_o.size - n + j_hi
+    if j_lo < j_hi and w is None:
+        # between rows this copy reads columns off the row; they are zeroed below
+        np.add(0.0, flat_c[first + b : stop + b], out=flat_o[first:stop])
+    elif j_lo < j_hi:
+        # One stencil term over all rows is one contiguous slice.  Where a
+        # term's source column lies off the row, that slice read the
+        # neighbouring row instead of the zero beyond the cutoff: the term is
+        # zeroed there, and adding +0 leaves every sum unchanged.
+        scratch = np.empty_like(coeffs) if scratch is None else scratch
+        flat_s = scratch.reshape(-1)
         for m, wm in zip((-1, 0, 1, 2), w):
             off = b + m
             lo, hi = max(first, -off), min(stop, flat_c.size - off)

@@ -551,6 +551,19 @@ class TestSweep:
         assert sizes == workers
         assert manifest.data["headline"]["n_failed"] == 0
 
+    @pytest.mark.parametrize("threads", [0, -4])
+    def test_threads_below_one_rejected(self, tmp_path, threads):
+        cfg = config_from_text(
+            "run.scenario = sweep\nrun.id = sw-thr\nsweep.scenario = bgk\n"
+            "sweep.axis = bgk.beta\nsweep.values = 2.5, 3\n"
+        )
+        with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+            run(cfg, tmp_path / "out", threads=threads)
+        assert not (tmp_path / "out").exists()  # refused before the run directory exists
+        with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+            runner.sweep(cfg, tmp_path / "direct", threads=threads)
+        assert not (tmp_path / "direct").exists()
+
     def test_integer_axis_rejects_fractions(self):
         with pytest.raises(ConfigError, match="not an integer"):
             config_from_text(

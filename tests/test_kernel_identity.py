@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from hmflab.evolution import (
+    BlowUpError,
     EvolutionParams,
     _RK4Work,
     extract_zeta,
@@ -21,9 +22,11 @@ from hmflab.evolution import (
 from hmflab.profiles import bgk_to_field, make_asymptotic_datum, maxwellian, solve_bgk
 from hmflab.scattering import ScatteringConfig, _Workspace
 from hmflab.spectral import (
+    FourierField,
     TruncationCounters,
     _cubic_weights,
     _sample_point,
+    _shift_plan,
     make_grid,
     sample_mode,
     shift_rows,
@@ -263,3 +266,108 @@ def test_extract_zeta_matches_sample_mode():
         assert np.complex128(got).tobytes() == np.complex128(ref).tobytes()
         assert ref_counters.out_of_range_reads == got_counters.out_of_range_reads
         assert ref_counters.max_edge_magnitude == got_counters.max_edge_magnitude
+
+
+def test_rk4work_memo_matches_fresh_calls():
+    # one work at t1, t2, t1 and across two profiles: the per-time tables must
+    # never hand a call the plan or rows of another time or background
+    grid = GRIDS["9x481"]
+    c = states(grid)["perturbed"]
+    other = maxwellian(beta=2.0)  # same eta_hat code, other parameter
+    work = _RK4Work(grid)
+    out = np.empty((grid.n_max + 1, grid.n_xi), dtype=np.complex128)
+    zeta = 0.31 - 0.17j
+    sequence = [(0.6, PROFILE), (1.2345, PROFILE), (0.6, PROFILE), (0.6, other),
+                (1.2345, other), (1.2345, PROFILE), (3.0, other), (0.6, other),
+                (1.2345, PROFILE), (0.6, PROFILE)]
+    for eps in (0.01, 0.0):
+        for t, profile in sequence:
+            ref = reference_rhs_coeffs(c, t, zeta, grid, profile, eps)[grid.n_max :]
+            fresh = rhs_coeffs(c, t, zeta, grid, profile, eps)
+            reused = rhs_coeffs(c, t, zeta, grid, profile, eps, 1.0, out, work)
+            assert same_bytes(fresh, ref), (t, eps)
+            assert same_bytes(reused, ref), (t, eps)
+
+
+def test_workspace_reused_over_two_sweeps_matches_fresh():
+    grid = make_grid(4, 12.0, 0.05, 8.0)
+    datum, background = bgk_to_field(solve_bgk(3.0), grid)
+    cfg = ScatteringConfig(
+        terminal=datum, background=background, epsilon=1.0, T=6.0, d_t=0.05, tau=2.0,
+        sign=-1.0,
+    )
+    ws = _Workspace(cfg)
+    history = np.broadcast_to(datum.coeffs, (len(ws.snap_idx),) + datum.coeffs.shape)
+    for _ in range(2):  # two Picard sweeps on the one workspace
+        zeta = ws.solve_field(history)
+        snaps = ws.transport(zeta)
+        fresh = _Workspace(cfg)
+        assert same_bytes(zeta, fresh.solve_field(history))
+        assert same_bytes(snaps, fresh.transport(zeta))
+        history = snaps
+
+
+@pytest.mark.parametrize("size", sorted(GRIDS))
+def test_shift_rows_near_nodes_and_at_the_cutoff(size):
+    grid = GRIDS[size]
+    d, edge = grid.d_xi, 2 * grid.xi_max  # a shift of 2 xi_max keeps one column in range
+    deltas = [
+        3.0 + 0.5e-9 * d, 3.0 - 0.5e-9 * d, -2.5 + 0.9e-9 * d,  # snapped onto a node
+        3.0 + 2e-9 * d, -2.5 - 2e-9 * d,  # just outside the snap band
+        edge, -edge, edge - 0.5e-9 * d, -edge + 0.5e-9 * d,  # the cutoff column alone
+        edge + d, -edge - d, edge - 0.5 * d,  # nothing in range
+    ]
+    out = np.empty((grid.n_modes, grid.n_xi), dtype=np.complex128)
+    scratch = np.empty_like(out)
+    for name, c in states(grid).items():
+        for delta in deltas:
+            ref = reference_shift_rows(c, grid, delta)
+            assert same_bytes(shift_rows(c, grid, delta), ref), (name, delta)
+            plan = _shift_plan(grid, delta)
+            assert same_bytes(shift_rows(c, grid, plan, out, scratch), ref), (name, delta)
+    assert _shift_plan(grid, deltas[0]).weights is None  # node reads take the copy
+    assert _shift_plan(grid, deltas[3]).weights is not None
+    c = states(grid)["perturbed"]
+    assert np.count_nonzero(shift_rows(c, grid, edge)) == grid.n_modes  # column 0 only
+    assert same_bytes(shift_rows(c, grid, edge)[:, 0], 0.0 + c[:, -1])
+    assert same_bytes(shift_rows(c, grid, -edge)[:, -1], 0.0 + c[:, 0])
+
+
+def test_nan_on_a_node_read_stays_in_its_column():
+    # the one place where a node read differs from the four-term stencil:
+    # the stencil also spread 0 * NaN into three neighbouring columns
+    grid = GRIDS["9x481"]
+    c = states(grid)["perturbed"]
+    c[5, 200] = complex(np.nan, 0.0)
+    got = shift_rows(c, grid, 3.0)  # 60 nodes: column j reads column j + 60
+    ref = reference_shift_rows(c, grid, 3.0)
+    assert np.argwhere(np.isnan(got)).tolist() == [[5, 140]]
+    assert np.argwhere(np.isnan(ref)).tolist() == [[5, 138], [5, 139], [5, 140], [5, 141]]
+    finite = ~np.isnan(ref)
+    assert same_bytes(got[finite], ref[finite])
+
+
+def test_nan_datum_blows_up_at_the_reference_step():
+    grid = make_grid(4, 12.0, 0.05, 8.0)
+    datum = make_asymptotic_datum(0.5, {1: 1.0, -1: 1.0}, 1.0, grid).coeffs.copy()
+    datum[grid.n_max + 1, 300] = complex(np.nan, 0.0)  # mode 1, read on a node at t = T
+    cfg = ScatteringConfig(
+        terminal=FourierField(grid, datum), background=PROFILE, epsilon=0.5, T=6.0,
+        d_t=0.05,
+    )
+    ws = _Workspace(cfg)
+    zeta_z = np.full(len(ws.t_z), 0.01 + 0.02j)
+
+    @mirrored
+    def f(state, tt, stage):
+        return reference_rhs_coeffs(state, tt, zeta_z[0], grid, PROFILE, 0.5)
+
+    c, blown = datum, None
+    for i in range(ws.n_steps, 0, -1):
+        c = mirror(reference_rk4_step(c, ws.t_fine[i], -cfg.d_t, f))
+        if not np.max(np.abs(c[grid.n_max - 1 :])) <= 1e6:
+            blown = ws.t_fine[i - 1]
+            break
+    with pytest.raises(BlowUpError) as exc:
+        ws.transport(zeta_z)
+    assert blown is not None and exc.value.t == blown

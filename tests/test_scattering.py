@@ -3,6 +3,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from hmflab import evolution
 from hmflab.evolution import EvolutionParams, forward_solve
 from hmflab.profiles import (
     bgk_to_field,
@@ -225,6 +226,29 @@ class TestFieldSolve:
         assert trace.inner_iterations == [1] * trace.iterations
         assert "inner_converged" not in asdict(trace)
 
+    def test_transport_call_counts(self, monkeypatch):
+        # every RK4 stage of every sweep is one rhs_coeffs call, and each
+        # makes two shift_rows reads: the counts a traced run checks
+        calls = {"rhs_coeffs": 0, "shift_rows": 0}
+
+        def counted(name):
+            inner = getattr(evolution, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(evolution, "rhs_coeffs", counted("rhs_coeffs"))
+        monkeypatch.setattr(evolution, "shift_rows", counted("shift_rows"))
+        cfg = self._window("weak")
+        _, trace = backward_solve(cfg)
+        steps = round((cfg.T - cfg.tau) / cfg.d_t)
+        assert cfg.epsilon != 0.0 and trace.iterations > 1
+        assert calls["rhs_coeffs"] == 4 * steps * trace.iterations
+        assert calls["shift_rows"] == 2 * calls["rhs_coeffs"]
+
 
 class TestContinuation:
     def test_repeated_horizon_zero_diff(self):
@@ -308,6 +332,34 @@ class TestNonperturbative:
         assert np.isfinite(sups["sup_b_plus"])
         # the mode-0 reconstruction identity holds on the converged run
         assert sups["reconstruction_defect"] <= 0.05 * max(sups["sup_b_plus"], 1e-30) + 1e-12
+
+    def test_bgk_window_from_tau_5_contracts(self):
+        # on the grid of configs/nonperturbative.cfg the shipped window [20, 40]
+        # converges in sweep 1 with a field of 1e-29; from tau = 5 the field
+        # reaches about 1.3e-2 and the sweeps contract (measured: 3 sweeps,
+        # ratios 7.4e-6 and 1.2e-7, reconstruction defect 4.5% of sup B_+)
+        grid = make_grid(4, 44.0, 0.05, 40.0)
+        terminal, background = bgk_to_field(solve_bgk(3.0), grid)
+        cfg = ScatteringConfig(
+            terminal=terminal,
+            background=background,
+            epsilon=1.0,
+            T=40.0,
+            tau=5.0,
+            d_t=0.02,
+            sign=-1.0,
+            picard_tol=1e-8,
+        )
+        traj, trace, split = nonperturbative_solve(cfg)
+        assert trace.converged
+        assert trace.iterations >= 2
+        assert len(trace.contraction_ratios) == trace.iterations - 1
+        assert all(r < 1.0 for r in trace.contraction_ratios)
+        assert np.max(np.abs(traj.series.zeta1)) > 1e-3
+        assert split is not None
+        sups = split.sup_values()
+        assert sups["sup_b_plus"] > 1e-12
+        assert sups["reconstruction_defect"] <= 0.1 * sups["sup_b_plus"]
 
     def test_echo_split_zero_run(self):
         cfg = config(terminal=FourierField.zeros(GRID), epsilon=1.0, tau=2.0)
