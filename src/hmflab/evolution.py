@@ -192,8 +192,9 @@ class _RK4Work:
         self.sm = np.empty((grid.n_max, grid.n_xi), dtype=np.complex128)
         self.stage = np.zeros((grid.n_modes, grid.n_xi), dtype=np.complex128)
         self._plans = {}
-        # the two most recent stage times: [t, profile, eta'(xi - t), (xi - n t)], latest last
-        self._recent = [[None, None, None, np.empty(half)] for _ in range(2)]
+        # the two most recent stage times: [t, profile, eta'(xi - t), (xi - n t)], latest last;
+        # (xi - n t) is stored complex, the type numpy casts it to for the product with h
+        self._recent = [[None, None, None, np.empty(half, dtype=np.complex128)] for _ in range(2)]
 
     def shift_plans(self, t: float) -> tuple[_ShiftPlan, _ShiftPlan]:
         """Plans of the coupling's reads h_{n-1}(xi - t) and h_{n+1}(xi + t)."""
@@ -216,7 +217,7 @@ class _RK4Work:
                 entry = recent.pop(0)
                 entry[:3] = t, profile, eta_row
                 fac = entry[3]
-                np.subtract(self.xi_all, np.multiply(self.n_all, t, out=fac), out=fac)
+                np.subtract(self.xi_all, self.n_all * t, out=fac)
                 recent.append(entry)
         return recent[1][2], recent[1][3]
 

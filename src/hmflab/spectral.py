@@ -241,6 +241,10 @@ def shift_rows(
         # zeroed there, and adding +0 leaves every sum unchanged.
         scratch = np.empty_like(coeffs) if scratch is None else scratch
         flat_s = scratch.reshape(-1)
+        # The weights are real, so a term is one multiply of the interleaved
+        # (re, im) doubles.  It differs from the complex product only in the
+        # sign of zero parts, which the summation from +0 below erases.
+        real_c, real_s = flat_c.view(np.float64), flat_s.view(np.float64)
         for m, wm in zip((-1, 0, 1, 2), w):
             off = b + m
             lo, hi = max(first, -off), min(stop, flat_c.size - off)
@@ -249,7 +253,7 @@ def shift_rows(
                 flat_o[first:lo] = 0.0
                 flat_o[max(hi, lo):stop] = 0.0
             if lo < hi:
-                np.multiply(wm, flat_c[lo + off : hi + off], out=flat_s[lo:hi])
+                np.multiply(wm, real_c[2 * (lo + off) : 2 * (hi + off)], out=real_s[2 * lo : 2 * hi])
                 if -off > j_lo:
                     scratch[..., j_lo : min(-off, j_hi)] = 0.0
                 if n - off < j_hi:
