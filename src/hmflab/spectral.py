@@ -176,7 +176,7 @@ def _stencil(s: float) -> tuple[float, int, tuple]:
 
 
 class _ShiftPlan(NamedTuple):
-    """What ``shift_rows`` derives from the shift alone: four scalars and the weights.
+    """What ``shift_rows`` derives from the shift alone: three scalars and the weights.
 
     Columns j_lo .. j_hi - 1 are read inside the cutoff; ``b`` is the
     stencil's base node offset, and ``weights`` is None when the read snaps
@@ -212,9 +212,11 @@ def shift_rows(
     shifted accumulations with scalar weights.  A read that snaps onto a
     node has the weights (-0, 1, 0, -0); summed from +0 they give
     ``0.0 + coeffs`` at the shifted columns for finite data, signed zeros
-    included, so a node read is that one shifted copy.  (A NaN or inf now
-    stays in its own column; the four-term sum also put 0 * NaN into its
-    three neighbours.)
+    included, so a node read is that one shifted copy.  Off a node, each
+    term scales the real and imaginary parts separately.  Non-finite data
+    is where this differs from the complex four-term sum: a NaN or inf read
+    on a node stays in its own column, where 0 * NaN would also reach its
+    three neighbours, and off a node it stays in its own part.
 
     ``delta`` may instead be ``_shift_plan(grid, delta)``, which a caller
     that repeats a shift keeps so the stencil is worked out once.  ``out``
