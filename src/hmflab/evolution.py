@@ -173,8 +173,8 @@ class _RK4Work:
       xi -+ t, scalars only, for every time the solve has read, so each
       Picard sweep after the first reuses them;
     - ``stage_rows(t, profile)`` keeps (xi - n t) and eta'(xi - t) for the
-      two most recent (time, profile) pairs: a step reads t, t + h/2 twice
-      and t + h, and the next step starts at t + h.
+      latest (time, profile) pair, since the march reads t, t_mid, t_mid,
+      t_next off one node grid and starts the next step at that t_next.
     Both return what a fresh computation would, so the result is the same
     bytes with or without them.
     """
@@ -183,18 +183,18 @@ class _RK4Work:
         half = (grid.n_max + 1, grid.n_xi)
         self.grid = grid
         self.xi = grid.xi
-        # xi and n at every entry, so (xi - n t) is two whole-array operations
-        self.xi_all = np.tile(self.xi, (grid.n_max + 1, 1))
-        self.n_all = np.repeat(np.arange(grid.n_max + 1.0)[:, None], grid.n_xi, axis=1)
+        self.n_col = np.arange(grid.n_max + 1.0)[:, None]
         (self.sp, self.term, self.acc, self.k1, self.k2, self.k3, self.k4) = (
             np.empty(half, dtype=np.complex128) for _ in range(7)
         )
         self.sm = np.empty((grid.n_max, grid.n_xi), dtype=np.complex128)
         self.stage = np.zeros((grid.n_modes, grid.n_xi), dtype=np.complex128)
         self._plans = {}
-        # the two most recent stage times: [t, profile, eta'(xi - t), (xi - n t)], latest last;
-        # (xi - n t) is stored complex, the type numpy casts it to for the product with h
-        self._recent = [[None, None, None, np.empty(half, dtype=np.complex128)] for _ in range(2)]
+        # the latest stage time: (t, profile), eta'(xi - t) and (xi - n t); the
+        # last is stored complex, the type numpy casts it to for the product with h
+        self._key = (None, None)
+        self._eta_row = None
+        self._fac = np.empty(half, dtype=np.complex128)
 
     def shift_plans(self, t: float) -> tuple[_ShiftPlan, _ShiftPlan]:
         """Plans of the coupling's reads h_{n-1}(xi - t) and h_{n+1}(xi + t)."""
@@ -208,18 +208,11 @@ class _RK4Work:
 
     def stage_rows(self, t: float, profile: Profile) -> tuple[np.ndarray, np.ndarray]:
         """eta'(xi - t) of ``profile`` and (xi - n t) on rows n = 0 .. n_max."""
-        recent = self._recent
-        if not (recent[1][0] == t and recent[1][1] is profile):
-            if recent[0][0] == t and recent[0][1] is profile:
-                recent.reverse()
-            else:
-                eta_row = profile.eta_prime_hat(self.xi - t)
-                entry = recent.pop(0)
-                entry[:3] = t, profile, eta_row
-                fac = entry[3]
-                np.subtract(self.xi_all, self.n_all * t, out=fac)
-                recent.append(entry)
-        return recent[1][2], recent[1][3]
+        if not (self._key[0] == t and self._key[1] is profile):
+            self._key = (t, profile)
+            self._eta_row = profile.eta_prime_hat(self.xi - t)
+            np.subtract(self.xi, self.n_col * t, out=self._fac)
+        return self._eta_row, self._fac
 
 
 def rhs_coeffs(
@@ -242,9 +235,10 @@ def rhs_coeffs(
     so one shifted read of rows -1 .. n_max - 1 serves k = +1 and one of
     rows 1 .. n_max serves k = -1, and the mode recursion n -> n -+ 1 is a
     one-row offset between the blocks.  Only mode +1 carries the eta'
-    forcing.  The two reads' plans and the (xi - n t) and eta'(xi - t)
-    rows come from ``work``'s per-time tables, so a time the solve has
-    already read costs no stencil set-up and no profile evaluation.
+    forcing.  The two reads' plans come from ``work``'s store of every
+    time the solve has read, and the (xi - n t) and eta'(xi - t) rows from
+    its entry for the latest time, so a time read before costs no stencil
+    set-up and a repeat of the latest time no profile evaluation.
     ``out`` and ``work`` supply storage only; the result is the same bytes
     with or without them.
     """
@@ -293,29 +287,31 @@ def _snapshot_steps(n_steps: int, stride: int) -> np.ndarray:
     return steps if steps[-1] == n_steps else np.append(steps, n_steps)
 
 
-def _march(c, times, h, zeta, profile, epsilon, sign, steps, snaps, counters, work):
-    """Classical RK4 over ``times`` in place on ``c``, yielding (time index, time) after each step.
+def _march(c, t_half, h, zeta, profile, epsilon, sign, steps, snaps, counters, work):
+    """Classical RK4 on the half-step nodes ``t_half``, in place on ``c``; yields (j, t_half[2j]).
 
-    ``h`` > 0 marches up from times[0], ``h`` < 0 down from times[-1].  With
-    ``zeta`` None each stage reads its field off the stage state; otherwise
-    step k reads the frozen half-step field zeta[2k], zeta[2k+1] (twice) and
-    zeta[2k+2], in march order.  Each step advances the rows n = 0 .. n_max
-    of ``c``; after every stage and step row -1 is re-set to the mirror
-    conj(h_1(-xi)), and the rows below -1 are left as given.  After every
-    step a coefficient of rows -1 .. n_max past the overflow cap, or a NaN,
-    raises BlowUpError.  The states at the time indices ``steps`` fill
-    ``snaps`` in time order as full blocks, rows n < 0 from the mirror and
-    edge columns tallied; the first is ``c`` as given.
+    Full index i is node 2i; ``h`` > 0 marches up from node 0, ``h`` < 0
+    down from the last.  The step from i to j reads its stages at nodes 2i,
+    i + j (twice) and 2j, each taking its time and its field from that node:
+    the field is read off the stage state with ``zeta`` None, otherwise it
+    is the frozen zeta[node] (time order).  Each step advances the rows
+    n = 0 .. n_max of ``c``; after every stage and step row -1 is re-set to
+    the mirror conj(h_1(-xi)), and the rows below -1 are left as given.
+    After every step a coefficient of rows -1 .. n_max past the overflow
+    cap, or a NaN, raises BlowUpError.  The states at the full indices
+    ``steps`` fill ``snaps`` in time order as full blocks, rows n < 0 from
+    the mirror and edge columns tallied; the first is ``c`` as given.
     """
     m = work.grid.n_max
     k1, k2, k3, k4, y = work.k1, work.k2, work.k3, work.k4, work.stage
     c_half, y_half = c[m:], y[m:]  # rows 0 .. n_max, the ones advanced
-    row = np.full(len(times), -1)
+    row = np.full(len(t_half) // 2 + 1, -1)
     row[steps] = np.arange(len(steps))
-    order = range(len(times)) if h > 0 else range(len(times) - 1, -1, -1)  # time indices
+    order = range(len(row)) if h > 0 else range(len(row) - 1, -1, -1)  # full indices
     snaps[row[order[0]]] = c
 
-    def rhs(state, tt, node, out):
+    def rhs(state, node, out):
+        tt = t_half[node]
         z = extract_zeta(state, work.grid, tt, counters) if zeta is None else zeta[node]
         rhs_coeffs(state, tt, z, work.grid, profile, epsilon, sign, out, work)
 
@@ -323,33 +319,32 @@ def _march(c, times, h, zeta, profile, epsilon, sign, steps, snaps, counters, wo
         np.add(c_half, np.multiply(scale, kx, out=y_half), out=y_half)
         np.conjugate(y[m + 1, ::-1], out=y[m - 1])
 
-    for k, i in enumerate(order[1:]):
-        t = times[order[k]]
-        rhs(c, t, 2 * k, k1)
+    for i, j in zip(order, order[1:]):
+        rhs(c, 2 * i, k1)
         stage(k1, 0.5 * h)
-        rhs(y, t + 0.5 * h, 2 * k + 1, k2)
+        rhs(y, i + j, k2)
         stage(k2, 0.5 * h)
-        rhs(y, t + 0.5 * h, 2 * k + 1, k3)
+        rhs(y, i + j, k3)
         stage(k3, h)
-        rhs(y, t + h, 2 * k + 2, k4)
+        rhs(y, 2 * j, k4)
         # c + (h/6) (k1 + 2 k2 + 2 k3 + k4), evaluated left to right as written
         np.add(k1, np.multiply(2.0, k2, out=k2), out=k1)
         np.add(k1, np.multiply(2.0, k3, out=k3), out=k1)
         np.add(k1, k4, out=k1)
         np.add(c_half, np.multiply(h / 6.0, k1, out=k1), out=c_half)
         np.conjugate(c[m + 1, ::-1], out=c[m - 1])
-        peak = np.max(np.abs(c[m - 1 :]))
+        peak = np.max(np.abs(c_half))  # row -1 holds row 1's magnitudes
         if not peak <= _OVERFLOW_CAP:  # NaN fails too
-            raise BlowUpError(float(times[i]), float(peak))
-        if row[i] >= 0:
-            snap = snaps[row[i]]
+            raise BlowUpError(float(t_half[2 * j]), float(peak))
+        if row[j] >= 0:
+            snap = snaps[row[j]]
             snap[m:] = c_half
             np.conjugate(c[:m:-1, ::-1], out=snap[:m])  # rows -n_max .. -1
             # the rows n < 0 mirror these edge columns, so they add nothing
             edge = float(max(np.max(np.abs(c_half[:, 0])), np.max(np.abs(c_half[:, -1]))))
             if edge > counters.max_edge_magnitude:
                 counters.max_edge_magnitude = edge
-        yield i, times[i]
+        yield j, t_half[2 * j]
 
 
 _REALITY_CHECK_EVERY = 100
@@ -376,12 +371,13 @@ def forward_solve(h0: FourierField, params: EvolutionParams) -> Trajectory:
         raise ValueError("t_final must be an integer number of steps")
     counters = TruncationCounters()
     c = h0.coeffs.copy()
-    times = np.arange(n_steps + 1) * params.d_t
+    t_half = np.arange(2 * n_steps + 1) * (0.5 * params.d_t)
+    times = t_half[::2]  # the same floats as np.arange(n_steps + 1) * d_t
     steps = _snapshot_steps(n_steps, params.snap_stride)
     snapshots = np.empty((len(steps), grid.n_modes, grid.n_xi), dtype=np.complex128)
     zs = np.empty(n_steps + 1, dtype=np.complex128)
     zs[0] = extract_zeta(c, grid, 0.0, counters)
-    for i, t in _march(c, times, params.d_t, None, params.profile, params.epsilon, params.sign,
+    for i, t in _march(c, t_half, params.d_t, None, params.profile, params.epsilon, params.sign,
                        steps, snapshots, counters, _RK4Work(grid)):
         if i % _REALITY_CHECK_EVERY == 0:  # row 0 is its own mirror partner
             h_0 = c[grid.n_max]

@@ -159,9 +159,9 @@ class _Workspace:
         self.cfg = cfg
         self.grid = cfg.terminal.grid
         self.n_steps = int(round((cfg.T - cfg.tau) / cfg.d_t))
-        self.t_fine = cfg.tau + np.arange(self.n_steps + 1) * cfg.d_t
         d_tz = cfg.d_t / 2
         self.t_z = cfg.tau + np.arange(2 * self.n_steps + 1) * d_tz
+        self.t_fine = self.t_z[::2]  # the full steps, tau + k d_t to the bit
         self.kernel = (
             kernel_j(cfg.background, -1)
             .sample(cfg.T - cfg.tau, d_tz)
@@ -172,8 +172,8 @@ class _Workspace:
             cfg.terminal.coeffs, self.grid, 1, self.t_z, self.counters
         )
         self.snap_idx = _snapshot_steps(self.n_steps, cfg.snap_stride)
-        self.snap_times = self.t_fine[self.snap_idx]
         self.snap_nodes = 2 * self.snap_idx
+        self.snap_times = self.t_z[self.snap_nodes]
         self.weight = solve_a(cfg.T, cfg.norm_delta, cfg.d_t)
         self.rk4 = _RK4Work(self.grid)
 
@@ -213,7 +213,7 @@ class _Workspace:
         """Backward Runge-Kutta pass with the field frozen; returns the snapshot block."""
         cfg = self.cfg
         snaps = np.empty((len(self.snap_idx),) + cfg.terminal.coeffs.shape, dtype=np.complex128)
-        for _ in _march(cfg.terminal.coeffs.copy(), self.t_fine, -cfg.d_t, zeta_z[::-1],
+        for _ in _march(cfg.terminal.coeffs.copy(), self.t_z, -cfg.d_t, zeta_z,
                         cfg.background, cfg.epsilon, cfg.sign, self.snap_idx, snaps,
                         self.counters, self.rk4):
             pass

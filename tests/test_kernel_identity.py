@@ -8,9 +8,12 @@ rows n < 0 from the reality mirror; the reference marches match it when
 here is on ``tobytes()``: values, signed zeros and all.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from hmflab import evolution
 from hmflab.evolution import (
     BlowUpError,
     EvolutionParams,
@@ -83,11 +86,13 @@ def reference_rhs_coeffs(coeffs, t, zeta1, grid, profile, epsilon, sign=1.0):
     return inc
 
 
-def reference_rk4_step(c, t, h, f):
+def reference_rk4_step(c, times, h, f):
+    """One step of size h; ``times`` are the stage times at its start, midpoint and end."""
+    t, t_mid, t_next = times
     k1 = f(c, t, 0)
-    k2 = f(c + (0.5 * h) * k1, t + 0.5 * h, 1)
-    k3 = f(c + (0.5 * h) * k2, t + 0.5 * h, 2)
-    k4 = f(c + h * k3, t + h, 3)
+    k2 = f(c + (0.5 * h) * k1, t_mid, 1)
+    k3 = f(c + (0.5 * h) * k2, t_mid, 2)
+    k4 = f(c + h * k3, t_next, 3)
     return c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -180,10 +185,11 @@ def test_forward_solve_matches_reference_stepping():
         z = complex(sample_mode(state, grid, 1, np.array([tt]))[0])
         return reference_rhs_coeffs(state, tt, z, grid, PROFILE, params.epsilon)
 
+    t_half = np.arange(81) * (0.5 * params.d_t)
     c = h0.coeffs.copy()
     snaps = [c]
     for i in range(1, 41):
-        c = mirror(reference_rk4_step(c, (i - 1) * params.d_t, params.d_t, f))
+        c = mirror(reference_rk4_step(c, t_half[2 * i - 2 : 2 * i + 1], params.d_t, f))
         if i % 7 == 0 or i == 40:
             snaps.append(c)
     assert len(snaps) == len(traj.snapshots)
@@ -215,7 +221,7 @@ def check_transport_against_reference(T):
         def f(state, tt, stage):
             return reference_rhs_coeffs(state, tt, fields[stage], grid, background, 1.0, -1.0)
 
-        c = mirror(reference_rk4_step(c, ws.t_fine[i], -cfg.d_t, f))
+        c = mirror(reference_rk4_step(c, ws.t_z[2 * i - 2 : 2 * i + 1][::-1], -cfg.d_t, f))
         ref[i - 1] = c
     assert len(got) == len(ws.snap_idx)
     for m, i in enumerate(ws.snap_idx):
@@ -287,6 +293,38 @@ def test_rk4work_memo_matches_fresh_calls():
             reused = rhs_coeffs(c, t, zeta, grid, profile, eps, 1.0, out, work)
             assert same_bytes(fresh, ref), (t, eps)
             assert same_bytes(reused, ref), (t, eps)
+
+
+def test_stage_times_are_the_half_step_nodes(monkeypatch):
+    # 160 steps of 0.05 read their stages at the 2 * 160 + 1 half-step nodes
+    # and nowhere else: a stage time formed as t + h/2 or t + h misses a node
+    # by one ulp in some steps, and each miss is one more eta' evaluation and
+    # one more plan-store entry
+    grid = GRIDS["9x481"]
+    calls = []
+
+    def counting(xi):
+        calls.append(1)
+        return PROFILE.eta_hat(xi)
+
+    profile = dataclasses.replace(PROFILE, eta_hat=counting)
+    works = []
+
+    class RecordedWork(_RK4Work):
+        def __init__(self, grid):
+            super().__init__(grid)
+            works.append(self)
+
+    monkeypatch.setattr(evolution, "_RK4Work", RecordedWork)
+    h0 = make_asymptotic_datum(0.5, {1: 1.0, -1: 1.0}, 1.0, grid)
+    forward_solve(h0, EvolutionParams(profile=profile, epsilon=0.2, d_t=0.05, t_final=8.0))
+    assert len(calls) == len(works[0]._plans) == 321
+
+    ws = _Workspace(ScatteringConfig(terminal=h0, background=profile, epsilon=0.5, T=8.0,
+                                     d_t=0.05))
+    calls.clear()
+    ws.transport(np.full(len(ws.t_z), 0.01 + 0.02j))
+    assert len(calls) == len(ws.rk4._plans) == 321
 
 
 def test_workspace_reused_over_two_sweeps_matches_fresh():
@@ -364,7 +402,7 @@ def test_nan_datum_blows_up_at_the_reference_step():
 
     c, blown = datum, None
     for i in range(ws.n_steps, 0, -1):
-        c = mirror(reference_rk4_step(c, ws.t_fine[i], -cfg.d_t, f))
+        c = mirror(reference_rk4_step(c, ws.t_z[2 * i - 2 : 2 * i + 1][::-1], -cfg.d_t, f))
         if not np.max(np.abs(c[grid.n_max - 1 :])) <= 1e6:
             blown = ws.t_fine[i - 1]
             break

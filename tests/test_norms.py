@@ -61,6 +61,17 @@ class TestSolveA:
         with pytest.raises(ValueError):
             solve_a(10.0, 0.0, 0.01)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="near t = T the budget ODE has df/da ~ delta T^2, so an RK4 step d_t is "
+        "stable only while d_t delta T^2 < 2.79; at delta = 1 and d_t = 0.01 the march "
+        "is off by 0.13",
+    )
+    def test_step_converged_at_delta_one(self):
+        coarse = solve_a(40.0, 1.0, 0.01)
+        fine = solve_a(40.0, 1.0, 0.001)
+        assert np.max(np.abs(coarse.a - fine.a[::10])) <= 1e-6
+
 
 class TestAInfinity:
     def test_positive_and_dominates_finite_horizons(self):
