@@ -22,6 +22,7 @@ import numpy as np
 from .spectral import Grid
 
 SNAPSHOT_MAGIC = b"HMF1"
+MANIFEST_NAMES = ("manifest.json", "manifest.json.tmp")
 
 
 def fmt(x) -> str:
@@ -141,7 +142,7 @@ def write_manifest_atomic(out_dir, manifest: dict) -> Path:
     files = sorted(
         str(p.relative_to(out_dir))
         for p in out_dir.rglob("*")
-        if p.is_file() and p.name not in ("manifest.json", "manifest.json.tmp")
+        if p.is_file() and p.name not in MANIFEST_NAMES
     )
     manifest["files"] = {name: sha256_of(out_dir / name) for name in files}
     tmp = out_dir / "manifest.json.tmp"

@@ -28,7 +28,9 @@ import numpy as np
 from .spectral import FourierField, Grid, enforce_reality
 from .volterra import KernelFunction
 
-_X_QUAD_NODES = 512
+_X_NODES = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
+_COS_X = np.cos(_X_NODES)
+_NU_BLOCK = 64
 _DATUM_SHAPES = ("gaussian", "exponential")
 
 
@@ -164,24 +166,27 @@ class BGKState:
     residual: float
 
 
-def _x_average(fn_vals: np.ndarray, weights: np.ndarray) -> float:
-    return float(np.sum(fn_vals * weights) / np.sum(weights))
-
-
-def omega_of_nu(beta: float, nu: float) -> float:
-    """Mean magnetization of exp(-beta H_nu)/Z.
+def omega_curve(beta: float, nus: np.ndarray) -> np.ndarray:
+    """Omega_beta(nu) at each nu of a 1-D float array, exactly 0.0 where nu = 0.
 
     The velocity integrals cancel between numerator and denominator,
     leaving the ratio of periodic trapezoid sums of e^{beta nu cos x} cos x
     and e^{beta nu cos x}, spectrally accurate for analytic integrands.
+    Rows of ``_NU_BLOCK`` nu at a time bound each temporary to 0.26 MB.
     """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    if nu == 0.0:
-        return 0.0  # odd moment of the uniform angle distribution
-    x = np.linspace(0.0, 2.0 * np.pi, _X_QUAD_NODES, endpoint=False)
-    w = np.exp(beta * nu * np.cos(x))
-    return _x_average(np.cos(x), w)
+    out = np.empty(nus.shape)
+    for lo in range(0, nus.size, _NU_BLOCK):
+        w = np.exp((beta * nus[lo : lo + _NU_BLOCK])[:, None] * _COS_X)
+        out[lo : lo + _NU_BLOCK] = np.sum(_COS_X * w, axis=1) / np.sum(w, axis=1)
+    out[nus == 0.0] = 0.0  # odd moment of the uniform angle distribution
+    return out
+
+
+def omega_of_nu(beta: float, nu: float) -> float:
+    """Mean magnetization of exp(-beta H_nu)/Z; see ``omega_curve``."""
+    return float(omega_curve(beta, np.array([nu], dtype=float))[0])
 
 
 def solve_bgk(beta: float) -> BGKState | None:
@@ -194,7 +199,7 @@ def solve_bgk(beta: float) -> BGKState | None:
     """
     g = lambda nu: omega_of_nu(beta, nu) - nu
     grid = np.linspace(1e-6, 2.0, 800)
-    vals = np.array([g(v) for v in grid])
+    vals = omega_curve(beta, grid) - grid
     crossings = np.where((vals[:-1] > 0) & (vals[1:] <= 0))[0]
     if crossings.size == 0:
         return None
@@ -209,18 +214,16 @@ def solve_bgk(beta: float) -> BGKState | None:
             break
     nu = 0.5 * (lo + hi)
     # z_norm for the unit-mass x-average: integral of the x-mean Gaussian factor
-    x = np.linspace(0.0, 2.0 * np.pi, _X_QUAD_NODES, endpoint=False)
-    mean_cos_weight = float(np.mean(np.exp(beta * nu * np.cos(x))))
+    mean_cos_weight = float(np.mean(np.exp(beta * nu * _COS_X)))
     z_norm = math.sqrt(2.0 * math.pi / beta) * mean_cos_weight
     return BGKState(beta=beta, nu=nu, z_norm=z_norm, residual=abs(g(nu)))
 
 
 def _mode_ratios(beta: float, nu: float, n_max: int) -> np.ndarray:
     """Ratios of the x-Fourier coefficients of e^{beta nu cos x} to the mean."""
-    x = np.linspace(0.0, 2.0 * np.pi, _X_QUAD_NODES, endpoint=False)
-    w = np.exp(beta * nu * np.cos(x))
+    w = np.exp(beta * nu * _COS_X)
     denom = np.sum(w)
-    return np.array([np.sum(w * np.cos(n * x)) / denom for n in range(n_max + 1)])
+    return np.array([np.sum(w * np.cos(n * _X_NODES)) / denom for n in range(n_max + 1)])
 
 
 def bgk_to_field(state: BGKState, grid: Grid) -> tuple[FourierField, Profile]:

@@ -8,8 +8,8 @@ iteration orders, no wall-clock content outside the manifest.
 
 from __future__ import annotations
 
+import json
 import math
-import shutil
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -29,7 +29,7 @@ from .profiles import (
     lorentzian,
     make_asymptotic_datum,
     maxwellian,
-    omega_of_nu,
+    omega_curve,
     solve_bgk,
 )
 from .scattering import (
@@ -40,11 +40,19 @@ from .scattering import (
 )
 from .spectral import make_grid
 from .volterra import laplace, stability_margin
-from .outputs import fmt, write_csv, write_json, write_manifest_atomic, write_snapshots
+from .outputs import (
+    MANIFEST_NAMES,
+    fmt,
+    write_csv,
+    write_json,
+    write_manifest_atomic,
+    write_snapshots,
+)
 
 
 class RunRefusedError(RuntimeError):
-    """The run id already has a completed manifest and overwrite is off."""
+    """The run directory was not written by hmflab, is complete with overwrite
+    off, or holds entries its previous run did not write."""
 
 
 @dataclass
@@ -171,11 +179,7 @@ def _run_stability(cfg: RunConfig, out: Path) -> dict:
 def _run_bgk(cfg: RunConfig, out: Path) -> dict:
     beta = cfg.values["bgk.beta"]
     nus = np.linspace(0.0, 1.5, 151)
-    write_csv(
-        out / "bgk.csv",
-        ["nu", "omega"],
-        ((nu, omega_of_nu(beta, nu) if nu > 0 else 0.0) for nu in nus),
-    )
+    write_csv(out / "bgk.csv", ["nu", "omega"], zip(nus, omega_curve(beta, nus)))
     state = solve_bgk(beta)
     payload = {"beta": beta, "has_fixed_point": state is not None}
     if state is not None:
@@ -380,8 +384,9 @@ def run(cfg: RunConfig, out_root, overwrite: bool = False, threads: int = 1) -> 
 
     A non-empty run directory is cleared only when it holds a manifest, that
     is, when this program wrote it, and ``overwrite`` is set; otherwise the
-    run is refused and nothing is deleted.  ``threads`` below 1 is refused
-    before the run directory exists.
+    run is refused and nothing is deleted.  Clearing deletes only what the
+    previous run wrote (see ``_clear_previous_run``).  ``threads`` below 1 is
+    refused before the run directory exists.
     """
     _check_threads(threads)
     out = Path(out_root) / cfg.run_id
@@ -394,11 +399,7 @@ def run(cfg: RunConfig, out_root, overwrite: bool = False, threads: int = 1) -> 
             raise RunRefusedError(
                 f"run id {cfg.run_id!r} already completed at {out}; pass overwrite to redo"
             )
-        for old in out.iterdir():
-            if old.is_dir() and not old.is_symlink():
-                shutil.rmtree(old)
-            else:
-                old.unlink()
+        _clear_previous_run(out)
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()
     manifest = {
@@ -425,6 +426,39 @@ def run(cfg: RunConfig, out_root, overwrite: bool = False, threads: int = 1) -> 
     manifest["wall_seconds"] = time.time() - started
     path = write_manifest_atomic(out, manifest)
     return RunManifest(path=path, data=manifest)
+
+
+def _clear_previous_run(out: Path) -> None:
+    """Delete the previous run's files, or refuse and delete nothing.
+
+    Its files are those the manifest's ``files`` map lists plus every
+    manifest (the map leaves them out, sweep members' included); the
+    directories holding them go too.  Any other entry is one this program
+    never wrote, so the run is refused.
+    """
+    try:
+        listed = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["files"]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise RunRefusedError(
+            f"{out}: unreadable manifest.json ({exc}); refusing to clear it"
+        ) from exc
+    entries = set(out.rglob("*"))
+    ours = {
+        p
+        for p in entries
+        if not p.is_dir() and (p.name in MANIFEST_NAMES or str(p.relative_to(out)) in listed)
+    }
+    dirs = {d for p in ours for d in p.parents if out in d.parents}
+    foreign = sorted(entries - ours - dirs)
+    if foreign:
+        raise RunRefusedError(
+            f"{foreign[0]} was not written by the run at {out} "
+            f"({len(foreign)} such entries); refusing to clear it"
+        )
+    for p in sorted(ours, key=lambda p: p == out / "manifest.json"):  # manifest last
+        p.unlink()
+    for d in sorted(dirs, key=lambda d: len(d.parts), reverse=True):
+        d.rmdir()
 
 
 def _check_threads(threads: int) -> None:

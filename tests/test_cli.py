@@ -358,6 +358,46 @@ class TestScenarios:
         assert {p.name: p.read_bytes() for p in (tmp_path / "r1").iterdir()} == before
         run(cfg, tmp_path, overwrite=True)
 
+    def test_overwrite_refuses_a_file_it_never_wrote(self, tmp_path):
+        cfg = config_from_text("run.scenario = bgk\nrun.id = r4\n")
+        run(cfg, tmp_path)
+        out = tmp_path / "r4"
+        (out / "my_notes.txt").write_text("not written by hmflab")
+        (out / "sub").mkdir()
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        with pytest.raises(RunRefusedError, match="my_notes.txt"):
+            run(cfg, tmp_path, overwrite=True)
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+        assert (out / "sub").is_dir()
+        (out / "my_notes.txt").unlink()
+        with pytest.raises(RunRefusedError, match="r4/sub was not written"):  # empty, foreign
+            run(cfg, tmp_path, overwrite=True)
+        (out / "sub").rmdir()
+        run(cfg, tmp_path, overwrite=True)
+
+    def test_overwrite_deletes_the_listed_files(self, tmp_path):
+        cfg = config_from_text("run.scenario = bgk\nrun.id = r5\n")
+        first = run(cfg, tmp_path).data["files"]
+        out = tmp_path / "r5"
+        (out / "manifest.json.tmp").write_text("{}")  # left by an interrupted write
+        second = run(cfg, tmp_path, overwrite=True).data["files"]
+        assert second == first
+        assert sorted(p.name for p in out.iterdir()) == sorted([*first, "manifest.json"])
+
+    def test_sweep_overwrite(self, tmp_path):
+        cfg = config_from_text(
+            "run.scenario = sweep\nrun.id = sw-3\nsweep.scenario = weights\n"
+            "sweep.axis = weights.d_t\nsweep.values = 0.05, 0.1\nweights.T = 20\n"
+        )
+        first = run(cfg, tmp_path).data
+        second = run(cfg, tmp_path, overwrite=True).data
+        assert first["files"] == second["files"]
+        assert "runs/001/member/weights.csv" in second["files"]
+        assert (tmp_path / "sw-3" / "runs" / "001" / "member" / "manifest.json").is_file()
+        (tmp_path / "sw-3" / "runs" / "001" / "extra.csv").write_text("x")
+        with pytest.raises(RunRefusedError, match="extra.csv"):
+            run(cfg, tmp_path, overwrite=True)
+
     def test_foreign_directory_never_cleared(self, tmp_path):
         foreign = tmp_path / "r3"
         foreign.mkdir()

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from hmflab.evolution import FieldSeries, Trajectory
 from hmflab.norms import (
+    _march_budget,
     a_infinity,
     functional_M,
     functional_N,
@@ -36,6 +39,51 @@ def make_traj(fields, times):
     )
 
 
+def reference_rk4_scalar(f, y0, t0, t1, n_steps):
+    """The generic RK4 loop ``_march_budget`` was specialised from."""
+    h = (t1 - t0) / n_steps
+    ys = np.empty(n_steps + 1)
+    ys[0] = y = y0
+    t = t0
+    for i in range(n_steps):
+        k1 = f(t, y)
+        k2 = f(t + h / 2, y + h * k1 / 2)
+        k3 = f(t + h / 2, y + h * k2 / 2)
+        k4 = f(t + h, y + h * k3)
+        y = y + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6
+        t = t0 + (i + 1) * h
+        ys[i + 1] = y
+    return ys
+
+
+def budget_rhs(delta):
+    return lambda t, a: -delta * math.exp(-a * t) * (1.0 + t)
+
+
+class TestMarchBudget:
+    @pytest.mark.parametrize("T", [5.0, 40.0, 200.0])
+    @pytest.mark.parametrize("delta", [1e-4, 1e-3, 1e-2, 1.0])
+    def test_backward_march_bit_identical(self, T, delta):
+        n = int(round(T / 0.01))
+        ref = reference_rk4_scalar(budget_rhs(delta), 0.0, T, 0.0, n)
+        assert np.array_equal(_march_budget(delta, 0.0, T, 0.0, n), ref)
+        assert np.array_equal(solve_a(T, delta, 0.01).a, ref[::-1])
+
+    @pytest.mark.parametrize("delta, t_max", [(1e-3, 100.0), (1e-2, 7.3), (1.0, 20.0)])
+    def test_a_infinity_forward_march_bit_identical(self, delta, t_max):
+        w = a_infinity(delta, t_max, 0.01)
+        n = int(round(t_max / 0.01))
+        ref = reference_rk4_scalar(budget_rhs(delta), w.a0, 0.0, t_max, n)
+        assert np.array_equal(w.a, ref)
+
+    def test_overflow_still_raises(self):
+        # a negative start drives e^{-a t} past the float range
+        with pytest.raises(OverflowError):
+            reference_rk4_scalar(budget_rhs(1.0), -50.0, 0.0, 40.0, 400)
+        with pytest.raises(OverflowError):
+            _march_budget(1.0, -50.0, 0.0, 40.0, 400)
+
+
 class TestSolveA:
     def test_terminal_condition_and_shape(self):
         w = solve_a(50.0, 1e-3, 0.01)
@@ -56,6 +104,12 @@ class TestSolveA:
     def test_frozen_value(self):
         # regression value from the backward integration at d_t = 0.01
         assert solve_a(200.0, 1e-3, 0.01).a0 == pytest.approx(0.16735993683, abs=1e-8)
+
+    def test_samples_labelled_on_the_step_lattice(self):
+        # n = round(1.0 / 0.3) = 3 steps of 1/3: the last sample is a(1.0) = 0
+        w = solve_a(1.0, 1e-3, 0.3)
+        assert w.t[-1] == 1.0 and w.a[-1] == 0.0
+        assert np.array_equal(w.t, np.arange(4) * (1.0 / 3.0))
 
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
@@ -79,6 +133,11 @@ class TestAInfinity:
         assert np.all(w.a > 0)
         for T in (50.0, 100.0, 200.0):
             assert w.a0 >= solve_a(T, 1e-3, 0.01).a0 - 1e-12
+
+    def test_samples_labelled_on_the_step_lattice(self):
+        w = a_infinity(1e-3, 1.0, 0.3)
+        assert w.t[-1] == 1.0
+        assert np.array_equal(w.t, np.arange(4) * (1.0 / 3.0))
 
     def test_limit_value_band(self):
         # the limit function sits on the separatrix; its tail decays like

@@ -1,13 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.special import ive
 
+from hmflab import profiles
 from hmflab.profiles import (
     bgk_to_field,
     kernel_j,
     lorentzian,
     make_asymptotic_datum,
     maxwellian,
+    omega_curve,
     omega_of_nu,
     solve_bgk,
 )
@@ -100,6 +104,76 @@ class TestAsymptoticDatum:
             make_asymptotic_datum(1.0, {1: 1.0}, 1.0, self.grid, shape="boxcar")
         with pytest.raises(ValueError):
             make_asymptotic_datum(1.0, {7: 1.0}, 1.0, self.grid)
+
+
+def reference_omega_of_nu(beta, nu):
+    """The per-nu magnetization ``omega_curve`` was blocked from."""
+    if nu == 0.0:
+        return 0.0
+    x = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
+    w = np.exp(beta * nu * np.cos(x))
+    return float(np.sum(np.cos(x) * w) / np.sum(w))
+
+
+def reference_solve_bgk(beta):
+    """``solve_bgk`` on the per-nu magnetization: (nu, z_norm, residual) or None."""
+    g = lambda nu: reference_omega_of_nu(beta, nu) - nu
+    grid = np.linspace(1e-6, 2.0, 800)
+    vals = np.array([g(v) for v in grid])
+    crossings = np.where((vals[:-1] > 0) & (vals[1:] <= 0))[0]
+    if crossings.size == 0:
+        return None
+    lo, hi = grid[crossings[0]], grid[crossings[0] + 1]
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if g(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-12:
+            break
+    nu = 0.5 * (lo + hi)
+    x = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
+    z_norm = math.sqrt(2.0 * math.pi / beta) * float(np.mean(np.exp(beta * nu * np.cos(x))))
+    return nu, z_norm, abs(g(nu))
+
+
+BGK_BETAS = [0.5, 2.05, 3.0, 10.0]
+
+
+class TestOmegaCurve:
+    @pytest.mark.parametrize("beta", BGK_BETAS)
+    @pytest.mark.parametrize(
+        "nus",
+        [
+            # the bracket scan of solve_bgk and the rows of bgk.csv (nu = 0
+            # included) both end in a partial block
+            np.linspace(1e-6, 2.0, 800),
+            np.linspace(0.0, 1.5, 151),
+            np.linspace(-2.0, 2.0, 2 * profiles._NU_BLOCK),
+            np.array([0.3]),
+        ],
+        ids=["scan-800", "csv-151", "two-blocks", "one"],
+    )
+    def test_bit_identical_to_per_nu_formula(self, beta, nus):
+        ref = np.array([reference_omega_of_nu(beta, v) for v in nus])
+        assert np.array_equal(omega_curve(beta, nus), ref)
+
+    @pytest.mark.parametrize("beta", BGK_BETAS)
+    def test_solve_bgk_bit_identical(self, beta):
+        state = solve_bgk(beta)
+        ref = reference_solve_bgk(beta)
+        if ref is None:
+            assert state is None
+        else:
+            assert (state.beta, state.nu, state.z_norm, state.residual) == (beta, *ref)
+
+    def test_rejects_bad_beta(self):
+        for beta in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                omega_curve(beta, np.array([0.5]))
+            with pytest.raises(ValueError):
+                omega_of_nu(beta, 0.0)
 
 
 class TestOmegaOfNu:
