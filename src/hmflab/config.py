@@ -250,6 +250,10 @@ _POSITIVE = (
 )
 
 
+def _is_whole(x: float) -> bool:
+    return abs(x - round(x)) <= 1e-9
+
+
 def _validate(cfg: RunConfig, origin: str) -> None:
     v = cfg.values
     scenario = cfg.scenario
@@ -289,8 +293,7 @@ def _validate(cfg: RunConfig, origin: str) -> None:
         tau = v.get("evolve.tau", 0.0)
 
         def whole_steps(T):
-            n = (T - tau) / v["evolve.d_t"]
-            return abs(n - round(n)) <= 1e-9
+            return _is_whole((T - tau) / v["evolve.d_t"])
 
         rule(tau < v["evolve.T"], "evolve.tau < evolve.T (tau is 0 in forward and compare)")
         rule(whole_steps(v["evolve.T"]), "evolve.T - evolve.tau is a whole number of evolve.d_t steps")
@@ -309,6 +312,11 @@ def _validate(cfg: RunConfig, origin: str) -> None:
         rule(0 < v["weights.d_t"] <= v["weights.T"], "0 < weights.d_t <= weights.T")
         rule(v["weights.d_t"] <= v["weights.t_max"], "weights.d_t <= weights.t_max")
         rule(all(d > 0 for d in v["weights.delta_list"]), "weights.delta_list entries > 0")
+        # weights.csv pairs a_T and a_inf row by row, so both marches step by weights.d_t
+        rule(_is_whole(v["weights.T"] / v["weights.d_t"]),
+             "weights.T is a whole number of weights.d_t steps")
+        rule(_is_whole(v["weights.t_max"] / v["weights.d_t"]),
+             "weights.t_max is a whole number of weights.d_t steps")
     if scenario in _WITH_PICARD:
         rule(v["picard.max_iters"] >= 1, "picard.max_iters >= 1")
     if scenario == "nonperturbative":

@@ -35,10 +35,25 @@ def fmt(x) -> str:
     return str(x)
 
 
-def write_csv(path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
+def write_csv(path, header: list[str], columns) -> None:
+    """Write equal-length ``columns`` under ``header``, the bytes ``fmt`` gives per value.
+
+    A float64 ndarray column becomes Python floats by one ``tolist`` and is
+    formatted by the row template's ``{:.17g}``, the spec ``fmt`` uses for
+    floats; any other column goes through ``fmt`` value by value first.
+    """
+    cells, specs = [], []
+    for col in columns:
+        if isinstance(col, np.ndarray) and col.dtype == np.float64:
+            cells.append(col.tolist())
+            specs.append("{:.17g}")
+        else:
+            cells.append([fmt(v) for v in col])
+            specs.append("{}")
+    if len({len(c) for c in cells}) > 1:
+        raise ValueError(f"CSV columns differ in length: {[len(c) for c in cells]}")
+    row = ",".join(specs).format
+    lines = [",".join(header), *(row(*values) for values in zip(*cells))]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -12,7 +12,6 @@ import json
 import math
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -115,17 +114,27 @@ def _evolution_params(cfg: RunConfig):
     )
 
 
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """|z| elementwise, bit for bit the scalar ``abs`` of each entry.
+
+    ``np.abs`` on a complex array may take a SIMD loop that differs from the
+    scalar modulus in the last bit; ``np.hypot`` on the parts does not.
+    """
+    return np.hypot(z.real, z.imag)
+
+
 def _write_solution(out, traj, trace):
+    zeta = traj.series.zeta1
     write_csv(
         out / "zeta.csv",
         ["t", "re_zeta1", "im_zeta1", "abs_zeta1"],
-        ((t, z.real, z.imag, abs(z)) for t, z in zip(traj.series.t, traj.series.zeta1)),
+        [traj.series.t, zeta.real, zeta.imag, _modulus(zeta)],
     )
     if trace is not None:  # sweep 1 has no contraction ratio
         write_csv(
             out / "picard.csv",
             ["iter", "sup_diff", "contraction_ratio"],
-            zip(range(1, len(trace.sup_diffs) + 1), trace.sup_diffs, [math.nan, *trace.contraction_ratios]),
+            [range(1, len(trace.sup_diffs) + 1), trace.sup_diffs, [math.nan, *trace.contraction_ratios]],
         )
     write_snapshots(out / "snapshots.bin", out / "snapshots.json", traj.grid, traj.times, traj.snapshots)
 
@@ -179,7 +188,7 @@ def _run_stability(cfg: RunConfig, out: Path) -> dict:
 def _run_bgk(cfg: RunConfig, out: Path) -> dict:
     beta = cfg.values["bgk.beta"]
     nus = np.linspace(0.0, 1.5, 151)
-    write_csv(out / "bgk.csv", ["nu", "omega"], zip(nus, omega_curve(beta, nus)))
+    write_csv(out / "bgk.csv", ["nu", "omega"], [nus, omega_curve(beta, nus)])
     state = solve_bgk(beta)
     payload = {"beta": beta, "has_fixed_point": state is not None}
     if state is not None:
@@ -206,7 +215,7 @@ def _run_weights(cfg: RunConfig, out: Path) -> dict:
     write_csv(
         out / "weights.csv",
         ["t", "a_T", "a_inf"],
-        ((w_T.t[i], w_T.a[i], w_inf.a[i]) for i in range(n)),
+        [w_T.t[:n], w_T.a[:n], w_inf.a[:n]],
     )
     write_json(
         out / "weights.json",
@@ -259,7 +268,8 @@ def _run_backward(cfg: RunConfig, out: Path) -> dict:
         write_csv(
             out / "cauchy.csv",
             ["t_star", "zeta_diff", "h_diff", "extension_zeta_diff"],
-            zip(cont.t_values, cont.zeta_diffs, cont.h_diffs, cont.extension_zeta_diffs),
+            # row i compares windows i and i + 1 on the shorter one, labelled by its T
+            [cont.t_values[:-1], cont.zeta_diffs, cont.h_diffs, cont.extension_zeta_diffs],
         )
     traj, trace = cont.last_trajectory, cont.traces[-1]
     _write_solution(out, traj, trace)
@@ -302,10 +312,8 @@ def _run_nonperturbative(cfg: RunConfig, out: Path) -> dict:
         write_csv(
             out / "echoes.csv",
             ["t", "abs_b_plus", "abs_b_minus", "abs_b_plus_reconstructed"],
-            (
-                (split.t[i], abs(split.b_plus[i]), abs(split.b_minus[i]), abs(split.b_plus_reconstructed[i]))
-                for i in range(len(split.t))
-            ),
+            [split.t, _modulus(split.b_plus), _modulus(split.b_minus),
+             _modulus(split.b_plus_reconstructed)],
         )
     weight = solve_a(scfg.T, 1.0, scfg.d_t)
     w_inf = a_infinity(1.0, max(scfg.tau, 1.0), min(scfg.d_t, 0.01))
@@ -342,17 +350,12 @@ def _run_compare(cfg: RunConfig, out: Path) -> dict:
         )
         rough_forward = forward_solve(rough, _evolution_params(cfg))
     report = compare_backward_forward(traj, scfg, forward_rough=rough_forward)
-    rows = []
-    for i, t in enumerate(report.backward_profile.t):
-        row = [t, report.backward_profile.mu_star[i]]
-        if report.forward_profile is not None:
-            j = int(np.argmin(np.abs(report.forward_profile.t - t)))
-            row.append(report.forward_profile.mu_star[j])
-        rows.append(tuple(row))
-    header = ["t", "mu_star_backward"] + (
-        ["mu_star_forward"] if report.forward_profile is not None else []
-    )
-    write_csv(out / "profiles.csv", header, rows)
+    back, fwd = report.backward_profile, report.forward_profile
+    header, columns = ["t", "mu_star_backward"], [back.t, back.mu_star]
+    if fwd is not None:  # the forward value at the nearest forward snapshot time
+        header.append("mu_star_forward")
+        columns.append(fwd.mu_star[[int(np.argmin(np.abs(fwd.t - t))) for t in back.t]])
+    write_csv(out / "profiles.csv", header, columns)
     write_json(
         out / "compare.json",
         {
@@ -490,25 +493,23 @@ def sweep(cfg: RunConfig, out: Path, threads: int = 1) -> dict:
     values = cfg.values["sweep.values"]
     jobs = [(cfg, v, str(out / "runs" / f"{i:03d}")) for i, v in enumerate(values)]
     if threads > 1:
+        # imported here: the pool module costs about 2 MB in every process
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
             results = list(pool.map(_sweep_member, jobs))
     else:
         results = [_sweep_member(j) for j in jobs]
-    rows = [  # a failed member's record holds only value, ok and error
-        (
-            r["value"],
-            r.get("converged", False),
-            r.get("lambda_fit", math.nan),
-            r.get("contraction_ratio", math.nan),
-            r.get("m_norm", math.nan),
-            r.get("n_norm", math.nan),
-        )
-        for r in results
+    keys = ("lambda_fit", "contraction_ratio", "m_norm", "n_norm")
+    columns = [  # a failed member's record holds only value, ok and error
+        [r["value"] for r in results],
+        [r.get("converged", False) for r in results],
+        *([r.get(key, math.nan) for r in results] for key in keys),
     ]
     write_csv(
         out / "sweep.csv",
         ["axis_value", "converged", "lambda_fit", "contraction_ratio", "M_norm", "N_norm"],
-        rows,
+        columns,
     )
     failures = {fmt(r["value"]): r["error"] for r in results if not r["ok"]}
     headline = {

@@ -20,6 +20,8 @@ from typing import Callable
 
 import numpy as np
 
+_SIGMA_BLOCK = 128  # sigma rows per phase block of the Laplace scan
+
 
 class StabilityViolation(RuntimeError):
     """Resolvent mass blew past the cap: the kernel fails the stability test."""
@@ -181,9 +183,13 @@ def _laplace_many(kernel: KernelOnGrid, sigmas: np.ndarray) -> np.ndarray:
 
     On the uniform grid, node k = j B + r with B = ceil(sqrt(n)) has
     e^{-sigma t_k} = e^{-sigma t_{jB}} e^{-sigma (t_r - t_0)}, so the sum is
-    one (n_sigma x B) @ (B x J) product of the small phases with the
-    weighted values blocked by j, then a row-wise dot with the block phases:
-    n_sigma (B + J) exponentials and O(n_sigma sqrt n) memory, not n_sigma n.
+    one (rows x B) @ (B x J) product of the small phases with the weighted
+    values blocked by j, then a row-wise dot with the block phases:
+    n_sigma (B + J) exponentials instead of n_sigma n.  The sigmas go in
+    nearly equal blocks of at most ``_SIGMA_BLOCK`` rows, so the scratch is
+    O(_SIGMA_BLOCK sqrt n) whatever n_sigma; no block is a single row unless
+    the whole scan is, since a one-row product takes BLAS's matrix-vector
+    path and rounds differently.
     """
     t = kernel.t
     n = len(t)
@@ -191,9 +197,16 @@ def _laplace_many(kernel: KernelOnGrid, sigmas: np.ndarray) -> np.ndarray:
     n_blocks = -(-n // block)  # J = ceil(n / B), the last block zero-padded
     wk = np.zeros(n_blocks * block, dtype=np.complex128)
     wk[:n] = _simpson_weights(n, kernel.d_t) * kernel.values
-    # m[s, j] = sum_r e^{-sigma_s (t_r - t_0)} wk[j B + r]
-    m = np.exp(-np.outer(sigmas, t[:block] - t[0])) @ wk.reshape(n_blocks, block).T
-    return np.einsum("sj,sj->s", np.exp(-np.outer(sigmas, t[::block])), m)
+    wk_blocked = wk.reshape(n_blocks, block).T
+    offsets, starts = t[:block] - t[0], t[::block]
+    out = np.empty(len(sigmas), dtype=np.complex128)
+    lo = 0
+    for rows in np.array_split(sigmas, max(1, -(-len(sigmas) // _SIGMA_BLOCK))):
+        # m[s, j] = sum_r e^{-sigma_s (t_r - t_0)} wk[j B + r]
+        m = np.exp(-np.outer(rows, offsets)) @ wk_blocked
+        out[lo : lo + len(rows)] = np.einsum("sj,sj->s", np.exp(-np.outer(rows, starts)), m)
+        lo += len(rows)
+    return out
 
 
 def stability_margin(

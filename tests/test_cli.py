@@ -1,5 +1,10 @@
+import concurrent.futures
 import json
+import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -9,7 +14,7 @@ import pytest
 from hmflab import runner
 from hmflab.cli import main
 from hmflab.config import SCENARIOS, ConfigError, config_from_text, load_config
-from hmflab.outputs import read_snapshots, sha256_of, write_snapshots
+from hmflab.outputs import fmt, read_snapshots, sha256_of, write_csv, write_snapshots
 from hmflab.profiles import solve_bgk
 from hmflab.runner import RunRefusedError, run
 from hmflab.spectral import make_grid
@@ -187,6 +192,12 @@ class TestLoadConfig:
                          id="weights-T-negative"),
             pytest.param(WEIGHTS + "weights.t_max = 0", "weights.d_t <= weights.t_max",
                          id="weights-t_max-0"),
+            # weights.csv pairs a_T and a_inf row by row, so both lattices must be d_t's
+            pytest.param(WEIGHTS + "weights.T = 200\nweights.d_t = 0.03\nweights.t_max = 100",
+                         "weights.T is a whole number of weights.d_t steps", id="weights-T-off-step"),
+            pytest.param(WEIGHTS + "weights.T = 30\nweights.d_t = 0.03\nweights.t_max = 100",
+                         "weights.t_max is a whole number of weights.d_t steps",
+                         id="weights-t_max-off-step"),
             pytest.param("profile.beta = 0", "profile.beta > 0", id="profile-beta-0"),
             pytest.param("run.scenario = stability\nrun.id = x\nprofile.kind = lorentzian\n"
                          "profile.scale = -1", "profile.scale > 0", id="profile-scale-negative"),
@@ -280,6 +291,39 @@ class TestSnapshotFile:
             tracemalloc.stop()
         assert (tmp_path / "s.bin").stat().st_size == 4 + 24 + block.nbytes
         assert peak < 0.1 * block.nbytes
+
+
+class TestCsv:
+    def test_columns_give_the_bytes_of_fmt(self, tmp_path):
+        floats = np.array([0.1, -0.0, math.nan, math.inf, -math.inf, 1 / 3, 5e-324, 1e300])
+        columns = [
+            floats,
+            np.arange(8),
+            [True, False, np.bool_(True), False, True, True, False, False],
+            [1, 2.5, -0.0, math.nan, math.inf, np.float64(1e-7), np.int64(-3), "x"],
+            np.linspace(-1.0, 1.0, 8, dtype=np.float32),
+            -floats[::-1],
+        ]
+        header = [f"c{i}" for i in range(len(columns))]
+        expected = [",".join(header)] + [",".join(fmt(v) for v in row) for row in zip(*columns)]
+        write_csv(tmp_path / "mixed.csv", header, columns)
+        assert (tmp_path / "mixed.csv").read_text() == "\n".join(expected) + "\n"
+        write_csv(tmp_path / "floats.csv", ["a", "b"], [floats, -floats])
+        expected = ["a,b"] + [f"{fmt(a)},{fmt(-a)}" for a in floats]
+        assert (tmp_path / "floats.csv").read_text() == "\n".join(expected) + "\n"
+
+    def test_ragged_columns_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="differ in length"):
+            write_csv(tmp_path / "r.csv", ["a", "b"], [np.zeros(3), [1, 2]])
+
+    def test_modulus_is_the_scalar_abs(self):
+        # np.abs on a complex array may take a SIMD loop that rounds differently
+        rng = np.random.default_rng(5)
+        z = (rng.standard_normal(4000) + 1j * rng.standard_normal(4000)) * np.exp(
+            rng.uniform(-600.0, 600.0, 4000)
+        )
+        z[:4] = [0.0, -0.0j, complex(math.inf, 1.0), complex(3e-310, -4e-310)]
+        assert runner._modulus(z).tolist() == [abs(v) for v in z]
 
 
 class TestScenarios:
@@ -472,6 +516,14 @@ class TestScenarios:
 
 
 class TestSweep:
+    def test_process_pool_imported_only_for_parallel_sweeps(self):
+        # the pool module adds about 2 MB to every process that imports it
+        code = "import sys, hmflab.runner; print('concurrent.futures.process' in sys.modules)"
+        src = str(Path(runner.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert done.stdout.strip() == "False"
+
     def test_epsilon_sweep(self, tmp_path):
         cfg = config_from_text(
             BACKWARD_SMALL.replace("run.scenario = backward", "run.scenario = sweep")
@@ -582,7 +634,7 @@ class TestSweep:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         cfg = config_from_text(
             "run.scenario = sweep\nrun.id = sw-pool\nsweep.scenario = bgk\n"
             f"sweep.axis = bgk.beta\nsweep.values = {values}\n"

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -73,6 +74,33 @@ def laplace_outer(kernel, sigmas, rows=64):
     )
 
 
+def laplace_one_shot(kernel, sigmas):
+    """The factored scan with every sigma in one phase block: the bit-level
+    reference for ``_laplace_many``, whose sigma blocks must move no value."""
+    t = kernel.t
+    n = len(t)
+    block = math.isqrt(n - 1) + 1
+    n_blocks = -(-n // block)
+    wk = np.zeros(n_blocks * block, dtype=np.complex128)
+    wk[:n] = _simpson_weights(n, kernel.d_t) * kernel.values
+    m = np.exp(-np.outer(sigmas, t[:block] - t[0])) @ wk.reshape(n_blocks, block).T
+    return np.einsum("sj,sj->s", np.exp(-np.outer(sigmas, t[::block])), m)
+
+
+def scan_sigmas(n_scan):
+    """The sigma points ``stability_margin`` scans for the criterion-1 kernel."""
+    seen = []
+
+    def record(kernel, sig):
+        seen.append(sig)
+        return laplace_one_shot(kernel, sig)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(volterra, "_laplace_many", record)
+        stability_margin(kernel_j(maxwellian(), 1).sample(25.0, 5e-3), 20.0, n_scan)
+    return seen[0]
+
+
 def bgk_background_kernel():
     _, background = bgk_to_field(solve_bgk(3.0), make_grid(2, 12.0, 0.1, 8.0))
     return kernel_j(background, 1)
@@ -126,6 +154,37 @@ class TestFactoredScan:
         assert abs(rep.margin - ref.margin) <= 1e-14
         assert rep.argmin_sigma == ref.argmin_sigma
         assert rep.satisfied == ref.satisfied
+
+    @pytest.mark.parametrize("name", sorted(SCAN_KERNELS))
+    @pytest.mark.parametrize("n_nodes, d_t", [(2500, 1e-2), (5001, 5e-3), (2, 0.5)])
+    def test_blocks_bit_identical(self, name, n_nodes, d_t):
+        # around one and two blocks of sigma rows, where a split could leave a single row
+        make, factor = SCAN_KERNELS[name]
+        k = make().sample((n_nodes - 1) * d_t, d_t).scaled(factor)
+        for count in (1, 2, 127, 128, 129, 257):
+            sig = 0.5 * (np.arange(count) % 3) + 1j * np.linspace(-20.0, 20.0, count)
+            assert np.array_equal(_laplace_many(k, sig), laplace_one_shot(k, sig)), count
+
+    @pytest.mark.parametrize("n_scan, count", [(601, 1746), (801, 2146), (1201, 2946)])
+    def test_shipped_scans_bit_identical(self, n_scan, count):
+        # perfbench analysis, the non-perturbative margin and criterion 1, stability.cfg
+        sig = scan_sigmas(n_scan)
+        assert len(sig) == count
+        for name, (make, factor) in sorted(SCAN_KERNELS.items()):
+            k = make().sample(25.0, 5e-3).scaled(factor)
+            assert np.array_equal(_laplace_many(k, sig), laplace_one_shot(k, sig)), name
+
+    def test_scan_memory_bounded(self):
+        # stability.cfg: 2,946 sigmas on 25,001 nodes; one phase block of all
+        # the sigmas takes 22.9 MB here, 128-row blocks about 1.5 MB
+        k = kernel_j(maxwellian(), 1).sample(25.0, 1e-3)
+        tracemalloc.start()
+        try:
+            stability_margin(k, 20.0, 1201)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     def test_scan_memory_sublinear(self):
         # the full phase matrix of this scan alone is 2146 x 5001 complex (172 MB)
