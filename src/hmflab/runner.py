@@ -130,11 +130,12 @@ def _write_solution(out, traj, trace):
         ["t", "re_zeta1", "im_zeta1", "abs_zeta1"],
         [traj.series.t, zeta.real, zeta.imag, _modulus(zeta)],
     )
-    if trace is not None:  # sweep 1 has no contraction ratio
+    if trace is not None:  # sweep 1 has no contraction ratio; a sweep-1 blow-up has no rows
+        n = len(trace.sup_diffs)
         write_csv(
             out / "picard.csv",
             ["iter", "sup_diff", "contraction_ratio"],
-            [range(1, len(trace.sup_diffs) + 1), trace.sup_diffs, [math.nan, *trace.contraction_ratios]],
+            [range(1, n + 1), trace.sup_diffs, [math.nan, *trace.contraction_ratios][:n]],
         )
     write_snapshots(out / "snapshots.bin", out / "snapshots.json", traj.grid, traj.times, traj.snapshots)
 

@@ -383,6 +383,17 @@ class TestScenarios:
             expected.add("cauchy.csv")
         assert {p.name for p in (tmp_path / "bw-1").iterdir()} == expected
 
+    def test_backward_blow_up_in_first_sweep_reported(self, tmp_path, monkeypatch):
+        """Divergence in Picard sweep 1 is a result: a header-only picard.csv, status ok."""
+        from hmflab import evolution
+
+        monkeypatch.setattr(evolution, "_OVERFLOW_CAP", 1e-3)  # the first transport march
+        manifest = run(config_from_text(BACKWARD_SMALL), tmp_path)
+        assert manifest.data["status"] == "ok"
+        assert manifest.data["headline"]["converged"] is False
+        lines = (tmp_path / "bw-1" / "picard.csv").read_text().splitlines()
+        assert lines == ["iter,sup_diff,contraction_ratio"]
+
     def test_manifest_lists_all_files(self, tmp_path):
         cfg = config_from_text(BACKWARD_SMALL)
         manifest = run(cfg, tmp_path)
