@@ -3,8 +3,9 @@
 Scenario files are plain text, one ``section.key = value`` per line with
 ``#`` comments.  Every key must belong to the schema and be applicable to
 the configured scenario; there are no silent defaults for misspelled
-keys.  Cross-field rules (window ordering, grid support of the horizon)
-are checked up front so a run fails before any work happens.
+keys.  Cross-field rules (window ordering, grid support of the horizon,
+the reach of a margin scan) are checked up front so a run fails before
+any work happens.
 """
 
 from __future__ import annotations
@@ -12,6 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from .profiles import Profile, kernel_j, lorentzian, maxwellian
+from .scattering import _MARGIN_SCAN, _margin_kernel
+from .volterra import KernelOnGrid, transform_bound
 
 
 class ConfigError(ValueError):
@@ -254,6 +259,20 @@ def _is_whole(x: float) -> bool:
     return abs(x - round(x)) <= 1e-9
 
 
+def _profile_from(cfg: RunConfig) -> Profile:
+    """The background a forward, backward, compare or stability config names."""
+    kind = cfg.values["profile.kind"]
+    if kind == "maxwellian":
+        return maxwellian(beta=cfg.values["profile.beta"])
+    return lorentzian(scale=cfg.values["profile.scale"])
+
+
+def _stability_kernel(cfg: RunConfig) -> KernelOnGrid:
+    """The sampled j_1 whose transform a stability run scans."""
+    v = cfg.values
+    return kernel_j(_profile_from(cfg), 1).sample(v["stability.t_max"], v["stability.d_t"])
+
+
 def _validate(cfg: RunConfig, origin: str) -> None:
     v = cfg.values
     scenario = cfg.scenario
@@ -323,12 +342,24 @@ def _validate(cfg: RunConfig, origin: str) -> None:
         rule(v["evolve.epsilon"] == 1.0, "evolve.epsilon == 1 in non-perturbative mode")
         # below the bifurcation the BGK family has no self-consistent state to run from
         rule(v["bgk.beta"] > 2, "bgk.beta > 2 in non-perturbative mode")
+        # the run scans the margin of the bgk.beta Maxwellian's kernel before it solves,
+        # and the scan needs |L| under 1/2 beyond its fixed |omega| range
+        kernel = _margin_kernel(maxwellian(beta=v["bgk.beta"]), v["evolve.T"], v["evolve.tau"],
+                                v["evolve.sign"])
+        bound = transform_bound(kernel) / _MARGIN_SCAN[0]
+        rule(bound <= 0.5, f"|L| <= 1/2 beyond the kernel-margin scan's |omega| <= "
+             f"{_MARGIN_SCAN[0]:g} for bgk.beta = {v['bgk.beta']:g} (bound there {bound:.3f})")
     if scenario == "stability":
         rule(v["stability.n_scan"] >= 2, "stability.n_scan >= 2")
         rule(0 < v["stability.d_t"] <= v["stability.t_max"], "0 < stability.d_t <= stability.t_max")
         if v["stability.m_bound"] is not None:
             lam = v["stability.lambda"]
             rule(lam is not None and lam > 0, "stability.lambda > 0 when stability.m_bound is set")
+        # the scan covers |omega| <= stability.omega_max, and beyond it |L| must stay under 1/2
+        bound = transform_bound(_stability_kernel(cfg)) / v["stability.omega_max"]
+        key = "profile.beta" if v["profile.kind"] == "maxwellian" else "profile.scale"
+        rule(bound <= 0.5, f"|L| <= 1/2 beyond stability.omega_max for the {key} = {v[key]:g} "
+             f"kernel (bound there {bound:.3f})")
     if scenario == "backward" and v.get("backward.T_list"):
         ts = v["backward.T_list"]
         rule(all(b > a for a, b in zip(ts, ts[1:])), "backward.T_list strictly increasing")

@@ -34,9 +34,9 @@ from .spectral import (
     Grid,
     GridError,
     TruncationCounters,
-    _sample_point,
     _shift_plan,
     _ShiftPlan,
+    _stencil,
     shift_rows,
 )
 
@@ -143,22 +143,30 @@ class Trajectory:
 
 
 def extract_zeta(
-    coeffs: np.ndarray,
-    grid: Grid,
-    t: float,
-    counters: TruncationCounters | None = None,
+    coeffs: np.ndarray, grid: Grid, t: float, counters: TruncationCounters
 ) -> complex:
     """Field readout zeta_1(t) = h_1(t, t) from a coefficient array.
 
-    Mode -1 is not read: for a real state zeta_{-1} = conj(zeta_1).
+    Mode -1 is not read: for a real state zeta_{-1} = conj(zeta_1).  In scalar
+    arithmetic, the same value and counter update as ``sample_mode`` at [t].
     """
     if abs(t) > grid.xi_max:
         raise ValueError(f"readout time {t} beyond the frequency cutoff {grid.xi_max}")
-    return _sample_point(coeffs, grid, 1, t, counters)
+    row = coeffs[grid.mode_index(1)]
+    edge = max(abs(row[0]), abs(row[-1]))
+    if edge > counters.max_edge_magnitude:
+        counters.max_edge_magnitude = float(edge)
+    _, b, w = _stencil((t + grid.xi_max) / grid.d_xi)
+    n_xi = grid.n_xi  # a computed property: read it once, not per stencil node
+    acc = np.complex128(0.0)
+    for m, wm in zip((-1, 0, 1, 2), w):
+        if 0 <= b + m < n_xi:
+            acc += wm * row[b + m]
+    return complex(acc)
 
 
 class _RK4Work:
-    """Preallocated blocks and per-time tables for the half-spectrum RK4 stages of one solve.
+    """One solve's background, coupling and force, and the blocks and per-time tables of its RK4.
 
     Every right-hand side writes into these instead of allocating: the two
     shifted copies of the state, one weighted term, the coupling
@@ -172,16 +180,17 @@ class _RK4Work:
     - ``shift_plans(t)`` keeps the ``shift_rows`` plans of the reads at
       xi -+ t, scalars only, for every time the solve has read, so each
       Picard sweep after the first reuses them;
-    - ``stage_rows(t, profile)`` keeps (xi - n t) and eta'(xi - t) for the
-      latest (time, profile) pair, since the march reads t, t_mid, t_mid,
-      t_next off one node grid and starts the next step at that t_next.
-    Both return what a fresh computation would, so the result is the same
-    bytes with or without them.
+    - ``stage_rows(t)`` keeps (xi - n t) and eta'(xi - t) for the latest
+      time, since the march reads t, t_mid, t_mid, t_next off one node grid
+      and starts the next step at that t_next.
+    Both return what a fresh computation would, so a work reused across
+    times and sweeps gives the bytes a fresh one does.
     """
 
-    def __init__(self, grid: Grid):
+    def __init__(self, grid: Grid, profile: Profile, epsilon: float, sign: float):
         half = (grid.n_max + 1, grid.n_xi)
         self.grid = grid
+        self.profile, self.epsilon, self.sign = profile, epsilon, sign
         self.xi = grid.xi
         self.n_col = np.arange(grid.n_max + 1.0)[:, None]
         (self.sp, self.term, self.acc, self.k1, self.k2, self.k3, self.k4) = (
@@ -190,9 +199,9 @@ class _RK4Work:
         self.sm = np.empty((grid.n_max, grid.n_xi), dtype=np.complex128)
         self.stage = np.zeros((grid.n_modes, grid.n_xi), dtype=np.complex128)
         self._plans = {}
-        # the latest stage time: (t, profile), eta'(xi - t) and (xi - n t); the
-        # last is stored complex, the type numpy casts it to for the product with h
-        self._key = (None, None)
+        # the latest stage time, eta'(xi - t) and (xi - n t); the last is
+        # stored complex, the type numpy casts it to for the product with h
+        self._t = None
         self._eta_row = None
         self._fac = np.empty(half, dtype=np.complex128)
 
@@ -206,51 +215,40 @@ class _RK4Work:
             )
         return plans
 
-    def stage_rows(self, t: float, profile: Profile) -> tuple[np.ndarray, np.ndarray]:
-        """eta'(xi - t) of ``profile`` and (xi - n t) on rows n = 0 .. n_max."""
-        if not (self._key[0] == t and self._key[1] is profile):
-            self._key = (t, profile)
-            self._eta_row = profile.eta_prime_hat(self.xi - t)
+    def stage_rows(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """eta'(xi - t) of the background and (xi - n t) on rows n = 0 .. n_max."""
+        if self._t != t:
+            self._t = t
+            self._eta_row = self.profile.eta_prime_hat(self.xi - t)
             np.subtract(self.xi, self.n_col * t, out=self._fac)
         return self._eta_row, self._fac
 
 
 def rhs_coeffs(
-    coeffs: np.ndarray,
-    t: float,
-    zeta1: complex,
-    grid: Grid,
-    profile: Profile,
-    epsilon: float,
-    sign: float = 1.0,
-    out: np.ndarray | None = None,
-    work: _RK4Work | None = None,
+    coeffs: np.ndarray, t: float, zeta1: complex, work: _RK4Work, out: np.ndarray
 ) -> np.ndarray:
-    """Right-hand side of rows n = 0 .. n_max (hot path).
+    """Right-hand side of rows n = 0 .. n_max into ``out`` (hot path).
 
     ``coeffs`` is a full (n_modes, n_xi) state of which rows -1 .. n_max
-    are read; the result has n_max + 1 rows, mode n in row n.  The rows
+    are read; ``out`` has n_max + 1 rows, mode n in row n.  The rows
     n < 0 are the reality mirror of these and are not computed.  The
     coupling reads h_{n-k}(xi - k t): the shift -k t is common to all rows,
     so one shifted read of rows -1 .. n_max - 1 serves k = +1 and one of
     rows 1 .. n_max serves k = -1, and the mode recursion n -> n -+ 1 is a
     one-row offset between the blocks.  Only mode +1 carries the eta'
-    forcing.  The two reads' plans come from ``work``'s store of every
-    time the solve has read, and the (xi - n t) and eta'(xi - t) rows from
-    its entry for the latest time, so a time read before costs no stencil
-    set-up and a repeat of the latest time no profile evaluation.
-    ``out`` and ``work`` supply storage only; the result is the same bytes
-    with or without them.
+    forcing.  The background, coupling and force are ``work``'s; the two
+    reads' plans come from its store of every time the solve has read, and
+    the (xi - n t) and eta'(xi - t) rows from its entry for the latest
+    time, so a time read before costs no stencil set-up and a repeat of the
+    latest time no profile evaluation.
     """
-    if work is None:
-        work = _RK4Work(grid)
-    m = grid.n_max
-    inc = np.empty((m + 1, grid.n_xi), dtype=np.complex128) if out is None else out
-    eta_row, fac = work.stage_rows(t, profile)
+    m = work.grid.n_max
+    epsilon = work.epsilon
+    eta_row, fac = work.stage_rows(t)
     if epsilon != 0.0:
         plan_p, plan_m = work.shift_plans(t)
-        sp = shift_rows(coeffs[m - 1 : 2 * m], grid, plan_p, work.sp, work.term)  # h_{n-1}(xi - t)
-        sm = shift_rows(coeffs[m + 1 :], grid, plan_m, work.sm, work.term[:-1])  # h_{n+1}(xi + t)
+        sp = shift_rows(coeffs[m - 1 : 2 * m], plan_p, work.sp, work.term)  # h_{n-1}(xi - t)
+        sm = shift_rows(coeffs[m + 1 :], plan_m, work.sm, work.term[:-1])  # h_{n+1}(xi + t)
         # row n: acc = (eps/2) zeta_1 h_{n-1}(xi - t) - (eps/2) zeta_-1 h_{n+1}(xi + t),
         # the second term present only where mode n + 1 exists
         acc, term = work.acc, work.term
@@ -258,17 +256,17 @@ def rhs_coeffs(
         np.multiply(0.5 * epsilon * np.conj(zeta1), sm, out=term[:-1])
         np.subtract(acc[:-1], term[:-1], out=acc[:-1])
         np.multiply(fac, acc, out=acc)
-        np.subtract(0.0, acc, out=inc)
+        np.subtract(0.0, acc, out=out)
     else:
-        inc.fill(0.0)
+        out.fill(0.0)
     forcing = (0.5j * zeta1) * eta_row
     if epsilon != 0.0:
-        np.subtract(forcing, acc[1], out=inc[1])
+        np.subtract(forcing, acc[1], out=out[1])
     else:
-        inc[1] = forcing
-    if sign != 1.0:
-        inc *= sign
-    return inc
+        out[1] = forcing
+    if work.sign != 1.0:
+        out *= work.sign
+    return out
 
 
 def _validate_initial(h0: FourierField) -> None:
@@ -287,7 +285,7 @@ def _snapshot_steps(n_steps: int, stride: int) -> np.ndarray:
     return steps if steps[-1] == n_steps else np.append(steps, n_steps)
 
 
-def _march(c, t_half, h, zeta, profile, epsilon, sign, steps, snaps, counters, work):
+def _march(c, t_half, h, zeta, steps, snaps, counters, work):
     """Classical RK4 on the half-step nodes ``t_half``, in place on ``c``; yields (j, t_half[2j]).
 
     Full index i is node 2i; ``h`` > 0 marches up from node 0, ``h`` < 0
@@ -301,6 +299,7 @@ def _march(c, t_half, h, zeta, profile, epsilon, sign, steps, snaps, counters, w
     cap, or a NaN, raises BlowUpError.  The states at the full indices
     ``steps`` fill ``snaps`` in time order as full blocks, rows n < 0 from
     the mirror and edge columns tallied; the first is ``c`` as given.
+    ``work`` holds the solve's grid and settings.
     """
     m = work.grid.n_max
     k1, k2, k3, k4, y = work.k1, work.k2, work.k3, work.k4, work.stage
@@ -313,7 +312,7 @@ def _march(c, t_half, h, zeta, profile, epsilon, sign, steps, snaps, counters, w
     def rhs(state, node, out):
         tt = t_half[node]
         z = extract_zeta(state, work.grid, tt, counters) if zeta is None else zeta[node]
-        rhs_coeffs(state, tt, z, work.grid, profile, epsilon, sign, out, work)
+        rhs_coeffs(state, tt, z, work, out)
 
     def stage(kx, scale):
         np.add(c_half, np.multiply(scale, kx, out=y_half), out=y_half)
@@ -377,8 +376,8 @@ def forward_solve(h0: FourierField, params: EvolutionParams) -> Trajectory:
     snapshots = np.empty((len(steps), grid.n_modes, grid.n_xi), dtype=np.complex128)
     zs = np.empty(n_steps + 1, dtype=np.complex128)
     zs[0] = extract_zeta(c, grid, 0.0, counters)
-    for i, t in _march(c, t_half, params.d_t, None, params.profile, params.epsilon, params.sign,
-                       steps, snapshots, counters, _RK4Work(grid)):
+    work = _RK4Work(grid, params.profile, params.epsilon, params.sign)
+    for i, t in _march(c, t_half, params.d_t, None, steps, snapshots, counters, work):
         if i % _REALITY_CHECK_EVERY == 0:  # row 0 is its own mirror partner
             h_0 = c[grid.n_max]
             drift = float(np.max(np.abs(h_0 - np.conj(h_0[::-1]))))

@@ -206,7 +206,6 @@ def functional_N(
 
 
 def functional_P_Q(
-    zeta: FieldSeries,
     traj: Trajectory,
     lam: float,
     lam_prime: float,
@@ -216,9 +215,10 @@ def functional_P_Q(
 ) -> tuple[NormReport, NormReport]:
     """Windowed field sup and rescaled-budget snapshot sup for [tau, T].
 
-    P = sup_{[tau, T]} e^{lam t} |zeta_1|; Q uses the budget consumed at
-    rate Delta = lam_prime / a_inf(tau) (Delta grows as tau does, which is
-    what makes the large-window regime contract without a small factor).
+    P = sup_{[tau, T]} e^{lam t} |zeta_1| over ``traj.series``; Q, over the
+    snapshots, uses the budget consumed at rate Delta = lam_prime / a_inf(tau)
+    (Delta grows as tau does, which is what makes the large-window regime
+    contract without a small factor).
     """
     if not 0.0 < lam_prime < lam:
         raise ValueError("need 0 < lam_prime < lam")
@@ -226,6 +226,7 @@ def functional_P_Q(
         raise ValueError(f"tau must be >= 0, got {tau}")
     if a_inf_at_tau <= 0:
         raise ValueError("a_inf(tau) must be positive")
+    zeta = traj.series
     mask = zeta.t >= tau - 1e-12
     p_report = functional_M(FieldSeries(t=zeta.t[mask], zeta1=zeta.zeta1[mask]), lam)
     delta_scale = lam_prime / a_inf_at_tau

@@ -18,21 +18,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, member_config
+from .config import ConfigError, RunConfig, _profile_from, _stability_kernel, member_config
 from .diagnostics import compare_backward_forward, detect_echoes, fit_decay
 from .evolution import EvolutionParams, forward_solve
 from .norms import a_infinity, functional_M, functional_N, functional_P_Q, solve_a
-from .profiles import (
-    bgk_to_field,
-    kernel_j,
-    lorentzian,
-    make_asymptotic_datum,
-    maxwellian,
-    omega_curve,
-    solve_bgk,
-)
+from .profiles import bgk_to_field, make_asymptotic_datum, omega_curve, solve_bgk
 from .scattering import (
+    _MARGIN_SCAN,
     ScatteringConfig,
+    _margin_kernel,
     backward_solve,
     continue_in_T,
     nonperturbative_solve,
@@ -58,13 +52,6 @@ class RunRefusedError(RuntimeError):
 class RunManifest:
     path: Path
     data: dict
-
-
-def _profile_from(cfg: RunConfig):
-    kind = cfg.values["profile.kind"]
-    if kind == "maxwellian":
-        return maxwellian(beta=cfg.values["profile.beta"])
-    return lorentzian(scale=cfg.values["profile.scale"])
 
 
 def _grid_from(cfg: RunConfig):
@@ -164,7 +151,7 @@ def _picard_headline(trace, m_norm, n_norm) -> dict:
 
 def _run_stability(cfg: RunConfig, out: Path) -> dict:
     profile = _profile_from(cfg)
-    kernel = kernel_j(profile, 1).sample(cfg.values["stability.t_max"], cfg.values["stability.d_t"])
+    kernel = _stability_kernel(cfg)
     report = stability_margin(
         kernel,
         cfg.values["stability.omega_max"],
@@ -305,8 +292,8 @@ def _run_nonperturbative(cfg: RunConfig, out: Path) -> dict:
         raise ConfigError(f"no self-consistent state at beta={beta}; need beta > 2")
     datum, background = bgk_to_field(state, grid)
     scfg = _scattering_config(cfg, datum, background)
-    kernel = kernel_j(background, 1).sample(max(25.0, scfg.T - scfg.tau), 5e-3).scaled(scfg.sign)
-    margin_report = stability_margin(kernel, 20.0, 801)
+    kernel = _margin_kernel(background, scfg.T, scfg.tau, scfg.sign)
+    margin_report = stability_margin(kernel, *_MARGIN_SCAN)
     traj, trace, split = nonperturbative_solve(scfg)
     _write_solution(out, traj, trace)
     if split is not None:
@@ -319,7 +306,7 @@ def _run_nonperturbative(cfg: RunConfig, out: Path) -> dict:
     weight = solve_a(scfg.T, 1.0, scfg.d_t)
     w_inf = a_infinity(1.0, max(scfg.tau, 1.0), min(scfg.d_t, 0.01))
     p_rep, q_rep = functional_P_Q(
-        traj.series, traj, cfg.values["norms.lambda"], cfg.values["norms.lambda_prime"],
+        traj, cfg.values["norms.lambda"], cfg.values["norms.lambda_prime"],
         scfg.tau, weight, float(w_inf(scfg.tau)),
     )
     payload = {

@@ -44,7 +44,11 @@ from .evolution import (
 from .norms import functional_M, functional_N, solve_a
 from .profiles import Profile, kernel_j
 from .spectral import FourierField, TruncationCounters, sample_mode, trapezoid
-from .volterra import solve_volterra
+from .volterra import KernelOnGrid, solve_volterra
+
+# The kernel-margin scan a non-perturbative run records: omega_max and n_scan
+# of ``stability_margin`` over ``_margin_kernel``.  Config load checks its reach.
+_MARGIN_SCAN = (20.0, 801)
 
 
 @dataclass(frozen=True)
@@ -175,7 +179,7 @@ class _Workspace:
         self.snap_nodes = 2 * self.snap_idx
         self.snap_times = self.t_z[self.snap_nodes]
         self.weight = solve_a(cfg.T, cfg.norm_delta, cfg.d_t)
-        self.rk4 = _RK4Work(self.grid)
+        self.rk4 = _RK4Work(self.grid, cfg.background, cfg.epsilon, cfg.sign)
 
     def coupling(self, snaps: np.ndarray):
         """The term sign * Phi as ``solve_volterra`` coefficients of zeta and conj zeta.
@@ -214,8 +218,7 @@ class _Workspace:
         cfg = self.cfg
         snaps = np.empty((len(self.snap_idx),) + cfg.terminal.coeffs.shape, dtype=np.complex128)
         for _ in _march(cfg.terminal.coeffs.copy(), self.t_z, -cfg.d_t, zeta_z,
-                        cfg.background, cfg.epsilon, cfg.sign, self.snap_idx, snaps,
-                        self.counters, self.rk4):
+                        self.snap_idx, snaps, self.counters, self.rk4):
             pass
         return snaps
 
@@ -376,6 +379,11 @@ def nonperturbative_solve(
     traj, trace = backward_solve(config)
     split = echo_split(traj, config) if trace.converged else None
     return traj, trace, split
+
+
+def _margin_kernel(background: Profile, T: float, tau: float, sign: float) -> KernelOnGrid:
+    """sign * j_1 of the background on [0, max(25, T - tau)] at step 5e-3, for ``_MARGIN_SCAN``."""
+    return kernel_j(background, 1).sample(max(25.0, T - tau), 5e-3).scaled(sign)
 
 
 def echo_split(traj: Trajectory, config: ScatteringConfig) -> EchoSplit:

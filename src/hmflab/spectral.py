@@ -118,7 +118,10 @@ class FourierField:
     """Immutable snapshot of phase-space Fourier coefficients.
 
     ``coeffs`` has shape (n_modes, n_xi) and is row-indexed by n + n_max.
-    Construction copies by default; treat instances as read-only.
+    Construction does not copy: ``np.asarray`` keeps a complex128 array as
+    given, so a field built on a slice of a larger block (as
+    ``Trajectory.initial`` and ``final`` are) is a view of it.  Treat
+    instances as read-only.
     """
 
     grid: Grid
@@ -132,13 +135,6 @@ class FourierField:
                 f"({self.grid.n_modes}, {self.grid.n_xi})"
             )
         object.__setattr__(self, "coeffs", c)
-
-    @classmethod
-    def zeros(cls, grid: Grid) -> "FourierField":
-        return cls(grid, np.zeros((grid.n_modes, grid.n_xi), dtype=np.complex128))
-
-    def mode(self, n: int) -> np.ndarray:
-        return self.coeffs[self.grid.mode_index(n)]
 
     def reality_defect(self) -> float:
         """Max deviation from the mirror symmetry h_{-n}(-xi) = conj h_n(xi)."""
@@ -200,35 +196,28 @@ def _shift_plan(grid: Grid, delta: float) -> _ShiftPlan:
 
 
 def shift_rows(
-    coeffs: np.ndarray,
-    grid: Grid,
-    delta: float | _ShiftPlan,
-    out: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
+    coeffs: np.ndarray, plan: _ShiftPlan, out: np.ndarray, scratch: np.ndarray
 ) -> np.ndarray:
-    """Sample every mode row at xi + delta (cubic, zero beyond the cutoff).
+    """Sample every mode row at xi + delta (cubic, zero beyond the cutoff) into ``out``.
 
-    The shift is common to all rows, so the interpolation reduces to four
-    shifted accumulations with scalar weights.  A read that snaps onto a
-    node has the weights (-0, 1, 0, -0); summed from +0 they give
-    ``0.0 + coeffs`` at the shifted columns for finite data, signed zeros
-    included, so a node read is that one shifted copy.  Off a node, each
-    term scales the real and imaginary parts separately.  Non-finite data
-    is where this differs from the complex four-term sum: a NaN or inf read
-    on a node stays in its own column, where 0 * NaN would also reach its
-    three neighbours, and off a node it stays in its own part.
+    ``plan`` is ``_shift_plan(grid, delta)``, which a caller that repeats a
+    shift keeps so the stencil is worked out once.  The shift is common to
+    all rows, so the interpolation reduces to four shifted accumulations
+    with scalar weights.  A read that snaps onto a node has the weights
+    (-0, 1, 0, -0); summed from +0 they give ``0.0 + coeffs`` at the shifted
+    columns for finite data, signed zeros included, so a node read is that
+    one shifted copy.  Off a node, each term scales the real and imaginary
+    parts separately.  Non-finite data is where this differs from the
+    complex four-term sum: a NaN or inf read on a node stays in its own
+    column, where 0 * NaN would also reach its three neighbours, and off a
+    node it stays in its own part.
 
-    ``delta`` may instead be ``_shift_plan(grid, delta)``, which a caller
-    that repeats a shift keeps so the stencil is worked out once.  ``out``
-    receives the result and ``scratch`` holds one weighted term at a time;
-    both are C-contiguous arrays shaped like ``coeffs`` and supply storage
-    only, so the result is the same bytes with or without them.
+    ``coeffs``, ``out`` and ``scratch`` are C-contiguous arrays of one shape;
+    ``scratch`` holds one weighted term at a time.
     """
-    j_lo, j_hi, b, w = delta if isinstance(delta, _ShiftPlan) else _shift_plan(grid, delta)
-    coeffs = np.ascontiguousarray(coeffs)
-    out = np.empty_like(coeffs) if out is None else out
-    if not (out.flags.c_contiguous and (scratch is None or scratch.flags.c_contiguous)):
-        raise ValueError("shift_rows buffers must be C-contiguous")
+    j_lo, j_hi, b, w = plan
+    if not (coeffs.flags.c_contiguous and out.flags.c_contiguous and scratch.flags.c_contiguous):
+        raise ValueError("shift_rows arrays must be C-contiguous")
     n = coeffs.shape[-1]
     flat_c, flat_o = coeffs.reshape(-1), out.reshape(-1)
     # in row-major order the in-range columns of all rows lie in one flat range
@@ -241,7 +230,6 @@ def shift_rows(
         # term's source column lies off the row, that slice read the
         # neighbouring row instead of the zero beyond the cutoff: the term is
         # zeroed there, and adding +0 leaves every sum unchanged.
-        scratch = np.empty_like(coeffs) if scratch is None else scratch
         flat_s = scratch.reshape(-1)
         # The weights are real, so a term is one multiply of the interleaved
         # (re, im) doubles.  It differs from the complex product only in the
@@ -309,37 +297,6 @@ def sample_mode(
             acc[ok] += wm[ok] * row[idx[ok]]
     out[inside] = acc
     return out
-
-
-def _sample_point(
-    coeffs: np.ndarray,
-    grid: Grid,
-    n: int,
-    x: float,
-    counters: TruncationCounters | None = None,
-) -> complex:
-    """``sample_mode`` at the single point x, in scalar arithmetic.
-
-    Same operations in the same order, so the value and the counter updates
-    are identical to ``sample_mode(coeffs, grid, n, [x], counters)[0]``.
-    """
-    row = coeffs[grid.mode_index(n)]
-    inside = abs(x) <= grid.xi_max
-    if counters is not None:
-        if not inside:
-            counters.out_of_range_reads += 1
-        edge = max(abs(row[0]), abs(row[-1]))
-        if edge > counters.max_edge_magnitude:
-            counters.max_edge_magnitude = float(edge)
-    if not inside:
-        return 0j
-    _, b, w = _stencil((x + grid.xi_max) / grid.d_xi)
-    n_xi = grid.n_xi  # a computed property: read it once, not per stencil node
-    acc = np.complex128(0.0)
-    for m, wm in zip((-1, 0, 1, 2), w):
-        if 0 <= b + m < n_xi:
-            acc += wm * row[b + m]
-    return complex(acc)
 
 
 def enforce_reality(fld: FourierField) -> FourierField:

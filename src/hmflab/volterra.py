@@ -209,6 +209,16 @@ def _laplace_many(kernel: KernelOnGrid, sigmas: np.ndarray) -> np.ndarray:
     return out
 
 
+def transform_bound(kernel: KernelOnGrid) -> float:
+    """|K(0)| + int |K'|, with the tail's bound: |L[K](i w)| <= this / |w| for real w != 0.
+
+    Integration by parts gives the bound; int |K'| is the variation over
+    the stored grid plus the decay certificate's bound on the rest.
+    """
+    variation = float(np.sum(np.abs(np.diff(kernel.values)))) + kernel.tail_bound()
+    return float(abs(kernel.values[0]) + variation)
+
+
 def stability_margin(
     kernel: KernelOnGrid,
     omega_max: float,
@@ -225,11 +235,9 @@ def stability_margin(
     [0, decay_rate].  The transform decays both into the half-plane and
     along the axis, so the boundary scan controls the infimum; this is a
     numerical verification, not a proof.  Requires omega_max beyond the
-    point where an integration-by-parts bound pushes |L[K]| under 1/2.
+    point where ``transform_bound`` pushes |L[K]| under 1/2.
     """
-    # |L[K](i w)| <= (|K(0)| + int |K'|) / |w|, with int |K'| from the grid
-    variation = float(np.sum(np.abs(np.diff(kernel.values)))) + kernel.tail_bound()
-    bound_at_omega = (abs(kernel.values[0]) + variation) / omega_max
+    bound_at_omega = transform_bound(kernel) / omega_max
     if bound_at_omega > 0.5:
         raise ValueError(
             f"omega_max={omega_max} too small: |L| bound {bound_at_omega:.3f} > 1/2 beyond scan"

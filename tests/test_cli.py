@@ -21,6 +21,7 @@ from hmflab.spectral import make_grid
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 MINIMAL_STABILITY = """
 run.scenario = stability
@@ -198,6 +199,20 @@ class TestLoadConfig:
             pytest.param(WEIGHTS + "weights.T = 30\nweights.d_t = 0.03\nweights.t_max = 100",
                          "weights.t_max is a whole number of weights.d_t steps",
                          id="weights-t_max-off-step"),
+            # the margin scan needs |L[K]| <= 1/2 beyond its range, which the run checks first
+            pytest.param("stability.omega_max = 1",
+                         "|L| <= 1/2 beyond stability.omega_max for the profile.beta = 1 kernel "
+                         "(bound there 0.607)", id="omega_max-short-of-scan"),
+            pytest.param("profile.beta = 50",
+                         "|L| <= 1/2 beyond stability.omega_max for the profile.beta = 50 kernel "
+                         "(bound there 1.476)", id="profile-beta-beyond-scan"),
+            pytest.param(NONPERTURBATIVE + "bgk.beta = 50",
+                         "|L| <= 1/2 beyond the kernel-margin scan's |omega| <= 20 for "
+                         "bgk.beta = 50 (bound there 1.476)", id="nonperturbative-beta-beyond-scan"),
+            pytest.param("run.scenario = sweep\nrun.id = x\nsweep.scenario = stability\n"
+                         "sweep.axis = stability.omega_max\nsweep.values = 20, 1",
+                         "sweep member 1.0: violated precondition: |L| <= 1/2 beyond "
+                         "stability.omega_max", id="sweep-member-omega_max-short-of-scan"),
             pytest.param("profile.beta = 0", "profile.beta > 0", id="profile-beta-0"),
             pytest.param("run.scenario = stability\nrun.id = x\nprofile.kind = lorentzian\n"
                          "profile.scale = -1", "profile.scale > 0", id="profile-scale-negative"),
@@ -253,6 +268,16 @@ class TestLoadConfig:
         assert paths
         for path in paths:
             assert load_config(path).scenario in SCENARIOS, path.name  # each names a subcommand
+
+    def test_perfbench_configs_load(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        from workloads import WORKLOADS, config_texts
+
+        for size in ("full", "tiny"):
+            for workload in WORKLOADS:
+                for seed in range(3):
+                    for text in config_texts(workload, seed, size):
+                        config_from_text(text, origin=f"{workload}:{seed}:{size}")
 
     def test_bgk_below_bifurcation_loads(self, tmp_path):
         # the beta > 2 rule is the non-perturbative scenario's; a bgk run reports no state

@@ -167,7 +167,8 @@ class TestCompareBackwardForward:
     def test_zero_run_round_trip_identical(self):
         grid = GRID
         cfg = ScatteringConfig(
-            terminal=FourierField.zeros(grid), background=PROFILE, epsilon=0.0,
+            terminal=FourierField(grid, np.zeros((grid.n_modes, grid.n_xi), dtype=complex)),
+            background=PROFILE, epsilon=0.0,
             T=5.0, d_t=0.01,
         )
         traj, _ = backward_solve(cfg)

@@ -5,12 +5,13 @@ from hmflab import evolution
 from hmflab.evolution import (
     BlowUpError,
     EvolutionParams,
+    _RK4Work,
     extract_zeta,
     forward_solve,
     rhs_coeffs,
 )
 from hmflab.profiles import kernel_j, make_asymptotic_datum, maxwellian
-from hmflab.spectral import FourierField, make_grid, sample_mode
+from hmflab.spectral import FourierField, TruncationCounters, make_grid, sample_mode
 from hmflab.volterra import solve_volterra
 
 
@@ -22,12 +23,22 @@ def datum(amplitude=0.5, width=1.0, grid=GRID):
     return make_asymptotic_datum(amplitude, {1: 1.0, -1: 1.0}, width, grid)
 
 
+def rhs(coeffs, t, zeta1, epsilon, sign=1.0):
+    """``rhs_coeffs`` on GRID with PROFILE, into a fresh work and output."""
+    out = np.empty((GRID.n_max + 1, GRID.n_xi), dtype=np.complex128)
+    return rhs_coeffs(coeffs, t, zeta1, _RK4Work(GRID, PROFILE, epsilon, sign), out)
+
+
+def readout(coeffs, t):
+    return extract_zeta(coeffs, GRID, t, TruncationCounters())
+
+
 class TestRhs:
     # rhs_coeffs returns the rows n = 0 .. n_max, mode n in row n
 
     def test_linear_term_only_on_coupled_modes(self):
-        coeffs = FourierField.zeros(GRID).coeffs
-        inc = rhs_coeffs(coeffs, 3.0, 0.2 + 0.1j, GRID, PROFILE, 0.0)
+        coeffs = np.zeros((GRID.n_modes, GRID.n_xi), dtype=np.complex128)
+        inc = rhs(coeffs, 3.0, 0.2 + 0.1j, 0.0)
         assert inc.shape == (GRID.n_max + 1, GRID.n_xi)
         assert np.max(np.abs(inc[3])) == 0.0
         assert np.max(np.abs(inc[0])) == 0.0
@@ -36,7 +47,7 @@ class TestRhs:
     def test_mean_entry_is_conserved(self):
         fld = datum()
         for eps in (0.0, 0.3):
-            inc = rhs_coeffs(fld.coeffs, 2.17, 0.4 + 0.2j, GRID, PROFILE, eps)
+            inc = rhs(fld.coeffs, 2.17, 0.4 + 0.2j, eps)
             assert inc[0, GRID.n_half] == 0.0
 
     def test_single_entry_hand_formula(self):
@@ -47,7 +58,7 @@ class TestRhs:
         t = 0.6  # shift lands back on grid nodes: t / d_xi = 12
         z1 = 0.3 + 0.1j
         eps = 0.2
-        inc = rhs_coeffs(coeffs, t, z1, GRID, PROFILE, eps)
+        inc = rhs(coeffs, t, z1, eps)
         xi0 = GRID.xi[j0]
         # k = +1 pushes mode 2 content to mode 3 at xi = xi0 + t
         j3 = j0 + 12
@@ -62,46 +73,67 @@ class TestRhs:
     def test_reality_preserved_exactly(self):
         # row 0 is its own mirror partner; below it only row -1 is read
         fld = datum()
-        inc = rhs_coeffs(fld.coeffs, 7.305, 0.3 + 0.17j, GRID, PROFILE, 0.01)
+        inc = rhs(fld.coeffs, 7.305, 0.3 + 0.17j, 0.01)
         assert np.max(np.abs(inc[0] - np.conj(inc[0, ::-1]))) < 1e-16
         unread = fld.coeffs.copy()
         unread[: GRID.mode_index(-1)] = np.nan
-        again = rhs_coeffs(unread, 7.305, 0.3 + 0.17j, GRID, PROFILE, 0.01)
+        again = rhs(unread, 7.305, 0.3 + 0.17j, 0.01)
         assert again.tobytes() == inc.tobytes()
 
     def test_attractive_sign_flips(self):
         fld = datum()
-        a = rhs_coeffs(fld.coeffs, 1.3, 0.2 + 0.05j, GRID, PROFILE, 0.1, sign=1.0)
-        b = rhs_coeffs(fld.coeffs, 1.3, 0.2 + 0.05j, GRID, PROFILE, 0.1, sign=-1.0)
+        a = rhs(fld.coeffs, 1.3, 0.2 + 0.05j, 0.1, sign=1.0)
+        b = rhs(fld.coeffs, 1.3, 0.2 + 0.05j, 0.1, sign=-1.0)
         assert np.max(np.abs(a + b)) == 0.0
 
 
 class TestExtractZeta:
     def test_on_grid_value(self):
         fld = datum(amplitude=1.0)
-        assert extract_zeta(fld.coeffs, GRID, 0.0) == fld.mode(1)[GRID.n_half]
+        assert readout(fld.coeffs, 0.0) == fld.coeffs[GRID.mode_index(1), GRID.n_half]
 
     def test_gaussian_readout(self):
         fld = datum(amplitude=1.0)
         for t in (0.33, 1.7, 4.44):
-            assert abs(extract_zeta(fld.coeffs, GRID, t) - np.exp(-t**2 / 2)) < 1e-6
+            assert abs(readout(fld.coeffs, t) - np.exp(-t**2 / 2)) < 1e-6
 
     def test_conjugation_cross_check(self):
         # the direct mode -1 read at -t agrees with the conjugation shortcut
         fld = datum()
-        z1 = extract_zeta(fld.coeffs, GRID, 2.34)
+        z1 = readout(fld.coeffs, 2.34)
         zm1 = sample_mode(fld.coeffs, GRID, -1, np.array([-2.34]))[0]
         assert abs(zm1 - np.conj(z1)) < 1e-12
 
     def test_beyond_cutoff_rejected(self):
         with pytest.raises(ValueError):
-            extract_zeta(datum().coeffs, GRID, 30.0)
+            readout(datum().coeffs, 30.0)
 
 
 class TestForwardSolve:
+    def test_traced_call_counts(self, monkeypatch):
+        # the counts a traced run checks for n steps: four right-hand sides
+        # per step, two shift_rows reads each, and a field readout at every
+        # stage and every step, plus the initial one
+        calls = dict.fromkeys(("rhs_coeffs", "shift_rows", "extract_zeta"), 0)
+
+        def counted(name, inner):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(evolution, name, counted(name, getattr(evolution, name)))
+        params = EvolutionParams(profile=PROFILE, epsilon=0.01, d_t=0.05, t_final=2.0)
+        forward_solve(datum(), params)
+        n = 40
+        assert calls == {"rhs_coeffs": 4 * n, "shift_rows": 8 * n, "extract_zeta": 5 * n + 1}
+
     def test_zero_initial_state(self):
         params = EvolutionParams(profile=PROFILE, epsilon=0.01, d_t=0.01, t_final=2.0)
-        traj = forward_solve(FourierField.zeros(GRID), params)
+        zero = FourierField(GRID, np.zeros((GRID.n_modes, GRID.n_xi), dtype=np.complex128))
+        traj = forward_solve(zero, params)
         assert np.max(np.abs(traj.snapshots)) == 0.0
         assert np.max(np.abs(traj.series.zeta1)) == 0.0
 

@@ -28,7 +28,6 @@ from hmflab.spectral import (
     FourierField,
     TruncationCounters,
     _cubic_weights,
-    _sample_point,
     _shift_plan,
     make_grid,
     sample_mode,
@@ -139,6 +138,17 @@ def same_bytes(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def shifted(c, grid, delta):
+    """``shift_rows`` at xi + delta into fresh buffers."""
+    return shift_rows(c, _shift_plan(grid, delta), np.empty_like(c), np.empty_like(c))
+
+
+def rhs_fresh(c, t, zeta, grid, profile, epsilon, sign=1.0):
+    """``rhs_coeffs`` on a work of its own: no plan or row from an earlier call."""
+    out = np.empty((grid.n_max + 1, grid.n_xi), dtype=np.complex128)
+    return rhs_coeffs(c, t, zeta, _RK4Work(grid, profile, epsilon, sign), out)
+
+
 @pytest.mark.parametrize("size", sorted(GRIDS))
 def test_shift_rows_bytes(size):
     grid = GRIDS[size]
@@ -148,8 +158,7 @@ def test_shift_rows_bytes(size):
         for t in TIMES:
             for delta in (t, -t):
                 ref = reference_shift_rows(c, grid, delta)
-                assert same_bytes(shift_rows(c, grid, delta), ref), (name, delta)
-                got = shift_rows(c, grid, delta, out, scratch)
+                got = shift_rows(c, _shift_plan(grid, delta), out, scratch)  # buffers reused
                 assert got is out
                 assert same_bytes(got, ref), (name, delta)
 
@@ -157,17 +166,17 @@ def test_shift_rows_bytes(size):
 @pytest.mark.parametrize("size", sorted(GRIDS))
 def test_rhs_coeffs_bytes(size):
     grid = GRIDS[size]
-    work = _RK4Work(grid)
     out = np.empty((grid.n_max + 1, grid.n_xi), dtype=np.complex128)
     zeta = 0.31 - 0.17j
-    for name, c in states(grid).items():
-        for t in TIMES:
-            for eps in (0.0, 0.01, 1.0):
-                for sign in (1.0, -1.0):
+    for eps in (0.0, 0.01, 1.0):
+        for sign in (1.0, -1.0):
+            work = _RK4Work(grid, PROFILE, eps, sign)  # reused over every state and time
+            for name, c in states(grid).items():
+                for t in TIMES:
                     # rows 0 .. n_max; they read rows -1 .. n_max only
                     ref = reference_rhs_coeffs(c, t, zeta, grid, PROFILE, eps, sign)[grid.n_max :]
-                    fresh = rhs_coeffs(c, t, zeta, grid, PROFILE, eps, sign)
-                    reused = rhs_coeffs(c, t, zeta, grid, PROFILE, eps, sign, out, work)
+                    fresh = rhs_fresh(c, t, zeta, grid, PROFILE, eps, sign)
+                    reused = rhs_coeffs(c, t, zeta, work, out)
                     assert reused is out
                     case = (name, t, eps, sign)
                     assert same_bytes(fresh, ref), case
@@ -240,57 +249,45 @@ def test_transport_off_cadence_endpoint_matches_reference_stepping():
     assert ws.n_steps == 41 and list(ws.snap_idx) == [0, 10, 20, 30, 40, 41]
 
 
-@pytest.mark.parametrize("size", sorted(GRIDS))
-def test_sample_point_matches_sample_mode(size):
-    grid = GRIDS[size]
-    rng = np.random.default_rng(11)
-    nodes = grid.xi[rng.integers(0, grid.n_xi, 500)]
-    points = np.concatenate([
-        rng.uniform(-1.2 * grid.xi_max, 1.2 * grid.xi_max, 9000),  # some beyond the cutoff
-        nodes,  # on the lattice
-        nodes + 1e-11,  # snapped onto it
-        grid.xi[:4], grid.xi[-4:],  # stencil partly off the grid
-        [grid.xi_max, -grid.xi_max, np.nextafter(grid.xi_max, np.inf), 0.0, -0.0],
-    ])
-    for name, c in states(grid).items():
-        for n in (1, -1, 0, 2):
+def test_extract_zeta_matches_sample_mode():
+    for size, grid in GRIDS.items():
+        rng = np.random.default_rng(11)
+        nodes = grid.xi[rng.integers(0, grid.n_xi, 500)]
+        times = np.concatenate([
+            [0.0, 0.6, 1.2345, -2.5, 8.0],
+            rng.uniform(-grid.xi_max, grid.xi_max, 2000),  # off the lattice
+            nodes,  # on the lattice
+            np.where(nodes < grid.xi_max, nodes + 1e-11, nodes - 1e-11),  # snapped onto it
+            grid.xi[:4], grid.xi[-4:],  # stencil partly off the grid
+            [grid.xi_max, -grid.xi_max, -0.0],
+        ])
+        for name, c in states(grid).items():
             ref_counters, got_counters = TruncationCounters(), TruncationCounters()
-            ref = sample_mode(c, grid, n, points, ref_counters)
-            got = np.array([_sample_point(c, grid, n, x, got_counters) for x in points])
-            assert same_bytes(got, ref), (name, n)
-            assert ref_counters.out_of_range_reads == got_counters.out_of_range_reads > 0
+            ref = sample_mode(c, grid, 1, times, ref_counters)
+            got = np.array([extract_zeta(c, grid, t, got_counters) for t in times])
+            assert same_bytes(got, ref), (size, name)
+            assert ref_counters.out_of_range_reads == got_counters.out_of_range_reads == 0
             assert ref_counters.max_edge_magnitude == got_counters.max_edge_magnitude
 
 
-def test_extract_zeta_matches_sample_mode():
-    grid = GRIDS["9x481"]
-    c = states(grid)["perturbed"]
-    for t in (0.0, 0.6, 1.2345, -2.5, 8.0, grid.xi_max):
-        ref_counters, got_counters = TruncationCounters(), TruncationCounters()
-        ref = complex(sample_mode(c, grid, 1, np.array([t]), ref_counters)[0])
-        got = extract_zeta(c, grid, t, counters=got_counters)
-        assert np.complex128(got).tobytes() == np.complex128(ref).tobytes()
-        assert ref_counters.out_of_range_reads == got_counters.out_of_range_reads
-        assert ref_counters.max_edge_magnitude == got_counters.max_edge_magnitude
-
-
 def test_rk4work_memo_matches_fresh_calls():
-    # one work at t1, t2, t1 and across two profiles: the per-time tables must
-    # never hand a call the plan or rows of another time or background
+    # each work at t1, t2, t1, with two works of two backgrounds interleaved:
+    # the per-time tables must never hand a call the plan or rows of another
+    # time, nor one work's rows to the other
     grid = GRIDS["9x481"]
     c = states(grid)["perturbed"]
     other = maxwellian(beta=2.0)  # same eta_hat code, other parameter
-    work = _RK4Work(grid)
     out = np.empty((grid.n_max + 1, grid.n_xi), dtype=np.complex128)
     zeta = 0.31 - 0.17j
     sequence = [(0.6, PROFILE), (1.2345, PROFILE), (0.6, PROFILE), (0.6, other),
                 (1.2345, other), (1.2345, PROFILE), (3.0, other), (0.6, other),
                 (1.2345, PROFILE), (0.6, PROFILE)]
     for eps in (0.01, 0.0):
+        works = {id(p): _RK4Work(grid, p, eps, 1.0) for p in (PROFILE, other)}
         for t, profile in sequence:
             ref = reference_rhs_coeffs(c, t, zeta, grid, profile, eps)[grid.n_max :]
-            fresh = rhs_coeffs(c, t, zeta, grid, profile, eps)
-            reused = rhs_coeffs(c, t, zeta, grid, profile, eps, 1.0, out, work)
+            fresh = rhs_fresh(c, t, zeta, grid, profile, eps)
+            reused = rhs_coeffs(c, t, zeta, works[id(profile)], out)
             assert same_bytes(fresh, ref), (t, eps)
             assert same_bytes(reused, ref), (t, eps)
 
@@ -311,8 +308,8 @@ def test_stage_times_are_the_half_step_nodes(monkeypatch):
     works = []
 
     class RecordedWork(_RK4Work):
-        def __init__(self, grid):
-            super().__init__(grid)
+        def __init__(self, *args):
+            super().__init__(*args)
             works.append(self)
 
     monkeypatch.setattr(evolution, "_RK4Work", RecordedWork)
@@ -360,15 +357,14 @@ def test_shift_rows_near_nodes_and_at_the_cutoff(size):
     for name, c in states(grid).items():
         for delta in deltas:
             ref = reference_shift_rows(c, grid, delta)
-            assert same_bytes(shift_rows(c, grid, delta), ref), (name, delta)
             plan = _shift_plan(grid, delta)
-            assert same_bytes(shift_rows(c, grid, plan, out, scratch), ref), (name, delta)
+            assert same_bytes(shift_rows(c, plan, out, scratch), ref), (name, delta)
     assert _shift_plan(grid, deltas[0]).weights is None  # node reads take the copy
     assert _shift_plan(grid, deltas[3]).weights is not None
     c = states(grid)["perturbed"]
-    assert np.count_nonzero(shift_rows(c, grid, edge)) == grid.n_modes  # column 0 only
-    assert same_bytes(shift_rows(c, grid, edge)[:, 0], 0.0 + c[:, -1])
-    assert same_bytes(shift_rows(c, grid, -edge)[:, -1], 0.0 + c[:, 0])
+    assert np.count_nonzero(shifted(c, grid, edge)) == grid.n_modes  # column 0 only
+    assert same_bytes(shifted(c, grid, edge)[:, 0], 0.0 + c[:, -1])
+    assert same_bytes(shifted(c, grid, -edge)[:, -1], 0.0 + c[:, 0])
 
 
 def test_nan_on_a_node_read_stays_in_its_column():
@@ -377,7 +373,7 @@ def test_nan_on_a_node_read_stays_in_its_column():
     grid = GRIDS["9x481"]
     c = states(grid)["perturbed"]
     c[5, 200] = complex(np.nan, 0.0)
-    got = shift_rows(c, grid, 3.0)  # 60 nodes: column j reads column j + 60
+    got = shifted(c, grid, 3.0)  # 60 nodes: column j reads column j + 60
     ref = reference_shift_rows(c, grid, 3.0)
     assert np.argwhere(np.isnan(got)).tolist() == [[5, 140]]
     assert np.argwhere(np.isnan(ref)).tolist() == [[5, 138], [5, 139], [5, 140], [5, 141]]

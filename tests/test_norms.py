@@ -29,13 +29,16 @@ def single_entry_field(value=0.7):
     return FourierField(GRID, coeffs)
 
 
-def make_traj(fields, times):
-    zeta = np.array([f.mode(1)[GRID.n_half] for f in fields])
+def make_traj(fields, times, series=None):
+    """Snapshots ``fields`` at ``times``; the series is their h_1(0) unless given."""
+    if series is None:
+        zeta = np.array([f.coeffs[GRID.mode_index(1), GRID.n_half] for f in fields])
+        series = FieldSeries(t=np.asarray(times, dtype=float), zeta1=zeta)
     return Trajectory(
         grid=GRID,
         times=np.asarray(times, dtype=float),
         snapshots=np.stack([f.coeffs for f in fields]),
-        series=FieldSeries(t=np.asarray(times, dtype=float), zeta1=zeta),
+        series=series,
     )
 
 
@@ -167,7 +170,8 @@ class TestFunctionalM:
 
 class TestFunctionalN:
     def test_zero_trajectory(self):
-        traj = make_traj([FourierField.zeros(GRID)] * 3, [0.0, 1.0, 2.0])
+        zero = FourierField(GRID, np.zeros((GRID.n_modes, GRID.n_xi), dtype=complex))
+        traj = make_traj([zero] * 3, [0.0, 1.0, 2.0])
         w = solve_a(2.0, 1e-3, 0.01)
         assert functional_N(traj, 0.3, w).value == 0.0
 
@@ -212,9 +216,9 @@ class TestFunctionalPQ:
     def test_mirror_m_case(self):
         t = np.linspace(0, 10, 1001)
         series = FieldSeries(t=t, zeta1=np.exp(-0.3 * t) + 0j)
-        traj = make_traj([gaussian_field()], [10.0])
+        traj = make_traj([gaussian_field()], [10.0], series)
         w = solve_a(10.0, 1.0, 0.01)
-        p_rep, q_rep = functional_P_Q(series, traj, 0.3, 0.15, 2.0, w, 0.5)
+        p_rep, q_rep = functional_P_Q(traj, 0.3, 0.15, 2.0, w, 0.5)
         assert p_rep.value == pytest.approx(1.0, abs=1e-12)
         assert p_rep.where[0] >= 2.0
         assert q_rep.value >= 0.0
@@ -223,21 +227,21 @@ class TestFunctionalPQ:
         t = np.linspace(0, 10, 1001)
         zeta = np.exp(-0.1 * t) + 0j
         series = FieldSeries(t=t, zeta1=zeta)
-        traj = make_traj([gaussian_field()], [10.0])
+        traj = make_traj([gaussian_field()], [10.0], series)
         w = solve_a(10.0, 1.0, 0.01)
-        p_all, _ = functional_P_Q(series, traj, 0.3, 0.15, 0.0, w, 0.5)
-        p_late, _ = functional_P_Q(series, traj, 0.3, 0.15, 5.0, w, 0.5)
+        p_all, _ = functional_P_Q(traj, 0.3, 0.15, 0.0, w, 0.5)
+        p_late, _ = functional_P_Q(traj, 0.3, 0.15, 5.0, w, 0.5)
         assert p_late.value == pytest.approx(np.exp(0.2 * 10.0), rel=1e-10)
         assert p_all.value == p_late.value  # increasing weight dominates late
 
     def test_validation(self):
         series = FieldSeries(t=np.linspace(0, 5, 51), zeta1=np.ones(51, complex))
-        traj = make_traj([gaussian_field()], [5.0])
+        traj = make_traj([gaussian_field()], [5.0], series)
         w = solve_a(5.0, 1.0, 0.01)
         with pytest.raises(ValueError):
-            functional_P_Q(series, traj, 0.3, 0.4, 1.0, w, 0.5)
+            functional_P_Q(traj, 0.3, 0.4, 1.0, w, 0.5)
         with pytest.raises(ValueError):
-            functional_P_Q(series, traj, 0.3, 0.15, 1.0, w, 0.0)
+            functional_P_Q(traj, 0.3, 0.15, 1.0, w, 0.0)
 
 
 class TestHomogeneity:

@@ -90,7 +90,7 @@ class TestAsymptoticDatum:
 
     def test_exponential_shape_tail(self):
         fld = make_asymptotic_datum(1.0, {1: 1.0, -1: 1.0}, 4.0, self.grid, shape="exponential")
-        row = np.abs(fld.mode(1))
+        row = np.abs(fld.coeffs[self.grid.mode_index(1)])
         xi = self.grid.xi
         expected = np.exp(-np.sqrt(1 + xi**2) / 4.0)
         assert np.max(np.abs(row - 0.5 * expected - 0.5 * expected)) < 1e-14
@@ -232,14 +232,14 @@ class TestBGKToField:
         mid = grid.n_half
         for n in range(1, 5):
             oracle = ive(n, z) / ive(0, z)
-            assert abs(fld.mode(n)[mid] - oracle) < 1e-10
-        assert abs(fld.mode(1)[mid] - state.nu) < 1e-9  # self-consistency readout
+            assert abs(fld.coeffs[grid.mode_index(n), mid] - oracle) < 1e-10
+        assert abs(fld.coeffs[grid.mode_index(1), mid] - state.nu) < 1e-9  # self-consistency readout
 
     def test_mean_row_vanishes_and_reality(self):
         grid = make_grid(3, 24.0, 0.05, 20.0)
         state = solve_bgk(2.5)
         fld, background = bgk_to_field(state, grid)
-        assert np.max(np.abs(fld.mode(0))) == 0.0
+        assert np.max(np.abs(fld.coeffs[grid.mode_index(0)])) == 0.0
         assert fld.reality_defect() == 0.0
 
     def test_background_is_rescaled_gaussian(self):

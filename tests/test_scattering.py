@@ -3,7 +3,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from hmflab import evolution
+from hmflab import evolution, scattering, volterra
 from hmflab.evolution import EvolutionParams, forward_solve
 from hmflab.profiles import (
     bgk_to_field,
@@ -25,6 +25,7 @@ from hmflab.volterra import solve_volterra
 
 GRID = make_grid(4, 24.0, 0.05, 20.0)
 PROFILE = maxwellian()
+ZERO = FourierField(GRID, np.zeros((GRID.n_modes, GRID.n_xi), dtype=complex))
 
 
 def datum(amplitude=0.5, width=1.0, grid=GRID, shape="gaussian"):
@@ -83,7 +84,7 @@ def fixed_point_residual(cfg, traj):
 
 class TestBackwardSolve:
     def test_zero_datum(self):
-        cfg = config(terminal=FourierField.zeros(GRID))
+        cfg = config(terminal=ZERO)
         traj, trace = backward_solve(cfg)
         assert trace.converged
         assert trace.iterations == 1
@@ -228,26 +229,28 @@ class TestFieldSolve:
 
     def test_transport_call_counts(self, monkeypatch):
         # every RK4 stage of every sweep is one rhs_coeffs call, and each
-        # makes two shift_rows reads: the counts a traced run checks
-        calls = {"rhs_coeffs": 0, "shift_rows": 0}
+        # makes two shift_rows reads; each sweep's field solve is one backward
+        # solve_volterra call that runs as one forward call: the counts a
+        # traced run checks, with every module's binding of a name counted
+        calls = {"rhs_coeffs": 0, "shift_rows": 0, "solve_volterra": 0}
 
-        def counted(name):
-            inner = getattr(evolution, name)
-
+        def counted(name, inner):
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return inner(*args, **kwargs)
 
             return wrapper
 
-        monkeypatch.setattr(evolution, "rhs_coeffs", counted("rhs_coeffs"))
-        monkeypatch.setattr(evolution, "shift_rows", counted("shift_rows"))
+        for module, name in ((evolution, "rhs_coeffs"), (evolution, "shift_rows"),
+                             (scattering, "solve_volterra"), (volterra, "solve_volterra")):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         cfg = self._window("weak")
         _, trace = backward_solve(cfg)
         steps = round((cfg.T - cfg.tau) / cfg.d_t)
         assert cfg.epsilon != 0.0 and trace.iterations > 1
         assert calls["rhs_coeffs"] == 4 * steps * trace.iterations
         assert calls["shift_rows"] == 2 * calls["rhs_coeffs"]
+        assert calls["solve_volterra"] == 2 * trace.iterations
 
 
 class TestContinuation:
@@ -300,7 +303,7 @@ class TestContinuation:
 
 class TestNonperturbative:
     def test_zero_datum(self):
-        cfg = config(terminal=FourierField.zeros(GRID), epsilon=1.0, tau=2.0)
+        cfg = config(terminal=ZERO, epsilon=1.0, tau=2.0)
         traj, trace, split = nonperturbative_solve(cfg)
         assert trace.converged
         assert np.max(np.abs(traj.snapshots)) == 0.0
@@ -362,7 +365,7 @@ class TestNonperturbative:
         assert sups["reconstruction_defect"] <= 0.1 * sups["sup_b_plus"]
 
     def test_echo_split_zero_run(self):
-        cfg = config(terminal=FourierField.zeros(GRID), epsilon=1.0, tau=2.0)
+        cfg = config(terminal=ZERO, epsilon=1.0, tau=2.0)
         traj, trace, split = nonperturbative_solve(cfg)
         assert np.max(np.abs(split.b_plus)) == 0.0
         assert np.max(np.abs(split.b_minus)) == 0.0
