@@ -250,8 +250,8 @@ def member_config(cfg: RunConfig, value, origin: str = "<sweep member>") -> RunC
 
 _POSITIVE = (
     "grid.d_xi", "profile.beta", "profile.scale", "datum.width", "evolve.d_t", "picard.tol",
-    "norms.delta", "stability.omega_max", "stability.t_max", "stability.threshold", "bgk.beta",
-    "weights.delta",
+    "norms.lambda", "norms.delta", "stability.omega_max", "stability.t_max", "stability.threshold",
+    "bgk.beta", "weights.delta",
 )
 
 
@@ -314,6 +314,7 @@ def _validate(cfg: RunConfig, origin: str) -> None:
         def whole_steps(T):
             return _is_whole((T - tau) / v["evolve.d_t"])
 
+        rule(tau >= 0, "evolve.tau >= 0")
         rule(tau < v["evolve.T"], "evolve.tau < evolve.T (tau is 0 in forward and compare)")
         rule(whole_steps(v["evolve.T"]), "evolve.T - evolve.tau is a whole number of evolve.d_t steps")
         if v.get("backward.T_list"):
@@ -322,6 +323,12 @@ def _validate(cfg: RunConfig, origin: str) -> None:
             rule(all(whole_steps(T) for T in ts),
                  "backward.T_list - evolve.tau are whole numbers of evolve.d_t steps")
         rule(v["evolve.snap_stride"] >= 1, "evolve.snap_stride >= 1")
+        if scenario in _WITH_FIT:  # the fit reads the run's series on [tau, T]
+            lo, hi, T = v["fit.window_lo"], v["fit.window_hi"], v["evolve.T"]
+            lo, hi = 0.5 * T if lo is None else lo, T if hi is None else hi
+            rule(lo < hi, "fit.window_lo < fit.window_hi (defaults evolve.T / 2 and evolve.T)")
+            rule(lo < T and hi > tau, "the fit.window_lo .. fit.window_hi window overlaps "
+                 "[evolve.tau, evolve.T]")
     if "norms.mu_points" in v:
         rule(v["norms.mu_points"] >= 2, "norms.mu_points >= 2")
     if "norms.lambda_prime" in v:

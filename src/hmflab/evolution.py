@@ -170,11 +170,12 @@ class _RK4Work:
 
     Every right-hand side writes into these instead of allocating: the two
     shifted copies of the state, one weighted term, the coupling
-    accumulator and k1..k4, each on the rows n = 0 .. n_max the march
-    advances (the k = -1 shifted copy needs rows 1 .. n_max only).  The
-    stage state keeps the full (n_modes, n_xi) layout, so ``extract_zeta``
-    and ``rhs_coeffs`` read it like any state; the march writes its rows
-    -1 .. n_max, and the rows below stay zero, unread.
+    accumulator, the running sum k1 + 2 k2 + 2 k3 + k4 and one stage
+    derivative, each on the rows n = 0 .. n_max the march advances (the
+    k = -1 shifted copy needs rows 1 .. n_max only).  The stage state keeps
+    the full (n_modes, n_xi) layout, so ``extract_zeta`` and ``rhs_coeffs``
+    read it like any state; the march writes its rows -1 .. n_max, and the
+    rows below stay zero, unread.
 
     What depends on the stage time alone is worked out once per time:
     - ``shift_plans(t)`` keeps the ``shift_rows`` plans of the reads at
@@ -193,8 +194,8 @@ class _RK4Work:
         self.profile, self.epsilon, self.sign = profile, epsilon, sign
         self.xi = grid.xi
         self.n_col = np.arange(grid.n_max + 1.0)[:, None]
-        (self.sp, self.term, self.acc, self.k1, self.k2, self.k3, self.k4) = (
-            np.empty(half, dtype=np.complex128) for _ in range(7)
+        (self.sp, self.term, self.acc, self.k_sum, self.k) = (
+            np.empty(half, dtype=np.complex128) for _ in range(5)
         )
         self.sm = np.empty((grid.n_max, grid.n_xi), dtype=np.complex128)
         self.stage = np.zeros((grid.n_modes, grid.n_xi), dtype=np.complex128)
@@ -302,7 +303,7 @@ def _march(c, t_half, h, zeta, steps, snaps, counters, work):
     ``work`` holds the solve's grid and settings.
     """
     m = work.grid.n_max
-    k1, k2, k3, k4, y = work.k1, work.k2, work.k3, work.k4, work.stage
+    k_sum, k, y = work.k_sum, work.k, work.stage
     c_half, y_half = c[m:], y[m:]  # rows 0 .. n_max, the ones advanced
     row = np.full(len(t_half) // 2 + 1, -1)
     row[steps] = np.arange(len(steps))
@@ -318,19 +319,19 @@ def _march(c, t_half, h, zeta, steps, snaps, counters, work):
         np.add(c_half, np.multiply(scale, kx, out=y_half), out=y_half)
         np.conjugate(y[m + 1, ::-1], out=y[m - 1])
 
+    # c + (h/6) (k1 + 2 k2 + 2 k3 + k4) left to right; k holds k2, k3, k4 in turn
     for i, j in zip(order, order[1:]):
-        rhs(c, 2 * i, k1)
-        stage(k1, 0.5 * h)
-        rhs(y, i + j, k2)
-        stage(k2, 0.5 * h)
-        rhs(y, i + j, k3)
-        stage(k3, h)
-        rhs(y, 2 * j, k4)
-        # c + (h/6) (k1 + 2 k2 + 2 k3 + k4), evaluated left to right as written
-        np.add(k1, np.multiply(2.0, k2, out=k2), out=k1)
-        np.add(k1, np.multiply(2.0, k3, out=k3), out=k1)
-        np.add(k1, k4, out=k1)
-        np.add(c_half, np.multiply(h / 6.0, k1, out=k1), out=c_half)
+        rhs(c, 2 * i, k_sum)
+        stage(k_sum, 0.5 * h)
+        rhs(y, i + j, k)
+        stage(k, 0.5 * h)
+        np.add(k_sum, np.multiply(2.0, k, out=k), out=k_sum)
+        rhs(y, i + j, k)
+        stage(k, h)
+        np.add(k_sum, np.multiply(2.0, k, out=k), out=k_sum)
+        rhs(y, 2 * j, k)
+        np.add(k_sum, k, out=k_sum)
+        np.add(c_half, np.multiply(h / 6.0, k_sum, out=k_sum), out=c_half)
         np.conjugate(c[m + 1, ::-1], out=c[m - 1])
         peak = np.max(np.abs(c_half))  # row -1 holds row 1's magnitudes
         if not peak <= _OVERFLOW_CAP:  # NaN fails too

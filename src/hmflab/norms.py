@@ -156,20 +156,19 @@ def _boundary_refined_fractions(n_points: int) -> np.ndarray:
 
 
 def _weighted_snapshot_sup(
-    traj: Trajectory,
+    grid: Grid,
+    times: np.ndarray,
+    snapshots,
     lam: float,
     budget_at,
-    t_window: tuple[float, float],
     mu_points: int,
 ) -> NormReport:
-    """sup over admissible (mu, t) of (lam - mu - budget(t))^(1/2) ||h(t)||_mu."""
+    """sup over admissible (mu, t) of (lam - mu - budget(t))^(1/2) ||h(t)||_mu, h read in place."""
     fractions = _boundary_refined_fractions(mu_points)
-    br = _bracket(traj.grid)
+    br = _bracket(grid)
     best_val = None
     best_where = None
-    for t, snap in zip(traj.times, traj.snapshots):
-        if t < t_window[0] - 1e-12 or t > t_window[1] + 1e-12:
-            continue
+    for t, snap in zip(times, snapshots):
         mu_cap = lam - float(budget_at(t))
         if mu_cap <= 0.0:
             continue
@@ -200,9 +199,7 @@ def functional_N(
     alpha(mu, t) = lam - mu - a(t); the reported value is a lower bound on
     the continuum sup (mu scanned on a boundary-refined grid per time).
     """
-    lo = float(traj.times[0])
-    hi = float(traj.times[-1])
-    return _weighted_snapshot_sup(traj, lam, weight, (lo, hi), mu_points)
+    return _weighted_snapshot_sup(traj.grid, traj.times, traj.snapshots, lam, weight, mu_points)
 
 
 def functional_P_Q(
@@ -231,7 +228,6 @@ def functional_P_Q(
     p_report = functional_M(FieldSeries(t=zeta.t[mask], zeta1=zeta.zeta1[mask]), lam)
     delta_scale = lam_prime / a_inf_at_tau
     scaled = lambda t: delta_scale * weight(t)
-    q_report = _weighted_snapshot_sup(
-        traj, lam, scaled, (tau, float(traj.times[-1])), 64
-    )
+    k = int(np.searchsorted(traj.times, tau - 1e-12))  # the snapshots on [tau, T]
+    q_report = _weighted_snapshot_sup(traj.grid, traj.times[k:], traj.snapshots[k:], lam, scaled, 64)
     return p_report, q_report

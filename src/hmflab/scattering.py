@@ -41,7 +41,7 @@ from .evolution import (
     _RK4Work,
     _snapshot_steps,
 )
-from .norms import functional_M, functional_N, solve_a
+from .norms import _weighted_snapshot_sup, functional_M, solve_a
 from .profiles import Profile, kernel_j
 from .spectral import FourierField, TruncationCounters, sample_mode, trapezoid
 from .volterra import KernelOnGrid, solve_volterra
@@ -224,17 +224,12 @@ class _Workspace:
 
 
 def _trace_norms(ws: _Workspace, zeta_z, snaps) -> tuple[float, float]:
-    """M and N of one sweep's iterate; N reads every 4th snapshot and the last."""
-    cfg = ws.cfg
+    """M and N of one sweep's iterate, read in place; N reads every 4th snapshot and the last."""
+    lam = ws.cfg.norm_lambda
     sub = _snapshot_steps(len(ws.snap_times) - 1, 4)
-    traj = Trajectory(
-        grid=ws.grid,
-        times=ws.snap_times[sub],
-        snapshots=snaps[sub],
-        series=FieldSeries(t=ws.t_fine, zeta1=zeta_z[::2]),
-    )
-    m_val = functional_M(traj.series, cfg.norm_lambda).value
-    n_val = functional_N(traj, cfg.norm_lambda, ws.weight, mu_points=32).value
+    m_val = functional_M(FieldSeries(t=ws.t_fine, zeta1=zeta_z[::2]), lam).value
+    n_val = _weighted_snapshot_sup(ws.grid, ws.snap_times[sub], (snaps[i] for i in sub), lam,
+                                   ws.weight, 32).value
     return m_val, n_val
 
 
@@ -399,49 +394,38 @@ def echo_split(traj: Trajectory, config: ScatteringConfig) -> EchoSplit:
         h_0(s, u) = sign * sum_k (k/2) int_s^T zeta_k(l) h_{-k}(l, u - k l) u dl,
 
     valid because the datum mean-zero row makes the terminal term vanish.
-    All integrals ride the snapshot grid; u-offsets land on nodes exactly.
+    All integrals ride the snapshot grid, and zeta is read at its nodes
+    there.  Each snapshot's four rows are read once; the pair (t_i, s_m)
+    reads u column round((t_i - s_m)/du) (round half even), the exact
+    offset on the cadence.
     """
-    grid = traj.grid
-    ts = traj.times
+    grid, ts = traj.grid, traj.times
     m_count = len(ts)
-    du = ts[1] - ts[0]
-    zeta_at = np.interp(ts, traj.series.t, traj.series.zeta1.real) + 1j * np.interp(
-        ts, traj.series.t, traj.series.zeta1.imag
-    )
-    # u-grid: t - s for t, s in snapshot times -> multiples of du in [-(T-tau), 0]
-    u = -(ts[::-1] - ts[0])
-    u_index = lambda t_i, s_m: int(round((t_i - s_m) / du)) + m_count - 1
+    zeta_at = traj.series.zeta1[np.searchsorted(traj.series.t, ts)]
+    u = -(ts[::-1] - ts[0])  # multiples of du = ts[1] - ts[0] in [-(T-tau), 0]
+    u_col = np.rint((ts[:, None] - ts[None, :]) / (ts[1] - ts[0])).astype(np.intp) + m_count - 1
 
-    # reads of h_0(s, u) and h_2(s, t + s) rows
-    h0_read = np.empty((m_count, m_count), dtype=np.complex128)  # [s_m, u]
-    h2_read = np.empty((m_count, m_count), dtype=np.complex128)  # [s_m, t_i]
+    # rows [s_m, u] of h_0, [s_m, t_i] of h_2(s, t + s), and the reconstruction
+    # integrand [l_m, u] of zeta_1 h_{-1}(l, u - l) - zeta_-1 h_1(l, u + l)
+    h0_read, h2_read, rec_rows = np.empty((3, m_count, m_count), dtype=np.complex128)
     for m, (s, snap) in enumerate(zip(ts, traj.snapshots)):
         h0_read[m] = sample_mode(snap, grid, 0, u)
         h2_read[m] = sample_mode(snap, grid, 2, ts + s)
+        r_p = sample_mode(snap, grid, -1, u - s)
+        r_m = sample_mode(snap, grid, 1, u + s)
+        rec_rows[m] = zeta_at[m] * r_p - np.conj(zeta_at[m]) * r_m
 
     # mode-0 reconstruction on (s_m, u): reverse cumulative trapezoid over l
-    rec_rows = np.empty((m_count, m_count), dtype=np.complex128)
-    for m, (l, snap) in enumerate(zip(ts, traj.snapshots)):
-        r_p = sample_mode(snap, grid, -1, u - l)
-        r_m = sample_mode(snap, grid, 1, u + l)
-        rec_rows[m] = zeta_at[m] * r_p - np.conj(zeta_at[m]) * r_m
     h0_rec = np.zeros_like(rec_rows)
     for m in range(m_count - 2, -1, -1):
-        dl = ts[m + 1] - ts[m]
-        h0_rec[m] = h0_rec[m + 1] + 0.5 * dl * (rec_rows[m] + rec_rows[m + 1])
-    h0_rec *= config.sign * config.epsilon * 0.5 * u[None, :]
+        h0_rec[m] = h0_rec[m + 1] + 0.5 * (ts[m + 1] - ts[m]) * (rec_rows[m] + rec_rows[m + 1])
+    h0_rec *= config.sign * config.epsilon * 0.5 * u
 
-    b_plus = np.zeros(m_count, dtype=np.complex128)
-    b_minus = np.zeros(m_count, dtype=np.complex128)
-    b_plus_rec = np.zeros(m_count, dtype=np.complex128)
-    for i, t_i in enumerate(ts):
-        rng = np.arange(i, m_count)
-        uu = np.array([u_index(t_i, ts[m]) for m in rng])
-        w_plus = zeta_at[rng] * h0_read[rng, uu] * (t_i - ts[rng])
-        w_rec = zeta_at[rng] * h0_rec[rng, uu] * (t_i - ts[rng])
-        w_minus = -np.conj(zeta_at[rng]) * h2_read[rng, i] * (t_i - ts[rng])
-        if len(rng) > 1:
-            b_plus[i] = trapezoid(w_plus, ts[rng])
-            b_minus[i] = trapezoid(w_minus, ts[rng])
-            b_plus_rec[i] = trapezoid(w_rec, ts[rng])
+    b_plus, b_minus, b_plus_rec = np.zeros((3, m_count), dtype=np.complex128)
+    for i, t_i in enumerate(ts[:-1]):
+        rows, cols = np.arange(i, m_count), u_col[i, i:]
+        z, s, lag = zeta_at[i:], ts[i:], t_i - ts[i:]
+        b_plus[i] = trapezoid(z * h0_read[rows, cols] * lag, s)
+        b_minus[i] = trapezoid(-np.conj(z) * h2_read[i:, i] * lag, s)
+        b_plus_rec[i] = trapezoid(z * h0_rec[rows, cols] * lag, s)
     return EchoSplit(t=ts.copy(), b_plus=b_plus, b_minus=b_minus, b_plus_reconstructed=b_plus_rec)

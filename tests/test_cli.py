@@ -44,6 +44,16 @@ evolve.T = 8
 picard.tol = 1e-7
 """
 
+FORWARD_SMALL = """
+run.scenario = forward
+run.id = fw-1
+grid.n_max = 4
+grid.xi_max = 12
+grid.d_xi = 0.05
+grid.t_final = 8
+evolve.T = 8
+"""
+
 WEIGHTS = "run.scenario = weights\nrun.id = x\n"
 
 NONPERTURBATIVE = "run.scenario = nonperturbative\nrun.id = x\nevolve.epsilon = 1\n"
@@ -227,6 +237,26 @@ class TestLoadConfig:
                          "0 < norms.lambda_prime < norms.lambda", id="lambda_prime-0"),
             pytest.param(BACKWARD_SMALL + "datum.modes = 1:1, 1:5, -1:1", "duplicate mode 1",
                          id="modes-repeated"),
+            # each loaded before these rules: the first two ended in a run-time error or an
+            # n_norm of 0 from an empty admissible domain, the fit windows in a decay "error"
+            pytest.param(BACKWARD_SMALL + "evolve.tau = -1", "evolve.tau >= 0", id="tau-negative"),
+            pytest.param(NONPERTURBATIVE + "evolve.tau = -1", "evolve.tau >= 0",
+                         id="nonperturbative-tau-negative"),
+            pytest.param(BACKWARD_SMALL + "norms.lambda = -0.5", "norms.lambda > 0",
+                         id="lambda-negative"),
+            pytest.param(BACKWARD_SMALL + "norms.lambda = 0", "norms.lambda > 0", id="lambda-0"),
+            pytest.param(FORWARD_SMALL + "fit.window_lo = 15\nfit.window_hi = 5",
+                         "fit.window_lo < fit.window_hi", id="fit-window-reversed"),
+            pytest.param(BACKWARD_SMALL + "fit.window_lo = 15\nfit.window_hi = 5",
+                         "fit.window_lo < fit.window_hi", id="backward-fit-window-reversed"),
+            pytest.param(FORWARD_SMALL + "fit.window_lo = 30\nfit.window_hi = 40",
+                         "fit.window_lo .. fit.window_hi window overlaps [evolve.tau, evolve.T]",
+                         id="fit-window-beyond-T"),
+            pytest.param(BACKWARD_SMALL + "evolve.tau = 4\nfit.window_lo = 1\nfit.window_hi = 3",
+                         "fit.window_lo .. fit.window_hi window overlaps [evolve.tau, evolve.T]",
+                         id="fit-window-before-tau"),
+            pytest.param(FORWARD_SMALL + "fit.window_lo = 9", "fit.window_lo < fit.window_hi",
+                         id="fit-window_lo-beyond-default-hi"),
             # every sweep member is checked at load, before any member runs
             pytest.param(BACKWARD_SMALL.replace("run.scenario = backward", "run.scenario = sweep")
                          + "sweep.scenario = backward\nsweep.axis = evolve.T\n"

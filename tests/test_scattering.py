@@ -1,10 +1,12 @@
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from hmflab import evolution, scattering, volterra
-from hmflab.evolution import EvolutionParams, forward_solve
+from hmflab.evolution import EvolutionParams, FieldSeries, Trajectory, forward_solve
+from hmflab.norms import functional_M, functional_N
 from hmflab.profiles import (
     bgk_to_field,
     kernel_j,
@@ -19,7 +21,7 @@ from hmflab.scattering import (
     continue_in_T,
     nonperturbative_solve,
 )
-from hmflab.spectral import FourierField, make_grid, sample_mode
+from hmflab.spectral import FourierField, make_grid, sample_mode, trapezoid
 from hmflab.volterra import solve_volterra
 
 
@@ -192,6 +194,29 @@ class TestBackwardSolve:
             assert snaps.dtype == np.complex128 and snaps.flags.c_contiguous
             assert np.array_equal(snaps[-1], terminal.coeffs, equal_nan=True)
 
+    def test_trace_norms_read_the_block_in_place(self):
+        # N reads 11 of 41 snapshots (every 4th and the last); reading them where
+        # they lie keeps one call's allocations under 4 snapshots' bytes
+        ws = _Workspace(config(T=4.0))  # 400 steps at stride 10 on 9 x 961
+        rng = np.random.default_rng(0)
+        shape = (len(ws.snap_times), GRID.n_modes, GRID.n_xi)
+        snaps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        zeta = rng.standard_normal(len(ws.t_z)) + 1j * rng.standard_normal(len(ws.t_z))
+        sub = evolution._snapshot_steps(len(ws.snap_times) - 1, 4)
+        traj = Trajectory(grid=GRID, times=ws.snap_times[sub], snapshots=snaps[sub],
+                          series=FieldSeries(t=ws.t_fine, zeta1=zeta[::2]))
+        expected = (functional_M(traj.series, 0.3).value,
+                    functional_N(traj, 0.3, ws.weight, mu_points=32).value)
+        tracemalloc.start()
+        try:
+            got = scattering._trace_norms(ws, zeta, snaps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(snaps) == 41 and len(sub) == 11
+        assert got == expected and got[1] > 0.0
+        assert peak < 4 * snaps[0].nbytes
+
     def test_mean_mode_conserved(self):
         cfg = config()
         traj, _ = backward_solve(cfg)
@@ -363,6 +388,35 @@ class TestNonperturbative:
         sups = split.sup_values()
         assert sups["sup_b_plus"] > 1e-12
         assert sups["reconstruction_defect"] <= 0.1 * sups["sup_b_plus"]
+
+    @pytest.mark.parametrize("T", [8.0, 7.95])
+    def test_echo_split_is_the_direct_quadrature(self, T):
+        """B_+ and B_- against a trapezoid of single-point reads at t_i -+ s_m.
+
+        At T = 7.95 the last snapshot is off the cadence, so the split reads its
+        h_0 row at the nearest u column; that row is the datum's, which is zero.
+        """
+        grid = make_grid(4, 12.0, 0.05, 8.0)  # 9 x 481
+        terminal, background = bgk_to_field(solve_bgk(3.0), grid)
+        cfg = ScatteringConfig(terminal=terminal, background=background, epsilon=1.0, T=T,
+                               d_t=0.05, sign=-1.0, picard_tol=1e-10, picard_max_iters=40)
+        traj, trace, split = nonperturbative_solve(cfg)
+        assert trace.converged
+        ts = traj.times
+        zeta = np.array([traj.series.zeta1[traj.series.t == s][0] for s in ts])
+
+        def reads(n, i, sign):  # h_n(s_m, t_i + sign s_m) for m >= i, one point per read
+            return np.array([sample_mode(traj.snapshots[m], grid, n, [ts[i] + sign * ts[m]])[0]
+                             for m in range(i, len(ts))])
+
+        b_plus, b_minus = np.zeros((2, len(ts)), dtype=complex)
+        for i, t_i in enumerate(ts[:-1]):
+            s, lag = ts[i:], t_i - ts[i:]
+            b_plus[i] = trapezoid(zeta[i:] * reads(0, i, -1) * lag, s)
+            b_minus[i] = trapezoid(-np.conj(zeta[i:]) * reads(2, i, 1) * lag, s)
+        assert np.max(np.abs(b_plus)) > 0.1 and np.max(np.abs(b_minus)) > 0.1
+        np.testing.assert_array_equal(split.b_plus, b_plus)
+        np.testing.assert_array_equal(split.b_minus, b_minus)
 
     def test_echo_split_zero_run(self):
         cfg = config(terminal=ZERO, epsilon=1.0, tau=2.0)
