@@ -329,6 +329,14 @@ def _validate(cfg: RunConfig, origin: str) -> None:
             rule(lo < hi, "fit.window_lo < fit.window_hi (defaults evolve.T / 2 and evolve.T)")
             rule(lo < T and hi > tau, "the fit.window_lo .. fit.window_hi window overlaps "
                  "[evolve.tau, evolve.T]")
+            # the series nodes tau + k d_t inside the window, counted within fit_decay_values'
+            # 1e-12 slack, which a fit needs at least 10 of
+            d_t = v["evolve.d_t"]
+            k_lo = max(math.ceil((lo - 1e-12 - tau) / d_t - 1e-9), 0)
+            k_hi = min(math.floor((hi + 1e-12 - tau) / d_t + 1e-9), round((T - tau) / d_t))
+            nodes = max(k_hi - k_lo + 1, 0)
+            rule(nodes >= 10, "the fit.window_lo .. fit.window_hi window holds at least 10 series "
+                 f"nodes evolve.tau + k evolve.d_t (it holds {nodes})")
     if "norms.mu_points" in v:
         rule(v["norms.mu_points"] >= 2, "norms.mu_points >= 2")
     if "norms.lambda_prime" in v:

@@ -48,8 +48,9 @@ def fit_decay_values(
     """Log-linear fit of a nonnegative series on a time window.
 
     Zeros are excluded from the fit; the window must keep at least 10
-    usable nodes, and at least 80% of its samples must be nonzero.  The residual is the RMS misfit of log values, so a
-    clean exponential scores ~0 and a Gaussian scores order one.
+    usable nodes, and at least 80% of its samples must be nonzero.  The
+    residual is the RMS misfit of log values, so a clean exponential
+    scores ~0 and a Gaussian scores order one.
     """
     t = np.asarray(t, dtype=float)
     values = np.abs(np.asarray(values))

@@ -153,9 +153,7 @@ def extract_zeta(
     if abs(t) > grid.xi_max:
         raise ValueError(f"readout time {t} beyond the frequency cutoff {grid.xi_max}")
     row = coeffs[grid.mode_index(1)]
-    edge = max(abs(row[0]), abs(row[-1]))
-    if edge > counters.max_edge_magnitude:
-        counters.max_edge_magnitude = float(edge)
+    counters.note_edges(row)
     _, b, w = _stencil((t + grid.xi_max) / grid.d_xi)
     n_xi = grid.n_xi  # a computed property: read it once, not per stencil node
     acc = np.complex128(0.0)
@@ -358,7 +356,8 @@ def forward_solve(h0: FourierField, params: EvolutionParams) -> Trajectory:
     the per-step field series.  Aborts with BlowUpError when any
     coefficient magnitude passes the overflow cap, and with
     RealityDriftError when mode 0, the one row the march does not mirror,
-    drifts from h_0(-xi) = conj h_0(xi) by more than 1e-10.
+    drifts from h_0(-xi) = conj h_0(xi) by more than 1e-10 (checked every
+    100 steps and at the last).
     """
     grid = h0.grid
     if params.t_final > grid.t_final + 1e-12:
@@ -379,7 +378,7 @@ def forward_solve(h0: FourierField, params: EvolutionParams) -> Trajectory:
     zs[0] = extract_zeta(c, grid, 0.0, counters)
     work = _RK4Work(grid, params.profile, params.epsilon, params.sign)
     for i, t in _march(c, t_half, params.d_t, None, steps, snapshots, counters, work):
-        if i % _REALITY_CHECK_EVERY == 0:  # row 0 is its own mirror partner
+        if i % _REALITY_CHECK_EVERY == 0 or i == n_steps:  # row 0 is its own mirror partner
             h_0 = c[grid.n_max]
             drift = float(np.max(np.abs(h_0 - np.conj(h_0[::-1]))))
             if drift > _REALITY_TOL:

@@ -106,6 +106,12 @@ class TruncationCounters:
         self.out_of_range_reads = 0
         self.max_edge_magnitude = 0.0
 
+    def note_edges(self, row: np.ndarray) -> None:
+        """Fold the magnitudes of ``row``'s two outermost columns into the maximum."""
+        edge = max(abs(row[0]), abs(row[-1]))
+        if edge > self.max_edge_magnitude:
+            self.max_edge_magnitude = float(edge)
+
     def as_dict(self) -> dict:
         return {
             "out_of_range_reads": self.out_of_range_reads,
@@ -267,34 +273,26 @@ def sample_mode(
     """Cubic read of one mode row at arbitrary frequencies.
 
     The vector form of ``_stencil``: the same snap, floor and weights, one
-    array operation for all points.  Points beyond |xi_max| contribute
-    zero; stencil nodes outside the grid are treated as zero, consistent
-    with the compact-support truncation.
+    array operation for all points.  Points beyond |xi_max| read zero; the
+    rest sum four terms from +0 over the row padded with zero nodes, where
+    a node off the grid adds w * 0 = +-0 and so moves no value or zero sign.
     """
     row = coeffs[grid.mode_index(n)]
     pts = np.asarray(points, dtype=float)
-    out = np.zeros(pts.shape, dtype=np.complex128)
     inside = np.abs(pts) <= grid.xi_max
     if counters is not None:
-        n_out = int(pts.size - np.count_nonzero(inside))
-        if n_out:
-            counters.out_of_range_reads += n_out
-        edge = max(abs(row[0]), abs(row[-1]))
-        if edge > counters.max_edge_magnitude:
-            counters.max_edge_magnitude = float(edge)
-    if not np.any(inside):
-        return out
+        counters.out_of_range_reads += int(pts.size - np.count_nonzero(inside))
+        counters.note_edges(row)
     s = (pts[inside] + grid.xi_max) / grid.d_xi
     near = np.abs(s - np.round(s)) < 1e-9  # snap node reads to the stored values
     s[near] = np.round(s[near])
-    b = np.floor(s).astype(np.int64)
-    w = _cubic_weights(s - b)
+    b = np.floor(s).astype(np.int64)  # in 0 .. n_xi - 1, so b - 1 .. b + 2 lie in the padding
+    padded = np.zeros(grid.n_xi + 3, dtype=np.complex128)
+    padded[1:-2] = row
     acc = np.zeros(b.shape, dtype=np.complex128)
-    for m, wm in zip((-1, 0, 1, 2), w):
-        idx = b + m
-        ok = (idx >= 0) & (idx < grid.n_xi)
-        if np.any(ok):
-            acc[ok] += wm[ok] * row[idx[ok]]
+    for m, wm in zip((-1, 0, 1, 2), _cubic_weights(s - b)):
+        acc += wm * padded[b + (m + 1)]
+    out = np.zeros(pts.shape, dtype=np.complex128)
     out[inside] = acc
     return out
 

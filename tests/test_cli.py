@@ -257,6 +257,14 @@ class TestLoadConfig:
                          id="fit-window-before-tau"),
             pytest.param(FORWARD_SMALL + "fit.window_lo = 9", "fit.window_lo < fit.window_hi",
                          id="fit-window_lo-beyond-default-hi"),
+            # a fit needs 10 series nodes in its window: 6 in [7.95, 8], 5 in the default
+            # [0.08, 0.16] of a 0.16-long run at d_t 0.02
+            pytest.param(FORWARD_SMALL + "fit.window_lo = 7.95\nfit.window_hi = 8",
+                         "fit.window_lo .. fit.window_hi window holds at least 10 series nodes "
+                         "evolve.tau + k evolve.d_t (it holds 6)", id="fit-window-6-nodes"),
+            pytest.param(FORWARD_SMALL.replace("evolve.T = 8", "evolve.T = 0.16\nevolve.d_t = 0.02"),
+                         "fit.window_lo .. fit.window_hi window holds at least 10 series nodes "
+                         "evolve.tau + k evolve.d_t (it holds 5)", id="fit-default-window-5-nodes"),
             # every sweep member is checked at load, before any member runs
             pytest.param(BACKWARD_SMALL.replace("run.scenario = backward", "run.scenario = sweep")
                          + "sweep.scenario = backward\nsweep.axis = evolve.T\n"
@@ -288,6 +296,17 @@ class TestLoadConfig:
         text = lines if "run.scenario" in lines else MINIMAL_STABILITY + lines
         with pytest.raises(ConfigError, match=re.escape(rule)):
             config_from_text(text + "\n")
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            FORWARD_SMALL + "fit.window_lo = 7.91",  # nodes 7.91 .. 8.00
+            BACKWARD_SMALL + "evolve.tau = 4\nfit.window_lo = 7.82",  # nodes 7.82 .. 8.00 at d_t 0.02
+        ],
+        ids=["forward-10-nodes", "backward-10-nodes"],
+    )
+    def test_fit_window_of_10_nodes_loads(self, lines):
+        assert config_from_text(lines + "\n").scenario in ("forward", "backward")
 
     def test_stability_t_max_nan_rejected(self):
         with pytest.raises(ConfigError, match="stability.t_max: not a finite number"):

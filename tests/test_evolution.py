@@ -5,6 +5,7 @@ from hmflab import evolution
 from hmflab.evolution import (
     BlowUpError,
     EvolutionParams,
+    RealityDriftError,
     _RK4Work,
     extract_zeta,
     forward_solve,
@@ -103,6 +104,26 @@ class TestExtractZeta:
         z1 = readout(fld.coeffs, 2.34)
         zm1 = sample_mode(fld.coeffs, GRID, -1, np.array([-2.34]))[0]
         assert abs(zm1 - np.conj(z1)) < 1e-12
+
+    def test_bit_identical_to_sample_mode(self):
+        # the README's promise: the scalar readout is the vector read at [t], counters included
+        rng = np.random.RandomState(9)
+        coeffs = rng.randn(GRID.n_modes, GRID.n_xi) + 1j * rng.randn(GRID.n_modes, GRID.n_xi)
+        coeffs[:, ::7] = complex(-0.0, 0.0)
+        coeffs[:, 3::7] = 0.0
+        nodes = GRID.xi[rng.randint(0, GRID.n_xi, 30)]
+        times = np.concatenate([
+            nodes, nodes + 4e-10, nodes - 4e-10,
+            rng.uniform(-GRID.xi_max, GRID.xi_max, 60),
+            GRID.xi_max - rng.uniform(0.0, 2.0, 20) * GRID.d_xi,
+            [GRID.xi_max, -GRID.xi_max, GRID.xi_max - 4e-10],
+        ])
+        k1, k2 = TruncationCounters(), TruncationCounters()
+        for t in times:
+            z1 = np.complex128(extract_zeta(coeffs, GRID, float(t), k1))
+            z2 = sample_mode(coeffs, GRID, 1, [t], k2)[0]
+            assert np.array([z1]).view(np.int64).tolist() == np.array([z2]).view(np.int64).tolist(), t
+        assert k1.as_dict() == k2.as_dict()
 
     def test_beyond_cutoff_rejected(self):
         with pytest.raises(ValueError):
@@ -207,6 +228,23 @@ class TestForwardSolve:
         params = EvolutionParams(profile=PROFILE, epsilon=0.5, d_t=0.01, t_final=10.0)
         with pytest.raises(BlowUpError):
             forward_solve(datum(), params)
+
+    def test_reality_checked_at_the_last_step(self, monkeypatch):
+        # row 0 is checked every 100 steps and at the end, so a drift that starts
+        # after step 100 of 120 still stops the run before it returns
+        grid = make_grid(4, 12.0, 0.05, 8.0)
+        inner = evolution.rhs_coeffs
+
+        def drifting(h, t, zeta, work, out):
+            inner(h, t, zeta, work, out)
+            if t > 5.0:
+                out[0, 0] += 1e-3
+            return out
+
+        monkeypatch.setattr(evolution, "rhs_coeffs", drifting)
+        params = EvolutionParams(profile=PROFILE, epsilon=0.01, d_t=0.05, t_final=6.0)
+        with pytest.raises(RealityDriftError, match=r"at t=6\.000"):
+            forward_solve(datum(grid=grid), params)
 
     def test_initial_state_validation(self):
         params = EvolutionParams(profile=PROFILE, epsilon=0.0, d_t=0.01, t_final=1.0)

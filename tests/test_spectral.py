@@ -6,6 +6,7 @@ from hmflab.spectral import (
     GridError,
     TruncationCounters,
     _shift_plan,
+    _stencil,
     enforce_reality,
     make_grid,
     sample_mode,
@@ -100,6 +101,102 @@ class TestEvalShifted:
         shifted = shift_rows(coeffs, _shift_plan(g, -3.137), out, scratch)
         per_row = sample_mode(coeffs, g, 2, g.xi - 3.137)
         assert np.max(np.abs(shifted[g.mode_index(2)] - per_row)) < 1e-12
+
+
+ZEROS = slice(100, 164)  # columns that hold only signed zeros
+
+
+def signed_zero_rows(grid, seed):
+    """Random rows with a band of exact zeros of random signs, and zeros near both cutoffs.
+
+    Inside the band, columns 120 .. 123 hold the signs whose four terms at a
+    point between nodes 121 and 122 all have a -0 real part, so only a sum
+    started from +0 reads +0 there.
+    """
+    rng = np.random.RandomState(seed)
+    coeffs = rng.randn(grid.n_modes, grid.n_xi) + 1j * rng.randn(grid.n_modes, grid.n_xi)
+    width = ZEROS.stop - ZEROS.start
+    signs = rng.choice([-0.0, 0.0], size=(2, grid.n_modes, width))
+    coeffs.real[:, ZEROS], coeffs.imag[:, ZEROS] = signs
+    for j, re in zip(range(120, 124), (0.0, -0.0, -0.0, 0.0)):  # the weights' signs are -, +, +, -
+        coeffs[:, j] = complex(re, 0.0)
+    for j in (0, 1, grid.n_xi - 2):
+        coeffs[:, j] = complex(0.0, 0.0)
+    for j in (2, grid.n_xi - 1):
+        coeffs[:, j] = complex(-0.0, -0.0)
+    return coeffs
+
+
+def probe_points(grid, seed):
+    """On nodes, within 1e-10 of nodes, in the zero band, within two nodes of both cutoffs, beyond them."""
+    rng = np.random.RandomState(seed)
+    nodes = grid.xi[rng.randint(0, grid.n_xi, 40)]
+    near = grid.xi[rng.randint(0, grid.n_xi, 40)] + rng.uniform(-1e-10, 1e-10, 40)
+    edge = rng.uniform(0.0, 2.0, 40) * grid.d_xi
+    band = grid.xi[ZEROS.start] + rng.uniform(0.0, ZEROS.stop - ZEROS.start - 1, 80) * grid.d_xi
+    return np.concatenate([
+        nodes, near, band, grid.xi[ZEROS], grid.xi[121] + np.array([0.25, 0.5, 0.75]) * grid.d_xi,
+        grid.xi[[0, 1, 2, -3, -2, -1]], grid.xi_max - edge, edge - grid.xi_max,
+        rng.uniform(-grid.xi_max, grid.xi_max, 40),
+        [grid.xi_max + 1e-12, -grid.xi_max - 0.01, 1.5 * grid.xi_max],
+    ])
+
+
+def scalar_read(row, grid, x):
+    """One read as the stencil defines it: its in-range nodes added in order from complex +0."""
+    acc = np.complex128(0.0)
+    if abs(x) > grid.xi_max:
+        return acc
+    _, b, w = _stencil((x + grid.xi_max) / grid.d_xi)
+    for m, wm in zip((-1, 0, 1, 2), w):
+        if 0 <= b + m < grid.n_xi:
+            acc += wm * row[b + m]
+    return acc
+
+
+class TestPointReadBits:
+    """``sample_mode`` is the scalar stencil bit for bit, signed zeros and NaN included."""
+
+    GRID = make_grid(4, 12.0, 0.05, 8.0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_scalar_stencil(self, seed):
+        g = self.GRID
+        coeffs = signed_zero_rows(g, seed)
+        pts = probe_points(g, seed)
+        for n in (-4, -1, 0, 1, 2, 4):
+            row = coeffs[g.mode_index(n)]
+            ref = np.array([scalar_read(row, g, x) for x in pts])
+            got = sample_mode(coeffs, g, n, pts)
+            # the int64 views compare bit patterns, so a zero's sign counts
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64)), n
+
+    def test_counters_match_scalar_count(self):
+        g = self.GRID
+        coeffs = signed_zero_rows(g, 4)
+        coeffs[g.mode_index(2), -1] = 3.0 - 4.0j
+        pts = probe_points(g, 4)
+        counters = TruncationCounters()
+        sample_mode(coeffs, g, 2, pts, counters)
+        assert counters.as_dict() == {
+            "out_of_range_reads": int(np.count_nonzero(np.abs(pts) > g.xi_max)),
+            "max_edge_magnitude": 5.0,
+        }
+
+    @pytest.mark.parametrize("col", [0, 1, 240, 479, 480])
+    def test_nan_reaches_exactly_its_stencils(self, col):
+        g = self.GRID
+        coeffs = np.ones((g.n_modes, g.n_xi), dtype=np.complex128)
+        coeffs[g.mode_index(1), col] = np.nan
+        pts = np.concatenate([g.xi, g.xi[:-1] + 0.5 * g.d_xi, probe_points(g, 5)])
+        got = sample_mode(coeffs, g, 1, pts)
+        expect = np.zeros(pts.shape, dtype=bool)
+        for i, x in enumerate(pts):
+            if abs(x) <= g.xi_max:
+                _, b, _ = _stencil((x + g.xi_max) / g.d_xi)
+                expect[i] = b - 1 <= col <= b + 2
+        assert np.array_equal(np.isnan(got), expect)
+        assert expect.sum() >= 4
 
 
 class TestEnforceReality:

@@ -1,0 +1,55 @@
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COMPARE = ROOT / "tools" / "compare_trees.py"
+
+
+def compare_trees(*args):
+    return subprocess.run([sys.executable, str(COMPARE), *map(str, args)],
+                          capture_output=True, text=True, timeout=300)
+
+
+def stub_tree(root: Path, headline: str, load: str = "return path") -> Path:
+    """A tree whose ``hmflab`` runs nothing and reports ``headline``."""
+    pkg = root / "src" / "hmflab"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "config.py").write_text(f"def load_config(path):\n    {load}\n")
+    (pkg / "runner.py").write_text(
+        "class _Manifest:\n    data = None\n\n"
+        "def run(cfg, out_root):\n"
+        "    m = _Manifest()\n"
+        f"    m.data = {{'status': 'ok', 'files': {{'a.csv': '00'}}, 'headline': {headline}}}\n"
+        "    return m\n"
+    )
+    return root
+
+
+class TestCompareTrees:
+    def test_checkout_equals_itself(self):
+        done = compare_trees(ROOT, ROOT, ROOT / "configs" / "bgk.cfg", ROOT / "configs" / "weights.cfg")
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert done.stdout.count("files equal, headline equal") == 2
+        assert "peak RSS" in done.stdout
+
+    def test_nan_headline_equals_itself(self, tmp_path):
+        a = stub_tree(tmp_path / "a", "{'rate': float('nan')}")
+        b = stub_tree(tmp_path / "b", "{'rate': float('nan')}")
+        done = compare_trees(a, b, ROOT / "configs" / "bgk.cfg")
+        assert done.returncode == 0, done.stdout + done.stderr
+
+    def test_headline_difference_exits_1(self, tmp_path):
+        a = stub_tree(tmp_path / "a", "{'rate': 1.0}")
+        b = stub_tree(tmp_path / "b", "{'rate': 1.0000000000000002}")
+        done = compare_trees(a, b, ROOT / "configs" / "bgk.cfg")
+        assert done.returncode == 1
+        assert "files equal, headline DIFFER" in done.stdout
+
+    def test_failed_run_exits_1(self, tmp_path):
+        a = stub_tree(tmp_path / "a", "{}")
+        b = stub_tree(tmp_path / "b", "{}", load="raise ValueError('bad config')")
+        done = compare_trees(a, b, ROOT / "configs" / "bgk.cfg")
+        assert done.returncode == 1
+        assert "change: FAILED ValueError: bad config" in done.stdout
