@@ -71,11 +71,20 @@ def _march_budget(delta: float, y0: float, t0: float, t1: float, n: int) -> np.n
     return ys
 
 
+def _steps(span_name: str, span: float, delta: float, d_t: float) -> int:
+    """round(span/d_t), after checking the march's arguments (``not x > 0`` rejects NaN)."""
+    for name, value in (("delta", delta), (span_name, span), ("d_t", d_t)):
+        if not (value > 0.0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+    n = int(round(span / d_t))
+    if n < 1:
+        raise ValueError(f"{span_name}/d_t must round to at least 1 step, got {span}/{d_t}")
+    return n
+
+
 def solve_a(T: float, delta: float, d_t: float) -> WeightFunction:
     """Backward integration of the budget equation from a(T) = 0."""
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    n = int(round(T / d_t))
+    n = _steps("T", T, delta, d_t)
     ys = _march_budget(delta, 0.0, T, 0.0, n)[::-1]
     if np.any(ys[:-1] <= 0.0):
         raise RuntimeError("budget integration lost positivity on [0, T)")
@@ -83,6 +92,17 @@ def solve_a(T: float, delta: float, d_t: float) -> WeightFunction:
     if np.any(np.diff(ys) > 0.0):
         raise RuntimeError("budget integration lost monotonicity")
     return WeightFunction(t=np.arange(n + 1) * (T / n), a=ys)
+
+
+@lru_cache(maxsize=256)
+def terminal_a0(T: float, delta: float, d_t: float) -> float:
+    """a_T(0) = ``solve_a(T, delta, d_t).a0``, marched once per process per argument triple.
+
+    The march is deterministic in its arguments, so a memo hit is the float
+    the march returned; only floats are stored.  A triple whose march raises
+    is not stored and raises again on every call.
+    """
+    return solve_a(T, delta, d_t).a0
 
 
 _A_INF_RETRIES = 3
@@ -97,13 +117,14 @@ def a_infinity(delta: float, t_max: float, d_t: float) -> WeightFunction:
     separatrix.  The horizons are max(2 t_max, 100) times 1, 2 and 4.  A
     positivity failure means the extrapolation undershot; the horizons are
     doubled and the estimate repeated, at most ``_A_INF_RETRIES`` times.
+    The a_T(0) values are read through ``terminal_a0``, so repeated calls
+    march no horizon twice and a retry marches only its one new horizon.
     """
+    n = _steps("t_max", t_max, delta, d_t)
     base = max(2.0 * t_max, 100.0)
     horizons = (base, 2.0 * base, 4.0 * base)
     for _ in range(_A_INF_RETRIES + 1):
-        a0s = [solve_a(T, delta, d_t).a0 for T in horizons]
-        a_ext = _aitken(a0s)
-        n = int(round(t_max / d_t))
+        a_ext = _aitken([terminal_a0(T, delta, d_t) for T in horizons])
         ys = _march_budget(delta, a_ext, 0.0, t_max, n)
         if np.all(ys > 0.0):
             return WeightFunction(t=np.arange(n + 1) * (t_max / n), a=ys)

@@ -21,7 +21,14 @@ from . import __version__
 from .config import ConfigError, RunConfig, _profile_from, _stability_kernel, member_config
 from .diagnostics import compare_backward_forward, detect_echoes, fit_decay
 from .evolution import EvolutionParams, forward_solve
-from .norms import a_infinity, functional_M, functional_N, functional_P_Q, solve_a
+from .norms import (
+    a_infinity,
+    functional_M,
+    functional_N,
+    functional_P_Q,
+    solve_a,
+    terminal_a0,
+)
 from .profiles import bgk_to_field, make_asymptotic_datum, omega_curve, solve_bgk
 from .scattering import (
     _MARGIN_SCAN,
@@ -191,9 +198,7 @@ def _run_weights(cfg: RunConfig, out: Path) -> dict:
     T = cfg.values["weights.T"]
     d_t = cfg.values["weights.d_t"]
     deltas = cfg.values["weights.delta_list"]
-    a0s = []
-    for d in deltas:
-        a0s.append(solve_a(T, d, d_t).a0)
+    a0s = [terminal_a0(T, d, d_t) for d in deltas]
     slope = float(np.polyfit(np.log(deltas), np.log(a0s), 1)[0]) if len(deltas) >= 2 else math.nan
     delta = cfg.values["weights.delta"]
     t_max = cfg.values["weights.t_max"]

@@ -1,8 +1,12 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hmflab import norms, runner
+from hmflab.config import load_config
 from hmflab.evolution import FieldSeries, Trajectory
 from hmflab.norms import (
     _march_budget,
@@ -11,6 +15,7 @@ from hmflab.norms import (
     functional_N,
     functional_P_Q,
     solve_a,
+    terminal_a0,
 )
 from hmflab.profiles import make_asymptotic_datum
 from hmflab.spectral import FourierField, make_grid
@@ -118,6 +123,23 @@ class TestSolveA:
         with pytest.raises(ValueError):
             solve_a(10.0, 0.0, 0.01)
 
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: solve_a(10.0, math.nan, 0.01), "delta"),  # an all-NaN budget before
+            (lambda: solve_a(0.004, 1e-3, 0.01), "T/d_t"),  # round(0.4) = 0 steps
+            (lambda: solve_a(10.0, 1e-3, 0.0), "d_t"),
+            (lambda: a_infinity(1e-3, 0.0, 0.01), "t_max"),
+            (lambda: solve_a(10.0, 1e-3, -0.01), "d_t"),
+            (lambda: solve_a(-5.0, 1e-3, 0.01), "T"),
+            (lambda: solve_a(math.inf, 1e-3, 0.01), "T"),
+            (lambda: a_infinity(1e-3, math.nan, 0.01), "t_max"),
+        ],
+    )
+    def test_rejects_bad_arguments_by_name(self, call, name):
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must"):
+            call()
+
     @pytest.mark.xfail(
         strict=True,
         reason="near t = T the budget ODE has df/da ~ delta T^2, so an RK4 step d_t is "
@@ -148,6 +170,66 @@ class TestAInfinity:
         w = a_infinity(1e-3, 100.0, 0.01)
         assert w.a0 == pytest.approx(0.1673696, abs=1e-5)
         assert 0.045 < float(w(100.0)) < 0.07
+
+
+WEIGHTS_CFG = Path(__file__).resolve().parent.parent / "configs" / "weights.cfg"
+
+
+@pytest.fixture
+def solve_a_calls(monkeypatch):
+    """Count ``solve_a`` calls from ``norms`` and ``runner``, starting with an empty memo."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve_a(*args)
+
+    monkeypatch.setattr(norms, "solve_a", counted)
+    monkeypatch.setattr(runner, "solve_a", counted)
+    terminal_a0.cache_clear()
+    yield calls
+    terminal_a0.cache_clear()
+
+
+class TestTerminalA0:
+    @pytest.mark.parametrize(
+        "T, delta, d_t", [(200.0, 1e-3, 0.01), (50.0, 1e-2, 0.05), (1.0, 1e-3, 0.3), (40.0, 1.0, 0.01)]
+    )
+    def test_equals_march_bit_for_bit(self, T, delta, d_t):
+        terminal_a0.cache_clear()
+        first = terminal_a0(T, delta, d_t)
+        assert first == solve_a(T, delta, d_t).a0
+        assert terminal_a0(T, delta, d_t) == first  # the memo hit
+
+    def test_int_and_float_horizon_agree(self):
+        # lru_cache keys 200 and 200.0 alike; the march gives the same float for both
+        assert solve_a(200, 1e-3, 0.01).a0 == solve_a(200.0, 1e-3, 0.01).a0
+        terminal_a0.cache_clear()
+        assert terminal_a0(200, 1e-3, 0.01) == terminal_a0(200.0, 1e-3, 0.01)
+        assert terminal_a0.cache_info().currsize == 1
+
+    def test_a_infinity_marches_each_horizon_once(self, solve_a_calls):
+        first = a_infinity(1e-3, 100.0, 0.01)
+        assert [c[0] for c in solve_a_calls] == [200.0, 400.0, 800.0]
+        second = a_infinity(1e-3, 100.0, 0.01)
+        assert len(solve_a_calls) == 3
+        assert np.array_equal(first.a, second.a)
+
+    def test_weights_run_counts(self, solve_a_calls, tmp_path):
+        cfg = load_config(WEIGHTS_CFG)
+        first = runner.run(cfg, tmp_path / "a")
+        # delta list 3, w_T 1, horizons 200/400/800 of which (200, 1e-3) is a delta-list entry
+        assert len(solve_a_calls) == 6
+        second = runner.run(cfg, tmp_path / "b")
+        assert len(solve_a_calls) == 7  # only w_T, which needs the array
+        assert first.data["files"] == second.data["files"]
+
+    def test_failed_march_is_not_stored(self, solve_a_calls):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="T/d_t"):
+                terminal_a0(0.004, 1e-3, 0.01)
+        assert len(solve_a_calls) == 2
+        assert terminal_a0.cache_info().currsize == 0
 
 
 class TestFunctionalM:

@@ -1,9 +1,11 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COMPARE = ROOT / "tools" / "compare_trees.py"
+BENCH = ROOT / "tools" / "bench.py"
 
 
 def compare_trees(*args):
@@ -53,3 +55,42 @@ class TestCompareTrees:
         done = compare_trees(a, b, ROOT / "configs" / "bgk.cfg")
         assert done.returncode == 1
         assert "change: FAILED ValueError: bad config" in done.stdout
+
+
+class TestBench:
+    def test_checkout_against_itself_record_keys(self, tmp_path):
+        out = tmp_path / "BENCH_self.json"
+        done = subprocess.run(
+            [sys.executable, str(BENCH), str(ROOT), str(ROOT), "--out", str(out), "--pairs", "1",
+             str(ROOT / "configs" / "bgk.cfg"), str(ROOT / "configs" / "weights.cfg")],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        record = json.loads(out.read_text())
+        assert set(record) == {"pairs", "started", "machine", "trees", "configs", "workloads"}
+        assert record["pairs"] == 1 and record["workloads"] == {}
+        assert {"python", "numpy", "nproc", "cpu_model", "loadavg_at_start", "loadavg_at_end"} <= set(
+            record["machine"]
+        )
+        assert record["trees"]["parent"] == record["trees"]["change"]
+        assert set(record["trees"]["change"]) == {"src_sha256", "commit", "src_dirty"}
+        assert set(record["configs"]) == {"bgk.cfg", "weights.cfg"}
+        for entry in record["configs"].values():
+            assert entry["ok"] and entry["files_equal"] and entry["headline_equal"]
+            assert 0.0 <= entry["change_faster_share"] <= 1.0
+            for side in ("parent", "change"):
+                assert entry[side]["status"] == ["ok"]
+                for metric in ("wall_s", "peak_rss_mb"):
+                    summary = entry[side][metric]
+                    assert set(summary) == {"samples", "min", "q1", "median", "q3"}
+                    assert len(summary["samples"]) == 1
+                    assert summary["min"] == summary["median"] == summary["samples"][0] > 0
+
+    def test_needs_a_config_or_workload(self, tmp_path):
+        done = subprocess.run(
+            [sys.executable, str(BENCH), str(ROOT), str(ROOT), "--out", str(tmp_path / "b.json")],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 2
+        assert "give at least one config or --workload" in done.stderr
+        assert not (tmp_path / "b.json").exists()

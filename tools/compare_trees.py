@@ -65,7 +65,7 @@ def run_config(tree: Path, config: Path) -> dict:
     return json.loads(lines[-1])
 
 
-def _canonical(value) -> str:
+def canonical(value) -> str:
     # JSON text, so a NaN headline value equals itself
     return json.dumps(value, sort_keys=True)
 
@@ -84,7 +84,7 @@ def compare(parent: Path, change: Path, configs: list[Path]) -> bool:
                 print(f"  {side}: FAILED {rec.get('error', rec['status'])}")
         if all(rec["status"] == "ok" for rec in records.values()):
             verdicts = {
-                key: _canonical(records["parent"][key]) == _canonical(records["change"][key])
+                key: canonical(records["parent"][key]) == canonical(records["change"][key])
                 for key in ("files", "headline")
             }
             print("  " + ", ".join(f"{k} {'equal' if ok else 'DIFFER'}" for k, ok in verdicts.items()))
