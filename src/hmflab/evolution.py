@@ -17,9 +17,11 @@ spectrum: it advances rows n = 0 .. n_max and re-sets row -1, the one
 negative row the n = 0 coupling reads, as the mirror of row +1 after every
 stage (the Hermitian half-storage of real-data transforms, as in numpy's
 ``rfft``).  Row 0 is its own mirror partner and is still computed directly;
-``forward_solve`` checks its symmetry.  Forward, the march extracts the field
-from each stage state (the readout is explicit, so no predictor is needed);
-a backward transport pass freezes it.
+``forward_solve`` checks its symmetry.  Forward, the march extracts the
+field from each stage state (the readout is explicit, so no predictor is
+needed); a backward transport pass freezes it.  A ``Trajectory`` stores the
+rows n = 0 .. n_max only, and the rows n < 0 are made where a full state is
+needed.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .spectral import (
     _shift_plan,
     _ShiftPlan,
     _stencil,
+    expand_half,
     shift_rows,
 )
 
@@ -107,38 +110,64 @@ class FieldSeries:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Snapshot block plus the full-resolution field series.
+    """Half-spectrum snapshot block plus the full-resolution field series.
 
     ``snapshots`` is one C-contiguous complex128 array of shape
-    (count, n_modes, n_xi): snapshot m is ``snapshots[m]``, row-indexed by
-    n + n_max like ``FourierField.coeffs``.
+    (count, n_max + 1, n_xi): snapshot m is ``snapshots[m]``, mode n >= 0 in
+    row n.  The rows n < 0 are the reality mirror h_{-n}(xi) = conj h_n(-xi)
+    and are not stored; ``full_state`` adds them.  ``start`` is the full
+    state the march started from, snapshot ``start_index`` (0 forward, the
+    last backward), kept as given: its rows n < 0 are its own, which may
+    differ from the mirror in the sign of zeros.
     """
 
     grid: Grid
     times: np.ndarray
     snapshots: np.ndarray = dfield(repr=False)
     series: FieldSeries
+    start: np.ndarray = dfield(repr=False)
+    start_index: int
     counters: TruncationCounters = dfield(default_factory=TruncationCounters)
 
     def __post_init__(self):
         block = np.ascontiguousarray(self.snapshots, dtype=np.complex128)
-        if block.ndim != 3 or block.shape[1:] != (self.grid.n_modes, self.grid.n_xi):
+        if block.ndim != 3 or block.shape[1:] != (self.grid.n_max + 1, self.grid.n_xi):
             raise GridError(
-                f"snapshot block shape {block.shape} does not match grid "
-                f"(count, {self.grid.n_modes}, {self.grid.n_xi})"
+                f"snapshot block shape {block.shape} does not match the half grid "
+                f"(count, {self.grid.n_max + 1}, {self.grid.n_xi})"
             )
         if len(self.times) != len(block):
             raise ValueError("snapshot times and snapshots length mismatch")
+        if np.shape(self.start) != (self.grid.n_modes, self.grid.n_xi):
+            raise GridError(
+                f"start state shape {np.shape(self.start)} does not match grid "
+                f"({self.grid.n_modes}, {self.grid.n_xi})"
+            )
+        if not 0 <= self.start_index < len(block):
+            raise ValueError(f"start_index {self.start_index} outside the {len(block)} snapshots")
         object.__setattr__(self, "snapshots", block)
 
+    def full_state(self, m: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Snapshot m (negative counts from the end) as a full (n_modes, n_xi) state.
+
+        The start snapshot is ``start`` itself; any other is expanded by
+        ``expand_half`` into ``out``, a new array when None.
+        """
+        m = range(len(self.times))[m]
+        if m == self.start_index:
+            return self.start
+        if out is None:
+            out = np.empty((self.grid.n_modes, self.grid.n_xi), dtype=np.complex128)
+        return expand_half(self.snapshots[m], out)
+
     def initial(self) -> FourierField:
-        return FourierField(self.grid, self.snapshots[0])
+        return FourierField(self.grid, self.full_state(0))
 
     def final(self) -> FourierField:
-        return FourierField(self.grid, self.snapshots[-1])
+        return FourierField(self.grid, self.full_state(-1))
 
     def max_mean_drift(self) -> float:
-        mean = self.snapshots[:, self.grid.mode_index(0), self.grid.n_half]
+        mean = self.snapshots[:, 0, self.grid.n_half]
         return float(np.max(np.abs(mean - mean[0])))
 
 
@@ -295,10 +324,10 @@ def _march(c, t_half, h, zeta, steps, snaps, counters, work):
     n = 0 .. n_max of ``c``; after every stage and step row -1 is re-set to
     the mirror conj(h_1(-xi)), and the rows below -1 are left as given.
     After every step a coefficient of rows -1 .. n_max past the overflow
-    cap, or a NaN, raises BlowUpError.  The states at the full indices
-    ``steps`` fill ``snaps`` in time order as full blocks, rows n < 0 from
-    the mirror and edge columns tallied; the first is ``c`` as given.
-    ``work`` holds the solve's grid and settings.
+    cap, or a NaN, raises BlowUpError.  The rows 0 .. n_max of the states
+    at the full indices ``steps`` fill the half block ``snaps`` in time
+    order, edge columns tallied after the first; the first is ``c``'s as
+    given.  ``work`` holds the solve's grid and settings.
     """
     m = work.grid.n_max
     k_sum, k, y = work.k_sum, work.k, work.stage
@@ -306,7 +335,7 @@ def _march(c, t_half, h, zeta, steps, snaps, counters, work):
     row = np.full(len(t_half) // 2 + 1, -1)
     row[steps] = np.arange(len(steps))
     order = range(len(row)) if h > 0 else range(len(row) - 1, -1, -1)  # full indices
-    snaps[row[order[0]]] = c
+    snaps[row[order[0]]] = c_half
 
     def rhs(state, node, out):
         tt = t_half[node]
@@ -335,9 +364,7 @@ def _march(c, t_half, h, zeta, steps, snaps, counters, work):
         if not peak <= _OVERFLOW_CAP:  # NaN fails too
             raise BlowUpError(float(t_half[2 * j]), float(peak))
         if row[j] >= 0:
-            snap = snaps[row[j]]
-            snap[m:] = c_half
-            np.conjugate(c[:m:-1, ::-1], out=snap[:m])  # rows -n_max .. -1
+            snaps[row[j]] = c_half
             # the rows n < 0 mirror these edge columns, so they add nothing
             edge = float(max(np.max(np.abs(c_half[:, 0])), np.max(np.abs(c_half[:, -1]))))
             if edge > counters.max_edge_magnitude:
@@ -373,7 +400,7 @@ def forward_solve(h0: FourierField, params: EvolutionParams) -> Trajectory:
     t_half = np.arange(2 * n_steps + 1) * (0.5 * params.d_t)
     times = t_half[::2]  # the same floats as np.arange(n_steps + 1) * d_t
     steps = _snapshot_steps(n_steps, params.snap_stride)
-    snapshots = np.empty((len(steps), grid.n_modes, grid.n_xi), dtype=np.complex128)
+    snapshots = np.empty((len(steps), grid.n_max + 1, grid.n_xi), dtype=np.complex128)
     zs = np.empty(n_steps + 1, dtype=np.complex128)
     zs[0] = extract_zeta(c, grid, 0.0, counters)
     work = _RK4Work(grid, params.profile, params.epsilon, params.sign)
@@ -392,5 +419,7 @@ def forward_solve(h0: FourierField, params: EvolutionParams) -> Trajectory:
         times=times[steps],
         snapshots=snapshots,
         series=FieldSeries(t=times, zeta1=zs),
+        start=h0.coeffs,
+        start_index=0,
         counters=counters,
     )

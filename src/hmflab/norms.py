@@ -146,8 +146,12 @@ def _aitken(seq) -> float:
 
 @lru_cache(maxsize=32)
 def _bracket(grid: Grid) -> np.ndarray:
-    """<n, xi> on the full lattice, rows indexed like field coefficients."""
-    n = np.arange(-grid.n_max, grid.n_max + 1, dtype=float)[:, None]
+    """<n, xi> on the rows n = 0 .. n_max, indexed like a half snapshot block.
+
+    <n, xi> is even under (n, xi) -> (-n, -xi) and the mirror keeps |h|, so
+    a weighted sup over these rows is the sup over the full lattice.
+    """
+    n = np.arange(grid.n_max + 1, dtype=float)[:, None]
     xi = grid.xi[None, :]
     return np.sqrt(1.0 + n * n + xi * xi)
 
@@ -184,7 +188,10 @@ def _weighted_snapshot_sup(
     budget_at,
     mu_points: int,
 ) -> NormReport:
-    """sup over admissible (mu, t) of (lam - mu - budget(t))^(1/2) ||h(t)||_mu, h read in place."""
+    """sup over admissible (mu, t) of (lam - mu - budget(t))^(1/2) ||h(t)||_mu.
+
+    ``snapshots`` are half blocks (rows n = 0 .. n_max), read in place.
+    """
     fractions = _boundary_refined_fractions(mu_points)
     br = _bracket(grid)
     best_val = None

@@ -5,8 +5,10 @@ back reproduces the exact binary value.  Time series go to CSV, scalar
 reports to JSON, and field snapshots to a raw little-endian block with a
 JSON sidecar: magic ``HMF1``, then snapshot count and grid dimensions as
 int64, then complex coefficients as interleaved float64 pairs in
-(snapshot, mode, frequency) order.  The manifest is written last via an
-atomic rename, so its presence marks a completed run.
+(snapshot, mode, frequency) order.  The file keeps the full mode layout
+n = -n_max .. n_max: a trajectory stores rows n >= 0 only, and the writer
+adds the mirror rows one snapshot at a time.  The manifest is written last
+via an atomic rename, so its presence marks a completed run.
 """
 
 from __future__ import annotations
@@ -19,9 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .evolution import Trajectory
 from .spectral import Grid
 
 SNAPSHOT_MAGIC = b"HMF1"
+_SNAPSHOT_HEADER = 4 + 3 * 8  # magic, then int64 (count, n_modes, n_xi)
 MANIFEST_NAMES = ("manifest.json", "manifest.json.tmp")
 
 
@@ -89,21 +93,21 @@ def write_json(path, obj) -> None:
     Path(path).write_text(_emit_json(obj) + "\n", encoding="utf-8")
 
 
-def write_snapshots(path_bin, path_sidecar, grid: Grid, times, snapshots: np.ndarray) -> None:
-    """Write a (count, n_modes, n_xi) snapshot block as HMF1 plus its JSON sidecar.
+def write_snapshots(path_bin, path_sidecar, traj: Trajectory) -> None:
+    """Write ``traj``'s snapshots as HMF1 (count, n_modes, n_xi) plus its JSON sidecar.
 
-    A C-contiguous little-endian complex128 block, as the solvers return,
-    is written straight from its buffer without a copy.
+    Each snapshot goes out as ``traj.full_state(m)``: the start state's own
+    bytes, or the half block's rows with the mirror rows added in one reused
+    buffer, so the write holds at most one full snapshot beside the block.
     """
-    block = np.ascontiguousarray(snapshots, dtype="<c16")
-    count = len(block)
-    if block.shape != (count, grid.n_modes, grid.n_xi):
-        raise ValueError(f"snapshot block shape {block.shape} does not match the grid")
-    dims = np.array(block.shape, dtype="<i8")
+    grid = traj.grid
+    count = len(traj.times)
+    buf = np.empty((grid.n_modes, grid.n_xi), dtype="<c16")
     with open(path_bin, "wb") as fh:
         fh.write(SNAPSHOT_MAGIC)
-        fh.write(dims.tobytes())
-        fh.write(block.data)
+        fh.write(np.array((count, grid.n_modes, grid.n_xi), dtype="<i8").tobytes())
+        for m in range(count):
+            fh.write(np.ascontiguousarray(traj.full_state(m, buf), dtype="<c16").data)
     write_json(
         path_sidecar,
         {
@@ -118,16 +122,22 @@ def write_snapshots(path_bin, path_sidecar, grid: Grid, times, snapshots: np.nda
                 "d_xi": grid.d_xi,
                 "t_final": grid.t_final,
             },
-            "times": [float(t) for t in times],
+            "times": [float(t) for t in traj.times],
         },
     )
 
 
 def read_snapshots(path_bin, grid: Grid) -> np.ndarray:
-    """The (count, n_modes, n_xi) block of an HMF1 file, read-only, checked against ``grid``."""
+    """The (count, n_modes, n_xi) block of an HMF1 file, read-only, checked against ``grid``.
+
+    The header must match ``grid``, name at least one snapshot, and account
+    for every byte of the file.
+    """
     raw = Path(path_bin).read_bytes()
     if raw[:4] != SNAPSHOT_MAGIC:
         raise ValueError(f"bad snapshot magic {raw[:4]!r}")
+    if len(raw) < _SNAPSHOT_HEADER:
+        raise ValueError(f"snapshot file of {len(raw)} bytes is shorter than its header")
     dims = np.frombuffer(raw, dtype="<i8", count=3, offset=4)
     count, n_modes, n_xi = (int(d) for d in dims)
     if (n_modes, n_xi) != (grid.n_modes, grid.n_xi):
@@ -135,7 +145,15 @@ def read_snapshots(path_bin, grid: Grid) -> np.ndarray:
             f"snapshot file holds ({n_modes}, {n_xi}) blocks, grid needs "
             f"({grid.n_modes}, {grid.n_xi})"
         )
-    data = np.frombuffer(raw, dtype="<c16", offset=4 + 24, count=count * n_modes * n_xi)
+    if count < 1:
+        raise ValueError(f"snapshot file header counts {count} snapshots, need at least 1")
+    size = _SNAPSHOT_HEADER + 16 * count * n_modes * n_xi
+    if len(raw) != size:
+        raise ValueError(
+            f"snapshot file holds {len(raw)} bytes, its header of {count} snapshots "
+            f"of ({n_modes}, {n_xi}) needs {size}"
+        )
+    data = np.frombuffer(raw, dtype="<c16", offset=_SNAPSHOT_HEADER)
     return data.reshape(count, n_modes, n_xi)
 
 

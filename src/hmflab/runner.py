@@ -131,7 +131,7 @@ def _write_solution(out, traj, trace):
             ["iter", "sup_diff", "contraction_ratio"],
             [range(1, n + 1), trace.sup_diffs, [math.nan, *trace.contraction_ratios][:n]],
         )
-    write_snapshots(out / "snapshots.bin", out / "snapshots.json", traj.grid, traj.times, traj.snapshots)
+    write_snapshots(out / "snapshots.bin", out / "snapshots.json", traj)
 
 
 def _decay_fit(cfg: RunConfig, series):

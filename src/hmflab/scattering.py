@@ -187,7 +187,8 @@ class _Workspace:
         Phi(t) is the trapezoid over the snapshots s_m >= t, with a partial
         leading interval [t, s_m]; its integrand carries the factor (s - t),
         so snapshot m couples only to the nodes before it.  Each snapshot's
-        h_0(t - s) and h_2(t + s) rows are read once, at those nodes.
+        h_0(t - s) and h_2(t + s) rows are read once, at those nodes, from
+        the half block ``snaps``.
         """
         cfg, grid, t, s = self.cfg, self.grid, self.t_z, self.snap_times
         if cfg.epsilon == 0.0:
@@ -214,9 +215,9 @@ class _Workspace:
         )
 
     def transport(self, zeta_z: np.ndarray) -> np.ndarray:
-        """Backward Runge-Kutta pass with the field frozen; returns the snapshot block."""
-        cfg = self.cfg
-        snaps = np.empty((len(self.snap_idx),) + cfg.terminal.coeffs.shape, dtype=np.complex128)
+        """Backward Runge-Kutta pass with the field frozen; returns the half snapshot block."""
+        cfg, grid = self.cfg, self.grid
+        snaps = np.empty((len(self.snap_idx), grid.n_max + 1, grid.n_xi), dtype=np.complex128)
         for _ in _march(cfg.terminal.coeffs.copy(), self.t_z, -cfg.d_t, zeta_z,
                         self.snap_idx, snaps, self.counters, self.rk4):
             pass
@@ -244,7 +245,7 @@ def backward_solve(config: ScatteringConfig) -> tuple[Trajectory, PicardTrace]:
     """
     ws = _Workspace(config)
     trace = PicardTrace()
-    datum = config.terminal.coeffs
+    datum = config.terminal.coeffs[ws.grid.n_max :]  # rows 0 .. n_max
     snaps = np.broadcast_to(datum, (len(ws.snap_idx),) + datum.shape)
     zeta_prev: np.ndarray | None = None
     zeta = None
@@ -290,6 +291,8 @@ def backward_solve(config: ScatteringConfig) -> tuple[Trajectory, PicardTrace]:
         times=ws.snap_times.copy(),
         snapshots=snaps,
         series=FieldSeries(t=ws.t_fine.copy(), zeta1=zeta[::2].copy()),
+        start=config.terminal.coeffs,
+        start_index=len(ws.snap_times) - 1,
         counters=ws.counters,
     )
     return traj, trace
@@ -395,7 +398,8 @@ def echo_split(traj: Trajectory, config: ScatteringConfig) -> EchoSplit:
 
     valid because the datum mean-zero row makes the terminal term vanish.
     All integrals ride the snapshot grid, and zeta is read at its nodes
-    there.  Each snapshot's four rows are read once; the pair (t_i, s_m)
+    there.  Each snapshot's four rows are read once, from its full state
+    (the h_{-1} read needs the rows n < 0); the pair (t_i, s_m)
     reads u column round((t_i - s_m)/du) (round half even), the exact
     offset on the cadence.
     """
@@ -408,7 +412,9 @@ def echo_split(traj: Trajectory, config: ScatteringConfig) -> EchoSplit:
     # rows [s_m, u] of h_0, [s_m, t_i] of h_2(s, t + s), and the reconstruction
     # integrand [l_m, u] of zeta_1 h_{-1}(l, u - l) - zeta_-1 h_1(l, u + l)
     h0_read, h2_read, rec_rows = np.empty((3, m_count, m_count), dtype=np.complex128)
-    for m, (s, snap) in enumerate(zip(ts, traj.snapshots)):
+    full = np.empty((grid.n_modes, grid.n_xi), dtype=np.complex128)
+    for m, s in enumerate(ts):
+        snap = traj.full_state(m, full)
         h0_read[m] = sample_mode(snap, grid, 0, u)
         h2_read[m] = sample_mode(snap, grid, 2, ts + s)
         r_p = sample_mode(snap, grid, -1, u - s)

@@ -125,9 +125,8 @@ class FourierField:
 
     ``coeffs`` has shape (n_modes, n_xi) and is row-indexed by n + n_max.
     Construction does not copy: ``np.asarray`` keeps a complex128 array as
-    given, so a field built on a slice of a larger block (as
-    ``Trajectory.initial`` and ``final`` are) is a view of it.  Treat
-    instances as read-only.
+    given, so a field built on a slice of a larger block is a view of it.
+    Treat instances as read-only.
     """
 
     grid: Grid
@@ -272,12 +271,17 @@ def sample_mode(
 ) -> np.ndarray:
     """Cubic read of one mode row at arbitrary frequencies.
 
+    ``coeffs`` is a full (n_modes, n_xi) state or a half block of the rows
+    n = 0 .. n_max (mode n in row n): row ``n - n_max - 1`` is mode n in
+    both, and a half block has no row for n < 0 (IndexError).
+
     The vector form of ``_stencil``: the same snap, floor and weights, one
     array operation for all points.  Points beyond |xi_max| read zero; the
     rest sum four terms from +0 over the row padded with zero nodes, where
     a node off the grid adds w * 0 = +-0 and so moves no value or zero sign.
     """
-    row = coeffs[grid.mode_index(n)]
+    grid.mode_index(n)  # |n| <= n_max
+    row = coeffs[n - grid.n_max - 1]
     pts = np.asarray(points, dtype=float)
     inside = np.abs(pts) <= grid.xi_max
     if counters is not None:
@@ -294,6 +298,22 @@ def sample_mode(
         acc += wm * padded[b + (m + 1)]
     out = np.zeros(pts.shape, dtype=np.complex128)
     out[inside] = acc
+    return out
+
+
+def expand_half(half: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The full (n_modes, n_xi) state of a half block of rows n = 0 .. n_max, into ``out``.
+
+    Rows n >= 0 are copied and rows -n_max .. -1 are the reality mirror
+    h_{-n}(xi) = conj h_n(-xi), bit for bit the rows a march of the half
+    spectrum implies.  A datum projected by ``enforce_reality`` (or built by
+    ``bgk_to_field``) holds the same values in its rows n < 0, but with
+    imaginary parts +0 where the mirror gives -0, so it is not its own
+    expansion.
+    """
+    m = len(half) - 1
+    out[m:] = half
+    np.conjugate(half[:0:-1, ::-1], out=out[:m])
     return out
 
 

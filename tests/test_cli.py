@@ -16,8 +16,9 @@ from hmflab.cli import main
 from hmflab.config import SCENARIOS, ConfigError, config_from_text, load_config
 from hmflab.outputs import fmt, read_snapshots, sha256_of, write_csv, write_snapshots
 from hmflab.profiles import solve_bgk
+from hmflab.evolution import FieldSeries, Trajectory
 from hmflab.runner import RunRefusedError, run
-from hmflab.spectral import make_grid
+from hmflab.spectral import expand_half, make_grid
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -340,31 +341,69 @@ class TestLoadConfig:
             )
 
 
+def half_trajectory(grid, half, start_index=0):
+    """A trajectory of the half block ``half`` whose start state is its full expansion."""
+    start = expand_half(half[start_index], np.empty((grid.n_modes, grid.n_xi), complex))
+    zeros = np.zeros(len(half))
+    return Trajectory(grid=grid, times=np.arange(len(half), dtype=float), snapshots=half,
+                      series=FieldSeries(t=zeros, zeta1=zeros.astype(complex)),
+                      start=start, start_index=start_index)
+
+
 class TestSnapshotFile:
     GRID = make_grid(4, 44.0, 0.05, 40.0)  # 9 x 1761
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
-        shape = (3, self.GRID.n_modes, self.GRID.n_xi)
-        block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        write_snapshots(tmp_path / "s.bin", tmp_path / "s.json", self.GRID, [0.0, 1.0, 2.0], block)
+        shape = (3, self.GRID.n_max + 1, self.GRID.n_xi)
+        traj = half_trajectory(self.GRID, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        write_snapshots(tmp_path / "s.bin", tmp_path / "s.json", traj)
         got = read_snapshots(tmp_path / "s.bin", self.GRID)
-        assert got.shape == shape and np.array_equal(got, block)
+        assert got.shape == (3, self.GRID.n_modes, self.GRID.n_xi)
+        assert all(np.array_equal(got[m], traj.full_state(m)) for m in range(3))
         assert json.loads((tmp_path / "s.json").read_text())["count"] == 3
         with pytest.raises(ValueError, match="grid needs"):
             read_snapshots(tmp_path / "s.bin", make_grid(3, 44.0, 0.05, 40.0))
 
     def test_write_copies_no_block(self, tmp_path):
-        block = np.zeros((33, self.GRID.n_modes, self.GRID.n_xi), dtype=np.complex128)
+        traj = half_trajectory(self.GRID, np.zeros((33, self.GRID.n_max + 1, self.GRID.n_xi), complex))
         tracemalloc.start()
         try:
-            write_snapshots(tmp_path / "s.bin", tmp_path / "s.json", self.GRID,
-                            np.arange(33.0), block)
+            write_snapshots(tmp_path / "s.bin", tmp_path / "s.json", traj)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert (tmp_path / "s.bin").stat().st_size == 4 + 24 + block.nbytes
-        assert peak < 0.1 * block.nbytes
+        full_bytes = 33 * self.GRID.n_modes * self.GRID.n_xi * 16
+        assert (tmp_path / "s.bin").stat().st_size == 4 + 24 + full_bytes
+        assert peak < 0.1 * full_bytes
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("trailing bytes", "holds 4124 bytes, its header of 3 snapshots of \\(5, 17\\) needs 4108"),
+            ("count below stored", "holds 4108 bytes, its header of 2 snapshots of \\(5, 17\\) needs 2748"),
+            ("count -1", "counts -1 snapshots, need at least 1"),
+            ("count 0", "counts 0 snapshots, need at least 1"),
+            ("header cut", "shorter than its header"),
+        ],
+    )
+    def test_reader_checks_the_header_against_the_file(self, tmp_path, case, message):
+        grid = make_grid(2, 4.0, 0.5, 0.0)  # 5 x 17: 3 snapshots and the header are 4108 bytes
+        path = tmp_path / "s.bin"
+        write_snapshots(path, tmp_path / "s.json",
+                        half_trajectory(grid, np.ones((3, grid.n_max + 1, grid.n_xi), complex)))
+        raw = path.read_bytes()
+        assert len(raw) == 4108 and read_snapshots(path, grid).shape == (3, 5, 17)
+        count = {"count below stored": 2, "count -1": -1, "count 0": 0}.get(case)
+        if count is not None:
+            raw = raw[:4] + np.array(count, dtype="<i8").tobytes() + raw[12:]
+        elif case == "trailing bytes":
+            raw += bytes(16)
+        else:
+            raw = raw[:20]
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=message):
+            read_snapshots(path, grid)
 
 
 class TestCsv:

@@ -161,13 +161,17 @@ class TestForwardSolve:
     def test_snapshots_are_one_block(self):
         # 105 steps at stride 10: steps 0, 10, ..., 100 and the off-cadence endpoint
         params = EvolutionParams(profile=PROFILE, epsilon=0.01, d_t=0.01, t_final=1.05)
-        traj = forward_solve(datum(), params)
+        h0 = datum()
+        traj = forward_solve(h0, params)
         snaps = traj.snapshots
-        assert snaps.shape == (12, GRID.n_modes, GRID.n_xi)
+        assert snaps.shape == (12, GRID.n_max + 1, GRID.n_xi)  # rows n = 0 .. n_max
         assert snaps.dtype == np.complex128 and snaps.flags.c_contiguous
         assert np.allclose(traj.times, np.r_[np.arange(11) * 0.1, 1.05])
-        assert np.array_equal(traj.initial().coeffs, datum().coeffs)
-        assert np.shares_memory(traj.final().coeffs, snaps[-1])
+        # the start state is kept as given; any other full state is made on request
+        assert traj.initial().coeffs is h0.coeffs
+        final = traj.final().coeffs
+        assert not np.shares_memory(final, snaps)
+        assert final[GRID.n_max :].tobytes() == snaps[-1].tobytes()
 
     def test_mass_conservation(self):
         params = EvolutionParams(profile=PROFILE, epsilon=0.01, d_t=0.01, t_final=10.0)
@@ -175,14 +179,15 @@ class TestForwardSolve:
         assert traj.max_mean_drift() < 1e-10
 
     def test_reality_preserved(self):
-        # the march advances rows 0 .. n_max and stores the rows n < 0 as their
-        # mirror, so only row 0 can drift; the first snapshot is h0 as given
+        # the march advances rows 0 .. n_max and a full state adds the rows
+        # n < 0 as their mirror, so only row 0 can drift; the first is h0 as given
         params = EvolutionParams(profile=PROFILE, epsilon=0.01, d_t=0.01, t_final=10.0)
         h0 = datum()
         traj = forward_solve(h0, params)
-        assert traj.snapshots[0].tobytes() == h0.coeffs.tobytes()
+        assert traj.full_state(0).tobytes() == h0.coeffs.tobytes()
         m = GRID.n_max
-        for s in traj.snapshots[1:]:
+        for i in range(1, len(traj.times)):
+            s = traj.full_state(i)
             assert s[:m].tobytes() == np.conj(s[:m:-1, ::-1]).tobytes()
             assert np.max(np.abs(s[m] - np.conj(s[m, ::-1]))) < 1e-10
 

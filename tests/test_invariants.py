@@ -28,7 +28,7 @@ import numpy as np
 from hmflab.evolution import EvolutionParams, forward_solve
 from hmflab.profiles import make_asymptotic_datum, maxwellian
 from hmflab.scattering import ScatteringConfig, _Workspace
-from hmflab.spectral import make_grid
+from hmflab.spectral import expand_half, make_grid
 
 PROFILE = maxwellian()
 EPS = 0.5
@@ -53,7 +53,8 @@ def forward_drift(d_t, d_xi):
         profile=PROFILE, epsilon=EPS, d_t=d_t, t_final=T, snap_stride=round(0.2 / d_t)
     )
     traj = forward_solve(h0, params)
-    return traj.counters.max_edge_magnitude, l2_invariant(traj.snapshots, grid, EPS)
+    full = np.stack([traj.full_state(m) for m in range(len(traj.times))])
+    return traj.counters.max_edge_magnitude, l2_invariant(full, grid, EPS)
 
 
 def transport_drift(d_t, d_xi):
@@ -64,9 +65,10 @@ def transport_drift(d_t, d_xi):
         snap_stride=round(0.2 / d_t),
     )
     ws = _Workspace(cfg)
-    zeta = ws.solve_field(np.broadcast_to(datum.coeffs, (len(ws.snap_idx),) + datum.coeffs.shape))
-    snaps = ws.transport(zeta)
-    return ws.counters.max_edge_magnitude, l2_invariant(snaps, grid, EPS)
+    half = datum.coeffs[grid.n_max :]
+    zeta = ws.solve_field(np.broadcast_to(half, (len(ws.snap_idx),) + half.shape))
+    full = np.stack([expand_half(s, np.empty(datum.coeffs.shape, complex)) for s in ws.transport(zeta)])
+    return ws.counters.max_edge_magnitude, l2_invariant(full, grid, EPS)
 
 
 def check_conserved(run):

@@ -42,8 +42,10 @@ def make_traj(fields, times, series=None):
     return Trajectory(
         grid=GRID,
         times=np.asarray(times, dtype=float),
-        snapshots=np.stack([f.coeffs for f in fields]),
+        snapshots=np.stack([f.coeffs[GRID.n_max :] for f in fields]),
         series=series,
+        start=fields[0].coeffs,
+        start_index=0,
     )
 
 

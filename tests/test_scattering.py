@@ -21,7 +21,7 @@ from hmflab.scattering import (
     continue_in_T,
     nonperturbative_solve,
 )
-from hmflab.spectral import FourierField, make_grid, sample_mode, trapezoid
+from hmflab.spectral import FourierField, expand_half, make_grid, sample_mode, trapezoid
 from hmflab.volterra import solve_volterra
 
 
@@ -169,7 +169,7 @@ class TestBackwardSolve:
         traj, trace = backward_solve(cfg)
         assert trace.converged
         dev = np.array(
-            [float(np.max(np.abs(s - cfg.terminal.coeffs))) for s in traj.snapshots]
+            [float(np.max(np.abs(s - cfg.terminal.coeffs[GRID.n_max :]))) for s in traj.snapshots]
         )
         tail = dev[traj.times >= 12.0]
         assert np.all(np.diff(tail) <= 0)
@@ -177,7 +177,8 @@ class TestBackwardSolve:
     def test_reality_of_solution(self):
         cfg = config()
         traj, _ = backward_solve(cfg)
-        for s in traj.snapshots:
+        for m in range(len(traj.times)):
+            s = traj.full_state(m)
             assert np.max(np.abs(s - np.conj(s[::-1, ::-1]))) < 1e-12
 
     def test_snapshots_are_one_block(self):
@@ -190,21 +191,24 @@ class TestBackwardSolve:
             traj, trace = backward_solve(config(terminal=terminal, T=2.05))
             assert trace.converged is converged
             snaps = traj.snapshots
-            assert snaps.shape == (22, grid.n_modes, grid.n_xi)
+            assert snaps.shape == (22, grid.n_max + 1, grid.n_xi)  # rows n = 0 .. n_max
             assert snaps.dtype == np.complex128 and snaps.flags.c_contiguous
-            assert np.array_equal(snaps[-1], terminal.coeffs, equal_nan=True)
+            assert np.array_equal(snaps[-1], terminal.coeffs[grid.n_max :], equal_nan=True)
+            assert traj.final().coeffs is terminal.coeffs
 
     def test_trace_norms_read_the_block_in_place(self):
         # N reads 11 of 41 snapshots (every 4th and the last); reading them where
         # they lie keeps one call's allocations under 4 snapshots' bytes
         ws = _Workspace(config(T=4.0))  # 400 steps at stride 10 on 9 x 961
         rng = np.random.default_rng(0)
-        shape = (len(ws.snap_times), GRID.n_modes, GRID.n_xi)
+        shape = (len(ws.snap_times), GRID.n_max + 1, GRID.n_xi)
         snaps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         zeta = rng.standard_normal(len(ws.t_z)) + 1j * rng.standard_normal(len(ws.t_z))
         sub = evolution._snapshot_steps(len(ws.snap_times) - 1, 4)
+        start = expand_half(snaps[-1], np.empty((GRID.n_modes, GRID.n_xi), complex))
         traj = Trajectory(grid=GRID, times=ws.snap_times[sub], snapshots=snaps[sub],
-                          series=FieldSeries(t=ws.t_fine, zeta1=zeta[::2]))
+                          series=FieldSeries(t=ws.t_fine, zeta1=zeta[::2]),
+                          start=start, start_index=len(sub) - 1)
         expected = (functional_M(traj.series, 0.3).value,
                     functional_N(traj, 0.3, ws.weight, mu_points=32).value)
         tracemalloc.start()
@@ -239,7 +243,8 @@ class TestFieldSolve:
         # explicit trapezoid coupling on its field and marching reproduces it
         cfg = self._window(name)
         ws = _Workspace(cfg)
-        first = np.broadcast_to(cfg.terminal.coeffs, (len(ws.snap_idx),) + cfg.terminal.coeffs.shape)
+        half = cfg.terminal.coeffs[ws.grid.n_max :]
+        first = np.broadcast_to(half, (len(ws.snap_idx),) + half.shape)
         snaps = ws.transport(ws.solve_field(first))  # the history after one sweep
         zeta = ws.solve_field(snaps)
         uncoupled = solve_volterra(ws.datum_readout, ws.kernel, "backward")

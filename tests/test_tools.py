@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from hmflab.config import load_config
+
 ROOT = Path(__file__).resolve().parent.parent
 COMPARE = ROOT / "tools" / "compare_trees.py"
 BENCH = ROOT / "tools" / "bench.py"
@@ -94,3 +96,14 @@ class TestBench:
         assert done.returncode == 2
         assert "give at least one config or --workload" in done.stderr
         assert not (tmp_path / "b.json").exists()
+
+
+def test_long_window_config_loads():
+    """tools/long_window.cfg is one backward window of criterion 4's shape, outside configs/."""
+    cfg = load_config(ROOT / "tools" / "long_window.cfg")
+    v = cfg.values
+    assert cfg.scenario == "backward"
+    assert (v["grid.n_max"], v["grid.xi_max"], v["grid.d_xi"]) == (4, 44.0, 0.05)
+    assert (v["evolve.epsilon"], v["evolve.d_t"], v["evolve.T"], v["picard.tol"]) == (0.01, 0.01, 40.0, 1e-6)
+    assert v["backward.T_list"] is None
+    assert not (ROOT / "configs" / "long_window.cfg").exists()
