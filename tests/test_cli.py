@@ -290,6 +290,32 @@ class TestLoadConfig:
             pytest.param("run.scenario = sweep\nrun.id = x\nsweep.scenario = backward\n"
                          "sweep.axis = grid.n_max\nsweep.values = 3, 3.0",
                          "sweep.values has no repeated value", id="sweep-values-repeated-integer-axis"),
+            # one row for each single-key range rule no other row pins
+            pytest.param(BACKWARD_SMALL.replace("grid.d_xi = 0.1", "grid.d_xi = 0"),
+                         "violated precondition: grid.d_xi > 0", id="d_xi-0"),
+            pytest.param(BACKWARD_SMALL.replace("datum.width = 1.0", "datum.width = 0"),
+                         "violated precondition: datum.width > 0", id="datum-width-0"),
+            pytest.param(BACKWARD_SMALL.replace("evolve.d_t = 0.02", "evolve.d_t = 0"),
+                         "violated precondition: evolve.d_t > 0", id="d_t-0"),
+            pytest.param(BACKWARD_SMALL.replace("picard.tol = 1e-7", "picard.tol = 0"),
+                         "violated precondition: picard.tol > 0", id="picard-tol-0"),
+            pytest.param(BACKWARD_SMALL.replace("grid.n_max = 3", "grid.n_max = 1"),
+                         "violated precondition: grid.n_max >= 2", id="n_max-1"),
+            pytest.param("run.scenario = stability\nrun.id = x\nprofile.kind = cauchy",
+                         "violated precondition: profile.kind known", id="profile-kind-unknown"),
+            pytest.param(BACKWARD_SMALL + "datum.shape = square",
+                         "violated precondition: datum.shape known", id="datum-shape-unknown"),
+            pytest.param(BACKWARD_SMALL + "datum.modes = 0:1, 1:1, -1:1",
+                         "violated precondition: datum.modes carries no weight on mode 0",
+                         id="modes-on-mode-0"),
+            pytest.param(BACKWARD_SMALL + "evolve.sign = 0.5",
+                         "violated precondition: evolve.sign is +1 or -1", id="sign-half"),
+            pytest.param(BACKWARD_SMALL.replace("evolve.epsilon = 0.01", "evolve.epsilon = -0.01"),
+                         "violated precondition: evolve.epsilon >= 0", id="epsilon-negative"),
+            pytest.param("run.scenario = sweep\nrun.id = x\nsweep.scenario = backward\n"
+                         "sweep.axis = grid.n_max\nsweep.values = 3, 1",
+                         "sweep member 1: violated precondition: grid.n_max >= 2",
+                         id="sweep-member-n_max-1"),
         ],
     )
     def test_stability_keys_checked_at_load(self, lines, rule):
