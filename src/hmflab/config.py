@@ -3,9 +3,11 @@
 Scenario files are plain text, one ``section.key = value`` per line with
 ``#`` comments.  Every key must belong to the schema and be applicable to
 the configured scenario; there are no silent defaults for misspelled
-keys.  Cross-field rules (window ordering, grid support of the horizon,
-the reach of a margin scan) are checked up front so a run fails before
-any work happens.
+keys, and no key whose value the run would never read.  A key's own range
+rule lives in its ``SCHEMA`` row and is checked first; cross-field rules
+(window ordering, grid support of the horizon, the reach of a margin scan)
+follow.  Both run at load, on every sweep member too, so a run fails
+before any work happens.
 """
 
 from __future__ import annotations
@@ -72,55 +74,69 @@ def _mode_weights(raw: str) -> dict[int, float]:
 
 
 _REQUIRED = object()
+_POS = (lambda x: x > 0, "> 0")
 
-# key -> (parser, default-or-required, applicable scenarios)
+
+def _at_least(n: int) -> tuple:
+    return (lambda x: x >= n, f">= {n}")
+
+
+def _known(*names: str) -> tuple:
+    return (lambda x: x in names, "known")
+
+
+# key -> (parser, default-or-required, applicable scenarios, range rule or None).  A range
+# rule is the key's own contract, (predicate, message suffix), checked on every value that
+# is not None before any rule that relates two keys.
 SCHEMA: dict[str, tuple] = {
-    "run.scenario": (str, _REQUIRED, _ALL),
-    "run.id": (str, _REQUIRED, _ALL),
-    "grid.n_max": (int, 4, _RUNNY),
-    "grid.xi_max": (_float, 24.0, _RUNNY),
-    "grid.d_xi": (_float, 0.05, _RUNNY),
-    "grid.t_final": (_float, 20.0, _RUNNY),
-    "profile.kind": (str, "maxwellian", _WITH_PROFILE),
-    "profile.beta": (_float, 1.0, _WITH_PROFILE),
-    "profile.scale": (_float, 1.0, _WITH_PROFILE),
-    "datum.amplitude": (_float, 0.5, _WITH_DATUM),
-    "datum.width": (_float, 1.0, _WITH_DATUM),
-    "datum.shape": (str, "gaussian", _WITH_DATUM),
-    "datum.modes": (_mode_weights, {1: 1.0, -1: 1.0}, _WITH_DATUM),
-    "evolve.epsilon": (_float, 0.01, _RUNNY),
-    "evolve.sign": (_float, 1.0, _RUNNY),
-    "evolve.d_t": (_float, 0.01, _RUNNY),
-    "evolve.T": (_float, 20.0, _RUNNY),
-    "evolve.tau": (_float, 0.0, ("backward", "nonperturbative")),
-    "evolve.snap_stride": (int, 10, _RUNNY),
-    "backward.T_list": (_float_list, None, ("backward",)),
-    "picard.max_iters": (int, 12, _WITH_PICARD),
-    "picard.tol": (_float, 1e-6, _WITH_PICARD),
-    "norms.lambda": (_float, 0.3, _RUNNY),
-    "norms.lambda_prime": (_float, 0.15, ("nonperturbative",)),
-    "norms.delta": (_float, 1e-3, _WITH_PICARD),
-    "norms.mu_points": (int, 64, ("backward",)),
-    "stability.omega_max": (_float, 20.0, ("stability",)),
-    "stability.n_scan": (int, 1201, ("stability",)),
-    "stability.threshold": (_float, 0.05, ("stability",)),
-    "stability.t_max": (_float, 25.0, ("stability",)),
-    "stability.d_t": (_float, 1e-3, ("stability",)),
-    "stability.m_bound": (_float, None, ("stability",)),
-    "stability.lambda": (_float, None, ("stability",)),
-    "bgk.beta": (_float, 3.0, ("bgk", "nonperturbative")),
-    "weights.T": (_float, 200.0, ("weights",)),
-    "weights.d_t": (_float, 0.01, ("weights",)),
-    "weights.delta_list": (_float_list, [1e-4, 1e-3, 1e-2], ("weights",)),
-    "weights.delta": (_float, 1e-3, ("weights",)),
-    "weights.t_max": (_float, 100.0, ("weights",)),
-    "fit.window_lo": (_float, None, _WITH_FIT),
-    "fit.window_hi": (_float, None, _WITH_FIT),
-    "echo.threshold": (_float, 2.5, ("forward",)),
-    "compare.rough_width": (_float, None, ("compare",)),
-    "sweep.scenario": (str, _REQUIRED, ("sweep",)),
-    "sweep.axis": (str, _REQUIRED, ("sweep",)),
-    "sweep.values": (_float_list, _REQUIRED, ("sweep",)),
+    "run.scenario": (str, _REQUIRED, _ALL, None),
+    "run.id": (str, _REQUIRED, _ALL, None),
+    "grid.n_max": (int, 4, _RUNNY, _at_least(2)),
+    "grid.xi_max": (_float, 24.0, _RUNNY, None),
+    "grid.d_xi": (_float, 0.05, _RUNNY, _POS),
+    "grid.t_final": (_float, 20.0, _RUNNY, None),
+    "profile.kind": (str, "maxwellian", _WITH_PROFILE, _known("maxwellian", "lorentzian")),
+    "profile.beta": (_float, 1.0, _WITH_PROFILE, _POS),
+    "profile.scale": (_float, 1.0, _WITH_PROFILE, _POS),
+    "datum.amplitude": (_float, 0.5, _WITH_DATUM, None),
+    "datum.width": (_float, 1.0, _WITH_DATUM, _POS),
+    "datum.shape": (str, "gaussian", _WITH_DATUM, _known("gaussian", "exponential")),
+    "datum.modes": (_mode_weights, {1: 1.0, -1: 1.0}, _WITH_DATUM,
+                    (lambda m: 0 not in m, "carries no weight on mode 0")),
+    "evolve.epsilon": (_float, 0.01, _RUNNY, _at_least(0)),
+    "evolve.sign": (_float, 1.0, _RUNNY, (lambda s: s in (1.0, -1.0), "is +1 or -1")),
+    "evolve.d_t": (_float, 0.01, _RUNNY, _POS),
+    "evolve.T": (_float, 20.0, _RUNNY, None),
+    "evolve.tau": (_float, 0.0, ("backward", "nonperturbative"), _at_least(0)),
+    "evolve.snap_stride": (int, 10, _RUNNY, _at_least(1)),
+    "backward.T_list": (_float_list, None, ("backward",), None),
+    "picard.max_iters": (int, 12, _WITH_PICARD, _at_least(1)),
+    "picard.tol": (_float, 1e-6, _WITH_PICARD, _POS),
+    "norms.lambda": (_float, 0.3, _RUNNY, _POS),
+    "norms.lambda_prime": (_float, 0.15, ("nonperturbative",), None),
+    "norms.delta": (_float, 1e-3, _WITH_PICARD, _POS),
+    "norms.mu_points": (int, 64, ("backward",), _at_least(2)),
+    "stability.omega_max": (_float, 20.0, ("stability",), _POS),
+    "stability.n_scan": (int, 1201, ("stability",), _at_least(2)),
+    "stability.threshold": (_float, 0.05, ("stability",), _POS),
+    "stability.t_max": (_float, 25.0, ("stability",), _POS),
+    "stability.d_t": (_float, 1e-3, ("stability",), None),
+    "stability.m_bound": (_float, None, ("stability",), _POS),
+    "stability.lambda": (_float, None, ("stability",), None),
+    "bgk.beta": (_float, 3.0, ("bgk", "nonperturbative"), _POS),
+    "weights.T": (_float, 200.0, ("weights",), None),
+    "weights.d_t": (_float, 0.01, ("weights",), None),
+    "weights.delta_list": (_float_list, [1e-4, 1e-3, 1e-2], ("weights",),
+                           (lambda ds: all(d > 0 for d in ds), "entries > 0")),
+    "weights.delta": (_float, 1e-3, ("weights",), _POS),
+    "weights.t_max": (_float, 100.0, ("weights",), None),
+    "fit.window_lo": (_float, None, _WITH_FIT, None),
+    "fit.window_hi": (_float, None, _WITH_FIT, None),
+    "echo.threshold": (_float, 2.5, ("forward",), None),
+    "compare.rough_width": (_float, None, ("compare",), _POS),
+    "sweep.scenario": (str, _REQUIRED, ("sweep",), None),
+    "sweep.axis": (str, _REQUIRED, ("sweep",), None),
+    "sweep.values": (_float_list, _REQUIRED, ("sweep",), None),
 }
 
 
@@ -192,7 +208,7 @@ def _build(raw: dict[str, str], origin: str) -> RunConfig:
             f"{', '.join(sorted(inapplicable))}"
         )
     values: dict = {}
-    for key, (parser, default, scopes) in SCHEMA.items():
+    for key, (parser, default, scopes, _) in SCHEMA.items():
         if key in raw:
             try:
                 values[key] = parser(raw[key])
@@ -248,13 +264,6 @@ def member_config(cfg: RunConfig, value, origin: str = "<sweep member>") -> RunC
     return member
 
 
-_POSITIVE = (
-    "grid.d_xi", "profile.beta", "profile.scale", "datum.width", "evolve.d_t", "picard.tol",
-    "norms.lambda", "norms.delta", "stability.omega_max", "stability.t_max", "stability.threshold",
-    "bgk.beta", "weights.delta",
-)
-
-
 def _is_whole(x: float) -> bool:
     return abs(x - round(x)) <= 1e-9
 
@@ -281,11 +290,12 @@ def _validate(cfg: RunConfig, origin: str) -> None:
         if not ok:
             raise ConfigError(f"{origin}: violated precondition: {name}")
 
-    for key in _POSITIVE:
-        if key in v:
-            rule(v[key] > 0, f"{key} > 0")
+    # each key's own range first: the rules below divide by grid.d_xi and evolve.d_t
+    for key, value in v.items():
+        check = SCHEMA[key][3]
+        if check is not None and value is not None:
+            rule(check[0](value), f"{key} {check[1]}")
     if "grid.n_max" in v:
-        rule(v["grid.n_max"] >= 2, "grid.n_max >= 2")
         cells = v["grid.xi_max"] / v["grid.d_xi"]
         rule(abs(cells - round(cells)) <= 1e-9 * max(1.0, cells),
              "grid.xi_max is a whole multiple of grid.d_xi")
@@ -293,15 +303,7 @@ def _validate(cfg: RunConfig, origin: str) -> None:
             v["grid.xi_max"] >= v["grid.t_final"] + 4.0,
             "grid.xi_max >= grid.t_final + 4 (horizon exceeds grid)",
         )
-    if "profile.kind" in v:
-        rule(v["profile.kind"] in ("maxwellian", "lorentzian"), "profile.kind known")
-    if "datum.shape" in v:
-        rule(v["datum.shape"] in ("gaussian", "exponential"), "datum.shape known")
-        rule(0 not in v["datum.modes"], "datum.modes carries no weight on mode 0")
-    if "evolve.sign" in v:
-        rule(v["evolve.sign"] in (1.0, -1.0), "evolve.sign is +1 or -1")
     if scenario in _RUNNY:
-        rule(v["evolve.epsilon"] >= 0, "evolve.epsilon >= 0")
         if scenario in ("forward", "compare"):
             rule(v["evolve.d_t"] <= 0.1, "evolve.d_t <= 0.1 (forward integration step limit)")
         rule(
@@ -314,7 +316,6 @@ def _validate(cfg: RunConfig, origin: str) -> None:
         def whole_steps(T):
             return _is_whole((T - tau) / v["evolve.d_t"])
 
-        rule(tau >= 0, "evolve.tau >= 0")
         rule(tau < v["evolve.T"], "evolve.tau < evolve.T (tau is 0 in forward and compare)")
         rule(whole_steps(v["evolve.T"]), "evolve.T - evolve.tau is a whole number of evolve.d_t steps")
         if v.get("backward.T_list"):
@@ -322,7 +323,9 @@ def _validate(cfg: RunConfig, origin: str) -> None:
             rule(all(T > tau for T in ts), "backward.T_list windows end after evolve.tau")
             rule(all(whole_steps(T) for T in ts),
                  "backward.T_list - evolve.tau are whole numbers of evolve.d_t steps")
-        rule(v["evolve.snap_stride"] >= 1, "evolve.snap_stride >= 1")
+            rule(all(b > a for a, b in zip(ts, ts[1:])), "backward.T_list strictly increasing")
+            # the reported N norm is budgeted on [tau, evolve.T] and read on the last window
+            rule(ts[-1] == v["evolve.T"], "backward.T_list ends at evolve.T")
         if scenario in _WITH_FIT:  # the fit reads the run's series on [tau, T]
             lo, hi, T = v["fit.window_lo"], v["fit.window_hi"], v["evolve.T"]
             lo, hi = 0.5 * T if lo is None else lo, T if hi is None else hi
@@ -337,22 +340,17 @@ def _validate(cfg: RunConfig, origin: str) -> None:
             nodes = max(k_hi - k_lo + 1, 0)
             rule(nodes >= 10, "the fit.window_lo .. fit.window_hi window holds at least 10 series "
                  f"nodes evolve.tau + k evolve.d_t (it holds {nodes})")
-    if "norms.mu_points" in v:
-        rule(v["norms.mu_points"] >= 2, "norms.mu_points >= 2")
     if "norms.lambda_prime" in v:
         rule(0 < v["norms.lambda_prime"] < v["norms.lambda"], "0 < norms.lambda_prime < norms.lambda")
     if "weights.T" in v:
         # each budget integration needs at least one step
         rule(0 < v["weights.d_t"] <= v["weights.T"], "0 < weights.d_t <= weights.T")
         rule(v["weights.d_t"] <= v["weights.t_max"], "weights.d_t <= weights.t_max")
-        rule(all(d > 0 for d in v["weights.delta_list"]), "weights.delta_list entries > 0")
         # weights.csv pairs a_T and a_inf row by row, so both marches step by weights.d_t
         rule(_is_whole(v["weights.T"] / v["weights.d_t"]),
              "weights.T is a whole number of weights.d_t steps")
         rule(_is_whole(v["weights.t_max"] / v["weights.d_t"]),
              "weights.t_max is a whole number of weights.d_t steps")
-    if scenario in _WITH_PICARD:
-        rule(v["picard.max_iters"] >= 1, "picard.max_iters >= 1")
     if scenario == "nonperturbative":
         rule(v["evolve.epsilon"] == 1.0, "evolve.epsilon == 1 in non-perturbative mode")
         # below the bifurcation the BGK family has no self-consistent state to run from
@@ -365,25 +363,17 @@ def _validate(cfg: RunConfig, origin: str) -> None:
         rule(bound <= 0.5, f"|L| <= 1/2 beyond the kernel-margin scan's |omega| <= "
              f"{_MARGIN_SCAN[0]:g} for bgk.beta = {v['bgk.beta']:g} (bound there {bound:.3f})")
     if scenario == "stability":
-        rule(v["stability.n_scan"] >= 2, "stability.n_scan >= 2")
         rule(0 < v["stability.d_t"] <= v["stability.t_max"], "0 < stability.d_t <= stability.t_max")
-        if v["stability.m_bound"] is not None:
-            lam = v["stability.lambda"]
-            rule(lam is not None and lam > 0, "stability.lambda > 0 when stability.m_bound is set")
+        # stability_margin divides by lambda, and reads it only beside m_bound
+        m_bound, lam = v["stability.m_bound"], v["stability.lambda"]
+        rule(m_bound is None or (lam is not None and lam > 0),
+             "stability.lambda > 0 when stability.m_bound is set")
+        rule(lam is None or m_bound is not None, "stability.m_bound is set when stability.lambda is")
         # the scan covers |omega| <= stability.omega_max, and beyond it |L| must stay under 1/2
         bound = transform_bound(_stability_kernel(cfg)) / v["stability.omega_max"]
         key = "profile.beta" if v["profile.kind"] == "maxwellian" else "profile.scale"
         rule(bound <= 0.5, f"|L| <= 1/2 beyond stability.omega_max for the {key} = {v[key]:g} "
              f"kernel (bound there {bound:.3f})")
-    if scenario == "backward" and v.get("backward.T_list"):
-        ts = v["backward.T_list"]
-        rule(all(b > a for a, b in zip(ts, ts[1:])), "backward.T_list strictly increasing")
-        rule(
-            max(ts) <= v["grid.t_final"] + 1e-12,
-            "backward.T_list within grid.t_final",
-        )
-        # the reported N norm is budgeted on [tau, evolve.T] and read on the last window
-        rule(ts[-1] == v["evolve.T"], "backward.T_list ends at evolve.T")
     if scenario in ("forward", "backward", "compare"):
         rule(all(abs(n) <= v["grid.n_max"] for n in v["datum.modes"]),
              "datum.modes within |n| <= grid.n_max")
@@ -395,7 +385,6 @@ def _validate(cfg: RunConfig, origin: str) -> None:
             v["sweep.scenario"] in SCHEMA[v["sweep.axis"]][2],
             "sweep.axis applies to sweep.scenario",
         )
-        rule(len(v["sweep.values"]) > 0, "sweep.values nonempty")
         # checked on the typed values, so 3 and 3.0 on an integer axis repeat
         rule(len(set(v["sweep.values"])) == len(v["sweep.values"]), "sweep.values has no repeated value")
 

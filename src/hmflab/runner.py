@@ -336,7 +336,7 @@ def _run_compare(cfg: RunConfig, out: Path) -> dict:
     traj, trace = backward_solve(scfg)
     rough_forward = None
     rough_width = cfg.values.get("compare.rough_width")
-    if rough_width:
+    if rough_width is not None:
         rough = make_asymptotic_datum(
             cfg.values["datum.amplitude"], cfg.values["datum.modes"], rough_width, grid,
             shape=cfg.values["datum.shape"],

@@ -166,6 +166,18 @@ class TestLoadConfig:
             ("stability.m_bound = 0.02", "stability.lambda > 0 when stability.m_bound is set"),
             ("stability.m_bound = 0.02\nstability.lambda = 0",
              "stability.lambda > 0 when stability.m_bound is set"),
+            # each loaded before these rules: a sup bound of -5 reported sufficient_ok, a
+            # lambda without m_bound was never read, a rough width of 0 skipped the rough run
+            # and one of -1 failed after the backward solve
+            ("stability.m_bound = 0\nstability.lambda = 0.3",
+             "violated precondition: stability.m_bound > 0"),
+            ("stability.m_bound = -5\nstability.lambda = 0.3",
+             "violated precondition: stability.m_bound > 0"),
+            ("stability.lambda = 0.3", "stability.m_bound is set when stability.lambda is"),
+            pytest.param("run.scenario = compare\nrun.id = x\ncompare.rough_width = 0",
+                         "violated precondition: compare.rough_width > 0", id="rough_width-0"),
+            pytest.param("run.scenario = compare\nrun.id = x\ncompare.rough_width = -1",
+                         "violated precondition: compare.rough_width > 0", id="rough_width-negative"),
             # the field solve is one march on the half steps: neither knob exists
             pytest.param(BACKWARD_SMALL + "picard.inner_max = 0", "unknown keys: picard.inner_max",
                          id="inner_max-0"),
@@ -186,6 +198,9 @@ class TestLoadConfig:
                          "backward.T_list windows end after evolve.tau", id="T_list-at-tau"),
             pytest.param(BACKWARD_SMALL + "backward.T_list = 2, 4, 6",
                          "backward.T_list ends at evolve.T", id="T_list-short-of-T"),
+            # a list past grid.t_final ends past evolve.T <= grid.t_final
+            pytest.param(BACKWARD_SMALL + "backward.T_list = 2, 4, 10",
+                         "backward.T_list ends at evolve.T", id="T_list-past-t_final"),
             pytest.param(BACKWARD_SMALL + "datum.modes = 1:1, -1:1, 4:0.5, -4:0.5",
                          "datum.modes within |n| <= grid.n_max", id="modes-beyond-n_max"),
             pytest.param(BACKWARD_SMALL.replace("evolve.T = 8", "evolve.T = 7.99"),
