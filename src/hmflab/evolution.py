@@ -36,6 +36,7 @@ from .spectral import (
     Grid,
     GridError,
     TruncationCounters,
+    _padded,
     _shift_plan,
     _ShiftPlan,
     _stencil,
@@ -193,16 +194,18 @@ def extract_zeta(
 
 
 class _RK4Work:
-    """One solve's background, coupling and force, and the blocks and per-time tables of its RK4.
+    """One solve's settings, and the march state, blocks and per-time tables of its RK4.
 
-    Every right-hand side writes into these instead of allocating: the two
-    shifted copies of the state, one weighted term, the coupling
-    accumulator, the running sum k1 + 2 k2 + 2 k3 + k4 and one stage
-    derivative, each on the rows n = 0 .. n_max the march advances (the
-    k = -1 shifted copy needs rows 1 .. n_max only).  The stage state keeps
-    the full (n_modes, n_xi) layout, so ``extract_zeta`` and ``rhs_coeffs``
-    read it like any state; the march writes its rows -1 .. n_max, and the
-    rows below stay zero, unread.
+    Every block has the padded row layout of ``spectral._padded``, with zero
+    padding, so ``shift_rows`` reads it as it is.  ``state`` is the march's
+    full state (data view ``data``) and ``stage`` the stage state (data view
+    ``stage_data``); the march writes their rows -1 .. n_max.  The
+    right-hand side writes into the rest: the two shifted copies of the
+    state, one weighted term, the coupling accumulator, the running sum
+    k1 + 2 k2 + 2 k3 + k4 and one stage derivative, on the rows
+    n = 0 .. n_max (the k = -1 shifted copy on rows 1 .. n_max).  For a
+    finite field their padding stays +-0, as ``shift_rows`` zeroes its
+    output's and the rest is elementwise, so the states' stays +0.
 
     What depends on the stage time alone is worked out once per time:
     - ``shift_plans(t)`` keeps the ``shift_rows`` plans of the reads at
@@ -216,22 +219,20 @@ class _RK4Work:
     """
 
     def __init__(self, grid: Grid, profile: Profile, epsilon: float, sign: float):
-        half = (grid.n_max + 1, grid.n_xi)
+        full, half = (grid.n_modes, grid.n_xi), (grid.n_max + 1, grid.n_xi)
         self.grid = grid
         self.profile, self.epsilon, self.sign = profile, epsilon, sign
         self.xi = grid.xi
         self.n_col = np.arange(grid.n_max + 1.0)[:, None]
-        (self.sp, self.term, self.acc, self.k_sum, self.k) = (
-            np.empty(half, dtype=np.complex128) for _ in range(5)
-        )
-        self.sm = np.empty((grid.n_max, grid.n_xi), dtype=np.complex128)
-        self.stage = np.zeros((grid.n_modes, grid.n_xi), dtype=np.complex128)
+        (self.state, self.data), (self.stage, self.stage_data) = _padded(full), _padded(full)
+        (self.sp, self.term, self.acc, self.k_sum, self.k) = (_padded(half)[0] for _ in range(5))
+        self.sm = _padded((grid.n_max, grid.n_xi))[0]
         self._plans = {}
         # the latest stage time, eta'(xi - t) and (xi - n t); the last is
         # stored complex, the type numpy casts it to for the product with h
         self._t = None
-        self._eta_row = None
-        self._fac = np.empty(half, dtype=np.complex128)
+        (self._eta_row, self._eta_data), (self._fac, self._fac_data) = (
+            _padded((grid.n_xi,)), _padded(half))
 
     def shift_plans(self, t: float) -> tuple[_ShiftPlan, _ShiftPlan]:
         """Plans of the coupling's reads h_{n-1}(xi - t) and h_{n+1}(xi + t)."""
@@ -247,8 +248,8 @@ class _RK4Work:
         """eta'(xi - t) of the background and (xi - n t) on rows n = 0 .. n_max."""
         if self._t != t:
             self._t = t
-            self._eta_row = self.profile.eta_prime_hat(self.xi - t)
-            np.subtract(self.xi, self.n_col * t, out=self._fac)
+            self._eta_data[...] = self.profile.eta_prime_hat(self.xi - t)
+            np.subtract(self.xi, self.n_col * t, out=self._fac_data)
         return self._eta_row, self._fac
 
 
@@ -257,18 +258,19 @@ def rhs_coeffs(
 ) -> np.ndarray:
     """Right-hand side of rows n = 0 .. n_max into ``out`` (hot path).
 
-    ``coeffs`` is a full (n_modes, n_xi) state of which rows -1 .. n_max
-    are read; ``out`` has n_max + 1 rows, mode n in row n.  The rows
-    n < 0 are the reality mirror of these and are not computed.  The
-    coupling reads h_{n-k}(xi - k t): the shift -k t is common to all rows,
-    so one shifted read of rows -1 .. n_max - 1 serves k = +1 and one of
-    rows 1 .. n_max serves k = -1, and the mode recursion n -> n -+ 1 is a
-    one-row offset between the blocks.  Only mode +1 carries the eta'
-    forcing.  The background, coupling and force are ``work``'s; the two
-    reads' plans come from its store of every time the solve has read, and
-    the (xi - n t) and eta'(xi - t) rows from its entry for the latest
-    time, so a time read before costs no stencil set-up and a repeat of the
-    latest time no profile evaluation.
+    ``coeffs`` is a full state of n_modes rows, of which rows -1 .. n_max
+    are read; ``out`` has n_max + 1 rows, mode n in row n; both have the
+    padded layout of ``spectral._padded``.  The rows n < 0 are the reality
+    mirror of these and are not computed.  The coupling reads
+    h_{n-k}(xi - k t): the shift -k t is common to all rows, so one shifted
+    read of rows -1 .. n_max - 1 serves k = +1 and one of rows 1 .. n_max
+    serves k = -1, and the mode recursion n -> n -+ 1 is a one-row offset
+    between the blocks.  Only mode +1 carries the eta' forcing.  The
+    background, coupling and force are ``work``'s; the two reads' plans come
+    from its store of every time the solve has read, and the (xi - n t) and
+    eta'(xi - t) rows from its entry for the latest time, so a time read
+    before costs no stencil set-up and a repeat of the latest time no
+    profile evaluation.
     """
     m = work.grid.n_max
     epsilon = work.epsilon
@@ -313,60 +315,63 @@ def _snapshot_steps(n_steps: int, stride: int) -> np.ndarray:
     return steps if steps[-1] == n_steps else np.append(steps, n_steps)
 
 
-def _march(c, t_half, h, zeta, steps, snaps, counters, work):
-    """Classical RK4 on the half-step nodes ``t_half``, in place on ``c``; yields (j, t_half[2j]).
+def _march(c0, t_half, h, zeta, steps, snaps, counters, work):
+    """Classical RK4 on the half-step nodes ``t_half`` from ``c0``; yields (j, t_half[2j]).
 
-    Full index i is node 2i; ``h`` > 0 marches up from node 0, ``h`` < 0
-    down from the last.  The step from i to j reads its stages at nodes 2i,
-    i + j (twice) and 2j, each taking its time and its field from that node:
-    the field is read off the stage state with ``zeta`` None, otherwise it
-    is the frozen zeta[node] (time order).  Each step advances the rows
-    n = 0 .. n_max of ``c``; after every stage and step row -1 is re-set to
-    the mirror conj(h_1(-xi)), and the rows below -1 are left as given.
-    After every step a coefficient of rows -1 .. n_max past the overflow
-    cap, or a NaN, raises BlowUpError.  The rows 0 .. n_max of the states
-    at the full indices ``steps`` fill the half block ``snaps`` in time
-    order, edge columns tallied after the first; the first is ``c``'s as
-    given.  ``work`` holds the solve's grid and settings.
+    The full state ``c0`` is copied into ``work.state``, never written, and
+    callers read the state after each step as ``work.data``.  Full index i
+    is node 2i; ``h`` > 0 marches up from node 0, ``h`` < 0 down from the
+    last.  The step from i to j reads its stages at nodes 2i, i + j (twice)
+    and 2j, each taking its time and its field from that node: the field is
+    read off the stage state with ``zeta`` None, otherwise it is the frozen
+    zeta[node] (time order).  Each step advances the rows n = 0 .. n_max;
+    after every stage and step row -1 is re-set to the mirror
+    conj(h_1(-xi)), and the rows below -1 are left as given.  After every
+    step a coefficient of rows -1 .. n_max past the overflow cap, or a NaN,
+    raises BlowUpError.  The rows 0 .. n_max of the states at the full
+    indices ``steps`` fill the half block ``snaps`` in time order, edge
+    columns tallied after the first.
     """
     m = work.grid.n_max
-    k_sum, k, y = work.k_sum, work.k, work.stage
+    k_sum, k, c, y = work.k_sum, work.k, work.state, work.stage
+    c_data, y_data = work.data, work.stage_data
+    c_data[...] = c0
     c_half, y_half = c[m:], y[m:]  # rows 0 .. n_max, the ones advanced
     row = np.full(len(t_half) // 2 + 1, -1)
     row[steps] = np.arange(len(steps))
     order = range(len(row)) if h > 0 else range(len(row) - 1, -1, -1)  # full indices
-    snaps[row[order[0]]] = c_half
+    snaps[row[order[0]]] = c_data[m:]
 
-    def rhs(state, node, out):
+    def rhs(state, data, node, out):
         tt = t_half[node]
-        z = extract_zeta(state, work.grid, tt, counters) if zeta is None else zeta[node]
+        z = extract_zeta(data, work.grid, tt, counters) if zeta is None else zeta[node]
         rhs_coeffs(state, tt, z, work, out)
 
     def stage(kx, scale):
         np.add(c_half, np.multiply(scale, kx, out=y_half), out=y_half)
-        np.conjugate(y[m + 1, ::-1], out=y[m - 1])
+        np.conjugate(y_data[m + 1, ::-1], out=y_data[m - 1])
 
     # c + (h/6) (k1 + 2 k2 + 2 k3 + k4) left to right; k holds k2, k3, k4 in turn
     for i, j in zip(order, order[1:]):
-        rhs(c, 2 * i, k_sum)
+        rhs(c, c_data, 2 * i, k_sum)
         stage(k_sum, 0.5 * h)
-        rhs(y, i + j, k)
+        rhs(y, y_data, i + j, k)
         stage(k, 0.5 * h)
         np.add(k_sum, np.multiply(2.0, k, out=k), out=k_sum)
-        rhs(y, i + j, k)
+        rhs(y, y_data, i + j, k)
         stage(k, h)
         np.add(k_sum, np.multiply(2.0, k, out=k), out=k_sum)
-        rhs(y, 2 * j, k)
+        rhs(y, y_data, 2 * j, k)
         np.add(k_sum, k, out=k_sum)
         np.add(c_half, np.multiply(h / 6.0, k_sum, out=k_sum), out=c_half)
-        np.conjugate(c[m + 1, ::-1], out=c[m - 1])
-        peak = np.max(np.abs(c_half))  # row -1 holds row 1's magnitudes
+        np.conjugate(c_data[m + 1, ::-1], out=c_data[m - 1])
+        peak = np.max(np.abs(c_half))  # row -1 holds row 1's magnitudes, the padding zeros
         if not peak <= _OVERFLOW_CAP:  # NaN fails too
             raise BlowUpError(float(t_half[2 * j]), float(peak))
         if row[j] >= 0:
-            snaps[row[j]] = c_half
+            snaps[row[j]] = half = c_data[m:]
             # the rows n < 0 mirror these edge columns, so they add nothing
-            edge = float(max(np.max(np.abs(c_half[:, 0])), np.max(np.abs(c_half[:, -1]))))
+            edge = float(max(np.max(np.abs(half[:, 0])), np.max(np.abs(half[:, -1]))))
             if edge > counters.max_edge_magnitude:
                 counters.max_edge_magnitude = edge
         yield j, t_half[2 * j]
@@ -396,23 +401,22 @@ def forward_solve(h0: FourierField, params: EvolutionParams) -> Trajectory:
     if abs(n_steps * params.d_t - params.t_final) > 1e-9:
         raise ValueError("t_final must be an integer number of steps")
     counters = TruncationCounters()
-    c = h0.coeffs.copy()
     t_half = np.arange(2 * n_steps + 1) * (0.5 * params.d_t)
     times = t_half[::2]  # the same floats as np.arange(n_steps + 1) * d_t
     steps = _snapshot_steps(n_steps, params.snap_stride)
     snapshots = np.empty((len(steps), grid.n_max + 1, grid.n_xi), dtype=np.complex128)
     zs = np.empty(n_steps + 1, dtype=np.complex128)
-    zs[0] = extract_zeta(c, grid, 0.0, counters)
+    zs[0] = extract_zeta(h0.coeffs, grid, 0.0, counters)
     work = _RK4Work(grid, params.profile, params.epsilon, params.sign)
-    for i, t in _march(c, t_half, params.d_t, None, steps, snapshots, counters, work):
+    for i, t in _march(h0.coeffs, t_half, params.d_t, None, steps, snapshots, counters, work):
         if i % _REALITY_CHECK_EVERY == 0 or i == n_steps:  # row 0 is its own mirror partner
-            h_0 = c[grid.n_max]
+            h_0 = work.data[grid.n_max]
             drift = float(np.max(np.abs(h_0 - np.conj(h_0[::-1]))))
             if drift > _REALITY_TOL:
                 raise RealityDriftError(
                     f"reality drift {drift:.3e} of mode 0 exceeds {_REALITY_TOL:.1e} at t={t:.3f}"
                 )
-        zs[i] = extract_zeta(c, grid, t, counters)
+        zs[i] = extract_zeta(work.data, grid, t, counters)
 
     return Trajectory(
         grid=grid,

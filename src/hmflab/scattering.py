@@ -218,7 +218,7 @@ class _Workspace:
         """Backward Runge-Kutta pass with the field frozen; returns the half snapshot block."""
         cfg, grid = self.cfg, self.grid
         snaps = np.empty((len(self.snap_idx), grid.n_max + 1, grid.n_xi), dtype=np.complex128)
-        for _ in _march(cfg.terminal.coeffs.copy(), self.t_z, -cfg.d_t, zeta_z,
+        for _ in _march(cfg.terminal.coeffs, self.t_z, -cfg.d_t, zeta_z,
                         self.snap_idx, snaps, self.counters, self.rk4):
             pass
         return snaps

@@ -176,12 +176,22 @@ def _stencil(s: float) -> tuple[float, int, tuple]:
     return s, b, _cubic_weights(s - b)
 
 
+_PAD = (1, 2)  # zero columns before and after a row's data: a cubic read in range stays in the row
+
+
+def _padded(shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """A zero block of ``shape`` rows in the padded layout, and the view of its data."""
+    lo, hi = _PAD
+    block = np.zeros(shape[:-1] + (lo + shape[-1] + hi,), dtype=np.complex128)
+    return block, block[..., lo : lo + shape[-1]]
+
+
 class _ShiftPlan(NamedTuple):
     """What ``shift_rows`` derives from the shift alone: three scalars and the weights.
 
-    Columns j_lo .. j_hi - 1 are read inside the cutoff; ``b`` is the
-    stencil's base node offset, and ``weights`` is None when the read snaps
-    onto a node, which makes it one shifted copy.
+    Columns j_lo .. j_hi - 1 of a padded row are read inside the cutoff;
+    ``b`` is the stencil's base node offset, and ``weights`` is None when
+    the read snaps onto a node, which makes it one shifted copy.
     """
 
     j_lo: int
@@ -191,13 +201,13 @@ class _ShiftPlan(NamedTuple):
 
 
 def _shift_plan(grid: Grid, delta: float) -> _ShiftPlan:
-    """The plan of a read at xi + delta on ``grid``."""
+    """The plan of a read at xi + delta on ``grid``, in padded columns."""
     s, b, w = _stencil(delta / grid.d_xi)
     n = grid.n_xi
-    # columns sampled inside the cutoff; the rest are zero (compact-support truncation)
-    j_lo = min(max(math.ceil(-s - 1e-9), 0), n)
+    # data columns read inside the cutoff, the rest zero; -b keeps every stencil node in the row
+    j_lo = min(max(math.ceil(-s - 1e-9), -b, 0), n)
     j_hi = min(max(math.floor(n - 1 - s + 1e-9) + 1, 0), n)
-    return _ShiftPlan(j_lo, j_hi, b, None if s == b else w)
+    return _ShiftPlan(j_lo + _PAD[0], j_hi + _PAD[0], b, None if s == b else w)
 
 
 def shift_rows(
@@ -205,58 +215,43 @@ def shift_rows(
 ) -> np.ndarray:
     """Sample every mode row at xi + delta (cubic, zero beyond the cutoff) into ``out``.
 
-    ``plan`` is ``_shift_plan(grid, delta)``, which a caller that repeats a
-    shift keeps so the stencil is worked out once.  The shift is common to
-    all rows, so the interpolation reduces to four shifted accumulations
-    with scalar weights.  A read that snaps onto a node has the weights
+    ``coeffs``, ``out`` and ``scratch`` are C-contiguous blocks of one shape
+    in the padded layout of ``_padded``; the padding of ``coeffs`` is zero,
+    and so is that of ``out`` on return.  ``plan`` is ``_shift_plan(grid,
+    delta)``, which a caller that repeats a shift keeps.  The shift is common
+    to all rows, so in row-major order each of the four stencil terms is one
+    multiply of one flat slice over all rows' in-range columns, into
+    ``scratch``: a read there lands on data or padding of its own row, and
+    the columns between the rows' ranges are zeroed afterwards with the rest
+    beyond the cutoff.  A read that snaps onto a node has the weights
     (-0, 1, 0, -0); summed from +0 they give ``0.0 + coeffs`` at the shifted
     columns for finite data, signed zeros included, so a node read is that
-    one shifted copy.  Off a node, each term scales the real and imaginary
-    parts separately.  Non-finite data is where this differs from the
+    one shifted copy.  Non-finite data is where this differs from the
     complex four-term sum: a NaN or inf read on a node stays in its own
     column, where 0 * NaN would also reach its three neighbours, and off a
     node it stays in its own part.
-
-    ``coeffs``, ``out`` and ``scratch`` are C-contiguous arrays of one shape;
-    ``scratch`` holds one weighted term at a time.
     """
     j_lo, j_hi, b, w = plan
     if not (coeffs.flags.c_contiguous and out.flags.c_contiguous and scratch.flags.c_contiguous):
         raise ValueError("shift_rows arrays must be C-contiguous")
-    n = coeffs.shape[-1]
     flat_c, flat_o = coeffs.reshape(-1), out.reshape(-1)
-    # in row-major order the in-range columns of all rows lie in one flat range
-    first, stop = j_lo, flat_o.size - n + j_hi
+    first, stop = j_lo, flat_o.size - coeffs.shape[-1] + j_hi
     if j_lo < j_hi and w is None:
-        # between rows this copy reads columns off the row; they are zeroed below
         np.add(0.0, flat_c[first + b : stop + b], out=flat_o[first:stop])
     elif j_lo < j_hi:
-        # One stencil term over all rows is one contiguous slice.  Where a
-        # term's source column lies off the row, that slice read the
-        # neighbouring row instead of the zero beyond the cutoff: the term is
-        # zeroed there, and adding +0 leaves every sum unchanged.
-        flat_s = scratch.reshape(-1)
         # The weights are real, so a term is one multiply of the interleaved
         # (re, im) doubles.  It differs from the complex product only in the
-        # sign of zero parts, which the summation from +0 below erases.
+        # sign of zero parts, which the summation from +0 below erases; so
+        # does a term that reads the padding (w * 0 = +-0).
+        flat_s = scratch.reshape(-1)[first:stop]
         real_c, real_s = flat_c.view(np.float64), flat_s.view(np.float64)
         for m, wm in zip((-1, 0, 1, 2), w):
             off = b + m
-            lo, hi = max(first, -off), min(stop, flat_c.size - off)
+            np.multiply(wm, real_c[2 * (first + off) : 2 * (stop + off)], out=real_s)
             if m == -1:
-                # the sum starts from +0, which fixes the sign of exact zeros
-                flat_o[first:lo] = 0.0
-                flat_o[max(hi, lo):stop] = 0.0
-            if lo < hi:
-                np.multiply(wm, real_c[2 * (lo + off) : 2 * (hi + off)], out=real_s[2 * lo : 2 * hi])
-                if -off > j_lo:
-                    scratch[..., j_lo : min(-off, j_hi)] = 0.0
-                if n - off < j_hi:
-                    scratch[..., max(n - off, j_lo) : j_hi] = 0.0
-                if m == -1:
-                    np.add(0.0, flat_s[lo:hi], out=flat_o[lo:hi])
-                else:
-                    flat_o[lo:hi] += flat_s[lo:hi]
+                np.add(0.0, flat_s, out=flat_o[first:stop])  # +0 fixes the sign of exact zeros
+            else:
+                flat_o[first:stop] += flat_s
     out[..., :j_lo] = 0.0
     out[..., j_hi:] = 0.0
     return out
@@ -277,8 +272,8 @@ def sample_mode(
 
     The vector form of ``_stencil``: the same snap, floor and weights, one
     array operation for all points.  Points beyond |xi_max| read zero; the
-    rest sum four terms from +0 over the row padded with zero nodes, where
-    a node off the grid adds w * 0 = +-0 and so moves no value or zero sign.
+    rest sum four terms from +0 over the row's ``_padded`` copy, where a
+    node off the grid adds w * 0 = +-0 and so moves no value or zero sign.
     """
     grid.mode_index(n)  # |n| <= n_max
     row = coeffs[n - grid.n_max - 1]
@@ -290,12 +285,12 @@ def sample_mode(
     s = (pts[inside] + grid.xi_max) / grid.d_xi
     near = np.abs(s - np.round(s)) < 1e-9  # snap node reads to the stored values
     s[near] = np.round(s[near])
-    b = np.floor(s).astype(np.int64)  # in 0 .. n_xi - 1, so b - 1 .. b + 2 lie in the padding
-    padded = np.zeros(grid.n_xi + 3, dtype=np.complex128)
-    padded[1:-2] = row
+    b = np.floor(s).astype(np.int64)  # in 0 .. n_xi - 1, so b - 1 .. b + 2 lie in the padded row
+    padded, data = _padded(row.shape)
+    data[...] = row
     acc = np.zeros(b.shape, dtype=np.complex128)
     for m, wm in zip((-1, 0, 1, 2), _cubic_weights(s - b)):
-        acc += wm * padded[b + (m + 1)]
+        acc += wm * padded[b + (m + _PAD[0])]
     out = np.zeros(pts.shape, dtype=np.complex128)
     out[inside] = acc
     return out

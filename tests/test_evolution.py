@@ -12,7 +12,7 @@ from hmflab.evolution import (
     rhs_coeffs,
 )
 from hmflab.profiles import kernel_j, make_asymptotic_datum, maxwellian
-from hmflab.spectral import FourierField, TruncationCounters, make_grid, sample_mode
+from hmflab.spectral import FourierField, TruncationCounters, _padded, make_grid, sample_mode
 from hmflab.volterra import solve_volterra
 
 
@@ -25,9 +25,16 @@ def datum(amplitude=0.5, width=1.0, grid=GRID):
 
 
 def rhs(coeffs, t, zeta1, epsilon, sign=1.0):
-    """``rhs_coeffs`` on GRID with PROFILE, into a fresh work and output."""
-    out = np.empty((GRID.n_max + 1, GRID.n_xi), dtype=np.complex128)
-    return rhs_coeffs(coeffs, t, zeta1, _RK4Work(GRID, PROFILE, epsilon, sign), out)
+    """The data columns of ``rhs_coeffs`` on GRID with PROFILE, into a fresh work and output.
+
+    ``rhs_coeffs`` reads and writes blocks in the padded row layout, so
+    ``coeffs`` is copied into one.
+    """
+    block, data = _padded(coeffs.shape)
+    data[...] = coeffs
+    out, got = _padded((GRID.n_max + 1, GRID.n_xi))
+    rhs_coeffs(block, t, zeta1, _RK4Work(GRID, PROFILE, epsilon, sign), out)
+    return got
 
 
 def readout(coeffs, t):
@@ -243,7 +250,7 @@ class TestForwardSolve:
         def drifting(h, t, zeta, work, out):
             inner(h, t, zeta, work, out)
             if t > 5.0:
-                out[0, 0] += 1e-3
+                out[0, 1] += 1e-3  # the first data column; column 0 is padding
             return out
 
         monkeypatch.setattr(evolution, "rhs_coeffs", drifting)

@@ -4,8 +4,10 @@
 are the allocating, full-spectrum, row-by-row forms the hot path was written
 from.  The production march computes rows n = 0 .. n_max only and takes the
 rows n < 0 from the reality mirror; the reference marches match it when
-``mirror`` resets those rows after every stage and step.  Every comparison
-here is on ``tobytes()``: values, signed zeros and all.
+``mirror`` resets those rows after every stage and step.  The production
+kernels read and write blocks in the padded row layout of
+``spectral._padded``; their data columns are compared with the references.
+Every comparison here is on ``tobytes()``: values, signed zeros and all.
 """
 
 import dataclasses
@@ -28,6 +30,7 @@ from hmflab.spectral import (
     FourierField,
     TruncationCounters,
     _cubic_weights,
+    _padded,
     _shift_plan,
     make_grid,
     sample_mode,
@@ -138,46 +141,62 @@ def same_bytes(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def padded(c):
+    """A copy of ``c`` in the padded row layout."""
+    block, data = _padded(c.shape)
+    data[...] = c
+    return block
+
+
+def padding_is_zero(block, data):
+    """No entry of ``block`` outside its data view ``data`` is nonzero (or NaN)."""
+    return np.count_nonzero(block) == np.count_nonzero(data)
+
+
 def shifted(c, grid, delta):
-    """``shift_rows`` at xi + delta into fresh buffers."""
-    return shift_rows(c, _shift_plan(grid, delta), np.empty_like(c), np.empty_like(c))
+    """The data columns of ``shift_rows`` at xi + delta, into fresh buffers."""
+    out, got = _padded(c.shape)
+    shift_rows(padded(c), _shift_plan(grid, delta), out, np.empty_like(out))
+    return got
 
 
 def rhs_fresh(c, t, zeta, grid, profile, epsilon, sign=1.0):
-    """``rhs_coeffs`` on a work of its own: no plan or row from an earlier call."""
-    out = np.empty((grid.n_max + 1, grid.n_xi), dtype=np.complex128)
-    return rhs_coeffs(c, t, zeta, _RK4Work(grid, profile, epsilon, sign), out)
+    """The data columns of ``rhs_coeffs`` on a work of its own, with no earlier plan or row."""
+    out, got = _padded((grid.n_max + 1, grid.n_xi))
+    rhs_coeffs(padded(c), t, zeta, _RK4Work(grid, profile, epsilon, sign), out)
+    return got
 
 
 @pytest.mark.parametrize("size", sorted(GRIDS))
 def test_shift_rows_bytes(size):
     grid = GRIDS[size]
-    out = np.empty((grid.n_modes, grid.n_xi), dtype=np.complex128)
+    out, got = _padded((grid.n_modes, grid.n_xi))
     scratch = np.empty_like(out)
     for name, c in states(grid).items():
+        block = padded(c)
         for t in TIMES:
             for delta in (t, -t):
                 ref = reference_shift_rows(c, grid, delta)
-                got = shift_rows(c, _shift_plan(grid, delta), out, scratch)  # buffers reused
-                assert got is out
+                assert shift_rows(block, _shift_plan(grid, delta), out, scratch) is out  # buffers reused
                 assert same_bytes(got, ref), (name, delta)
+                assert padding_is_zero(out, got), (name, delta)
 
 
 @pytest.mark.parametrize("size", sorted(GRIDS))
 def test_rhs_coeffs_bytes(size):
     grid = GRIDS[size]
-    out = np.empty((grid.n_max + 1, grid.n_xi), dtype=np.complex128)
+    out, reused = _padded((grid.n_max + 1, grid.n_xi))
     zeta = 0.31 - 0.17j
     for eps in (0.0, 0.01, 1.0):
         for sign in (1.0, -1.0):
             work = _RK4Work(grid, PROFILE, eps, sign)  # reused over every state and time
             for name, c in states(grid).items():
+                block = padded(c)
                 for t in TIMES:
                     # rows 0 .. n_max; they read rows -1 .. n_max only
                     ref = reference_rhs_coeffs(c, t, zeta, grid, PROFILE, eps, sign)[grid.n_max :]
                     fresh = rhs_fresh(c, t, zeta, grid, PROFILE, eps, sign)
-                    reused = rhs_coeffs(c, t, zeta, work, out)
-                    assert reused is out
+                    assert rhs_coeffs(block, t, zeta, work, out) is out
                     case = (name, t, eps, sign)
                     assert same_bytes(fresh, ref), case
                     assert same_bytes(reused, ref), case
@@ -276,8 +295,9 @@ def test_rk4work_memo_matches_fresh_calls():
     # time, nor one work's rows to the other
     grid = GRIDS["9x481"]
     c = states(grid)["perturbed"]
+    block = padded(c)
     other = maxwellian(beta=2.0)  # same eta_hat code, other parameter
-    out = np.empty((grid.n_max + 1, grid.n_xi), dtype=np.complex128)
+    out, reused = _padded((grid.n_max + 1, grid.n_xi))
     zeta = 0.31 - 0.17j
     sequence = [(0.6, PROFILE), (1.2345, PROFILE), (0.6, PROFILE), (0.6, other),
                 (1.2345, other), (1.2345, PROFILE), (3.0, other), (0.6, other),
@@ -287,7 +307,7 @@ def test_rk4work_memo_matches_fresh_calls():
         for t, profile in sequence:
             ref = reference_rhs_coeffs(c, t, zeta, grid, profile, eps)[grid.n_max :]
             fresh = rhs_fresh(c, t, zeta, grid, profile, eps)
-            reused = rhs_coeffs(c, t, zeta, works[id(profile)], out)
+            rhs_coeffs(block, t, zeta, works[id(profile)], out)
             assert same_bytes(fresh, ref), (t, eps)
             assert same_bytes(reused, ref), (t, eps)
 
@@ -342,6 +362,45 @@ def test_workspace_reused_over_two_sweeps_matches_fresh():
         history = snaps
 
 
+def test_march_keeps_padding_zero_and_writes_no_caller_state(monkeypatch):
+    # the march copies its start state into the work's padded state; a
+    # stencil read that lands on padding reads zero only while every march
+    # keeps the padding zero, and no march may write the datum it started from
+    grid = make_grid(4, 12.0, 0.05, 8.0)
+    works = []
+
+    class RecordedWork(_RK4Work):
+        def __init__(self, *args):
+            super().__init__(*args)
+            works.append(self)
+
+    monkeypatch.setattr(evolution, "_RK4Work", RecordedWork)
+    h0 = make_asymptotic_datum(0.5, {1: 1.0, -1: 1.0}, 1.0, grid)
+    h0_bytes = h0.coeffs.tobytes()
+    forward_solve(h0, EvolutionParams(profile=PROFILE, epsilon=0.5, d_t=0.05, t_final=4.0))
+    assert h0.coeffs.tobytes() == h0_bytes
+
+    datum, background = bgk_to_field(solve_bgk(3.0), grid)
+    datum_bytes = datum.coeffs.tobytes()
+    cfg = ScatteringConfig(
+        terminal=datum, background=background, epsilon=1.0, T=6.0, d_t=0.05, tau=2.0,
+        sign=-1.0,
+    )
+    ws = _Workspace(cfg)
+    rng = np.random.default_rng(5)
+    zeta_z = 0.05 * (rng.standard_normal(len(ws.t_z)) + 1j * rng.standard_normal(len(ws.t_z)))
+    first = ws.transport(zeta_z)
+    second = ws.transport(zeta_z)  # the same field on the work the first pass left
+    assert same_bytes(first, second)
+    assert datum.coeffs.tobytes() == datum_bytes
+
+    assert len(works) == 1
+    for work in (works[0], ws.rk4):
+        assert np.count_nonzero(work.data) > 0
+        assert padding_is_zero(work.state, work.data)
+        assert padding_is_zero(work.stage, work.stage_data)
+
+
 @pytest.mark.parametrize("size", sorted(GRIDS))
 def test_shift_rows_near_nodes_and_at_the_cutoff(size):
     grid = GRIDS[size]
@@ -352,19 +411,37 @@ def test_shift_rows_near_nodes_and_at_the_cutoff(size):
         edge, -edge, edge - 0.5e-9 * d, -edge + 0.5e-9 * d,  # the cutoff column alone
         edge + d, -edge - d, edge - 0.5 * d,  # nothing in range
     ]
-    out = np.empty((grid.n_modes, grid.n_xi), dtype=np.complex128)
+    out, got = _padded((grid.n_modes, grid.n_xi))
     scratch = np.empty_like(out)
     for name, c in states(grid).items():
+        block = padded(c)
         for delta in deltas:
             ref = reference_shift_rows(c, grid, delta)
-            plan = _shift_plan(grid, delta)
-            assert same_bytes(shift_rows(c, plan, out, scratch), ref), (name, delta)
+            shift_rows(block, _shift_plan(grid, delta), out, scratch)
+            assert same_bytes(got, ref), (name, delta)
+            assert padding_is_zero(out, got), (name, delta)
     assert _shift_plan(grid, deltas[0]).weights is None  # node reads take the copy
     assert _shift_plan(grid, deltas[3]).weights is not None
     c = states(grid)["perturbed"]
     assert np.count_nonzero(shifted(c, grid, edge)) == grid.n_modes  # column 0 only
     assert same_bytes(shifted(c, grid, edge)[:, 0], 0.0 + c[:, -1])
     assert same_bytes(shifted(c, grid, -edge)[:, -1], 0.0 + c[:, 0])
+
+
+@pytest.mark.parametrize("size", sorted(GRIDS))
+def test_off_node_read_just_below_the_cutoff_reads_zero(size):
+    # a read 1e-9 grid units below a node does not snap; in the column where
+    # it falls below node 0 it is outside the cutoff and reads zero, as
+    # sample_mode's does, and its stencil never reaches below the padded row
+    grid = GRIDS[size]
+    c = states(grid)["perturbed"]
+    for k in (0, 1, 2):
+        delta = -(k + 1e-9) * grid.d_xi
+        assert _shift_plan(grid, delta).weights is not None
+        got = shifted(c, grid, delta)
+        assert not got[:, : k + 1].any()
+        assert not sample_mode(c, grid, 1, grid.xi[: k + 1] + delta).any()
+        assert same_bytes(got[:, k + 1 :], reference_shift_rows(c, grid, delta)[:, k + 1 :])
 
 
 def test_nan_on_a_node_read_stays_in_its_column():

@@ -5,6 +5,7 @@ from hmflab.spectral import (
     FourierField,
     GridError,
     TruncationCounters,
+    _padded,
     _shift_plan,
     _stencil,
     enforce_reality,
@@ -97,8 +98,10 @@ class TestEvalShifted:
         g = make_grid(3, 24.0, 0.05, 20.0)
         rng = np.random.RandomState(3)
         coeffs = rng.randn(g.n_modes, g.n_xi) + 1j * rng.randn(g.n_modes, g.n_xi)
-        out, scratch = np.empty_like(coeffs), np.empty_like(coeffs)
-        shifted = shift_rows(coeffs, _shift_plan(g, -3.137), out, scratch)
+        block, data = _padded(coeffs.shape)  # the layout shift_rows reads and writes
+        data[...] = coeffs
+        out, shifted = _padded(coeffs.shape)
+        shift_rows(block, _shift_plan(g, -3.137), out, np.empty_like(out))
         per_row = sample_mode(coeffs, g, 2, g.xi - 3.137)
         assert np.max(np.abs(shifted[g.mode_index(2)] - per_row)) < 1e-12
 

@@ -3,11 +3,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from hmflab.config import load_config
 
 ROOT = Path(__file__).resolve().parent.parent
 COMPARE = ROOT / "tools" / "compare_trees.py"
 BENCH = ROOT / "tools" / "bench.py"
+PERFBENCH = ROOT / "perfbench" / "run.py"
 
 
 def compare_trees(*args):
@@ -107,3 +110,23 @@ def test_long_window_config_loads():
     assert (v["evolve.epsilon"], v["evolve.d_t"], v["evolve.T"], v["picard.tol"]) == (0.01, 0.01, 40.0, 1e-6)
     assert v["backward.T_list"] is None
     assert not (ROOT / "configs" / "long_window.cfg").exists()
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_perfbench_solvers_smoke(trace):
+    """perfbench's worker runs the solvers workload on this checkout and checks every solve.
+
+    It wraps ``forward_solve(h0, params)`` and ``backward_solve(config, ...)``,
+    and a traced run also fails a repetition whose ``rhs_coeffs``,
+    ``shift_rows`` or ``extract_zeta`` count differs from the one its steps
+    and sweeps imply.
+    """
+    done = subprocess.run(
+        [sys.executable, str(PERFBENCH), "--workload", "solvers", "--seed", "1",
+         "--seconds", "1", "--size", "tiny", "--trace", str(trace)],
+        cwd=ROOT, capture_output=True, text=True, timeout=170,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, done.stdout
+    assert result["failed"] == 0 and result["attempted"] >= 1, done.stdout
