@@ -177,7 +177,8 @@ def test_shift_rows_bytes(size):
         for t in TIMES:
             for delta in (t, -t):
                 ref = reference_shift_rows(c, grid, delta)
-                assert shift_rows(block, _shift_plan(grid, delta), out, scratch) is out  # buffers reused
+                plan = _shift_plan(grid, delta)
+                assert shift_rows(block, plan, out, scratch) is out  # buffers reused
                 assert same_bytes(got, ref), (name, delta)
                 assert padding_is_zero(out, got), (name, delta)
 
@@ -200,6 +201,7 @@ def test_rhs_coeffs_bytes(size):
                     case = (name, t, eps, sign)
                     assert same_bytes(fresh, ref), case
                     assert same_bytes(reused, ref), case
+                    assert padding_is_zero(out, reused), case
 
 
 def test_forward_solve_matches_reference_stepping():
