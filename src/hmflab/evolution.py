@@ -116,18 +116,13 @@ class Trajectory:
     ``snapshots`` is one C-contiguous complex128 array of shape
     (count, n_max + 1, n_xi): snapshot m is ``snapshots[m]``, mode n >= 0 in
     row n.  The rows n < 0 are the reality mirror h_{-n}(xi) = conj h_n(-xi)
-    and are not stored; ``full_state`` adds them.  ``start`` is the full
-    state the march started from, snapshot ``start_index`` (0 forward, the
-    last backward), kept as given: its rows n < 0 are its own, which may
-    differ from the mirror in the sign of zeros.
+    and are not stored; ``full_state`` adds them.
     """
 
     grid: Grid
     times: np.ndarray
     snapshots: np.ndarray = dfield(repr=False)
     series: FieldSeries
-    start: np.ndarray = dfield(repr=False)
-    start_index: int
     counters: TruncationCounters = dfield(default_factory=TruncationCounters)
 
     def __post_init__(self):
@@ -139,24 +134,13 @@ class Trajectory:
             )
         if len(self.times) != len(block):
             raise ValueError("snapshot times and snapshots length mismatch")
-        if np.shape(self.start) != (self.grid.n_modes, self.grid.n_xi):
-            raise GridError(
-                f"start state shape {np.shape(self.start)} does not match grid "
-                f"({self.grid.n_modes}, {self.grid.n_xi})"
-            )
-        if not 0 <= self.start_index < len(block):
-            raise ValueError(f"start_index {self.start_index} outside the {len(block)} snapshots")
         object.__setattr__(self, "snapshots", block)
 
     def full_state(self, m: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Snapshot m (negative counts from the end) as a full (n_modes, n_xi) state.
+        """Snapshot m (negative counts from the end) expanded by ``expand_half`` into ``out``.
 
-        The start snapshot is ``start`` itself; any other is expanded by
-        ``expand_half`` into ``out``, a new array when None.
+        ``out`` is a new (n_modes, n_xi) array when None.
         """
-        m = range(len(self.times))[m]
-        if m == self.start_index:
-            return self.start
         if out is None:
             out = np.empty((self.grid.n_modes, self.grid.n_xi), dtype=np.complex128)
         return expand_half(self.snapshots[m], out)
@@ -318,16 +302,17 @@ def _snapshot_steps(n_steps: int, stride: int) -> np.ndarray:
 def _march(c0, t_half, h, zeta, steps, snaps, counters, work):
     """Classical RK4 on the half-step nodes ``t_half`` from ``c0``; yields (j, t_half[2j]).
 
-    The full state ``c0`` is copied into ``work.state``, never written, and
-    callers read the state after each step as ``work.data``.  Full index i
+    The half start ``c0`` (rows n = 0 .. n_max) is copied into
+    ``work.state`` and never written; callers read the state after each
+    step as ``work.data``.  Full index i
     is node 2i; ``h`` > 0 marches up from node 0, ``h`` < 0 down from the
     last.  The step from i to j reads its stages at nodes 2i, i + j (twice)
     and 2j, each taking its time and its field from that node: the field is
     read off the stage state with ``zeta`` None, otherwise it is the frozen
     zeta[node] (time order).  Each step advances the rows n = 0 .. n_max;
-    after every stage and step row -1 is re-set to the mirror
-    conj(h_1(-xi)), and the rows below -1 are left as given.  After every
-    step a coefficient of rows -1 .. n_max past the overflow cap, or a NaN,
+    row -1 is set to the mirror conj(h_1(-xi)) at the start and after
+    every stage and step, and no row below -1 is read.  After every
+    step a coefficient of rows 0 .. n_max past the overflow cap, or a NaN,
     raises BlowUpError.  The rows 0 .. n_max of the states at the full
     indices ``steps`` fill the half block ``snaps`` in time order, edge
     columns tallied after the first.
@@ -335,8 +320,9 @@ def _march(c0, t_half, h, zeta, steps, snaps, counters, work):
     m = work.grid.n_max
     k_sum, k, c, y = work.k_sum, work.k, work.state, work.stage
     c_data, y_data = work.data, work.stage_data
-    c_data[...] = c0
     c_half, y_half = c[m:], y[m:]  # rows 0 .. n_max, the ones advanced
+    c_data[m:] = c0
+    np.conjugate(c_data[m + 1, ::-1], out=c_data[m - 1])
     row = np.full(len(t_half) // 2 + 1, -1)
     row[steps] = np.arange(len(steps))
     order = range(len(row)) if h > 0 else range(len(row) - 1, -1, -1)  # full indices
@@ -408,7 +394,8 @@ def forward_solve(h0: FourierField, params: EvolutionParams) -> Trajectory:
     zs = np.empty(n_steps + 1, dtype=np.complex128)
     zs[0] = extract_zeta(h0.coeffs, grid, 0.0, counters)
     work = _RK4Work(grid, params.profile, params.epsilon, params.sign)
-    for i, t in _march(h0.coeffs, t_half, params.d_t, None, steps, snapshots, counters, work):
+    for i, t in _march(h0.coeffs[grid.n_max :], t_half, params.d_t, None, steps, snapshots,
+                       counters, work):
         if i % _REALITY_CHECK_EVERY == 0 or i == n_steps:  # row 0 is its own mirror partner
             h_0 = work.data[grid.n_max]
             drift = float(np.max(np.abs(h_0 - np.conj(h_0[::-1]))))
@@ -423,7 +410,5 @@ def forward_solve(h0: FourierField, params: EvolutionParams) -> Trajectory:
         times=times[steps],
         snapshots=snapshots,
         series=FieldSeries(t=times, zeta1=zs),
-        start=h0.coeffs,
-        start_index=0,
         counters=counters,
     )

@@ -96,9 +96,9 @@ def write_json(path, obj) -> None:
 def write_snapshots(path_bin, path_sidecar, traj: Trajectory) -> None:
     """Write ``traj``'s snapshots as HMF1 (count, n_modes, n_xi) plus its JSON sidecar.
 
-    Each snapshot goes out as ``traj.full_state(m)``: the start state's own
-    bytes, or the half block's rows with the mirror rows added in one reused
-    buffer, so the write holds at most one full snapshot beside the block.
+    Each snapshot goes out as ``traj.full_state(m)``, the half block's rows
+    with the mirror rows added, in one reused buffer, so the write holds at
+    most one full snapshot beside the block.
     """
     grid = traj.grid
     count = len(traj.times)

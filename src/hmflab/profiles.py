@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .spectral import FourierField, Grid, enforce_reality
+from .spectral import FourierField, Grid, enforce_reality, expand_half
 from .volterra import KernelFunction
 
 _X_NODES = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
@@ -233,13 +233,12 @@ def bgk_to_field(state: BGKState, grid: Grid) -> tuple[FourierField, Profile]:
     R_n(beta nu) exp(-xi^2/2beta) with R_n the cosine-moment ratios
     (R_0 = 1, R_1 = nu at the fixed point); the x-mean is exactly a
     Maxwellian at inverse temperature beta and the n = 0 row of the
-    remainder vanishes identically.
+    remainder vanishes identically.  Rows n = 1 .. n_max are built and
+    ``expand_half`` adds their mirror rows n < 0.
     """
     ratios = _mode_ratios(state.beta, state.nu, grid.n_max)
     envelope = np.exp(-(grid.xi ** 2) / (2.0 * state.beta))
-    coeffs = np.zeros((grid.n_modes, grid.n_xi), dtype=np.complex128)
-    for n in range(1, grid.n_max + 1):
-        coeffs[grid.mode_index(n)] = ratios[n] * envelope
-        coeffs[grid.mode_index(-n)] = ratios[n] * envelope
-    background = maxwellian(beta=state.beta)
-    return FourierField(grid, coeffs), background
+    half = np.zeros((grid.n_max + 1, grid.n_xi), dtype=np.complex128)
+    half[1:] = ratios[1:, None] * envelope
+    coeffs = expand_half(half, np.empty((grid.n_modes, grid.n_xi), dtype=np.complex128))
+    return FourierField(grid, coeffs), maxwellian(beta=state.beta)

@@ -88,7 +88,7 @@ class ScatteringConfig:
             raise ValueError(
                 f"T={self.T} exceeds the grid horizon {self.terminal.grid.t_final}"
             )
-        # the march reads no row below -1 and mirrors the rest, so a non-real
+        # the march reads no row below 0 and mirrors the rest, so a non-real
         # datum would run unnoticed; a NaN datum passes here and diverges in sweep 1
         defect = self.terminal.reality_defect()
         if defect > 1e-10:
@@ -218,7 +218,7 @@ class _Workspace:
         """Backward Runge-Kutta pass with the field frozen; returns the half snapshot block."""
         cfg, grid = self.cfg, self.grid
         snaps = np.empty((len(self.snap_idx), grid.n_max + 1, grid.n_xi), dtype=np.complex128)
-        for _ in _march(cfg.terminal.coeffs, self.t_z, -cfg.d_t, zeta_z,
+        for _ in _march(cfg.terminal.coeffs[grid.n_max :], self.t_z, -cfg.d_t, zeta_z,
                         self.snap_idx, snaps, self.counters, self.rk4):
             pass
         return snaps
@@ -291,8 +291,6 @@ def backward_solve(config: ScatteringConfig) -> tuple[Trajectory, PicardTrace]:
         times=ws.snap_times.copy(),
         snapshots=snaps,
         series=FieldSeries(t=ws.t_fine.copy(), zeta1=zeta[::2].copy()),
-        start=config.terminal.coeffs,
-        start_index=len(ws.snap_times) - 1,
         counters=ws.counters,
     )
     return traj, trace

@@ -204,9 +204,10 @@ def _shift_plan(grid: Grid, delta: float) -> _ShiftPlan:
     """The plan of a read at xi + delta on ``grid``, in padded columns."""
     s, b, w = _stencil(delta / grid.d_xi)
     n = grid.n_xi
-    # data columns read inside the cutoff, the rest zero; -b keeps every stencil node in the row
-    j_lo = min(max(math.ceil(-s - 1e-9), -b, 0), n)
-    j_hi = min(max(math.floor(n - 1 - s + 1e-9) + 1, 0), n)
+    # column j reads node j + b, or off a node a point strictly between nodes j + b and
+    # j + b + 1; inside the cutoff that is -b <= j < n - b, less the last column off a node
+    j_lo = min(max(-b, 0), n)
+    j_hi = min(max(n - b - (s != b), 0), n)
     return _ShiftPlan(j_lo + _PAD[0], j_hi + _PAD[0], b, None if s == b else w)
 
 
@@ -300,11 +301,8 @@ def expand_half(half: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The full (n_modes, n_xi) state of a half block of rows n = 0 .. n_max, into ``out``.
 
     Rows n >= 0 are copied and rows -n_max .. -1 are the reality mirror
-    h_{-n}(xi) = conj h_n(-xi), bit for bit the rows a march of the half
-    spectrum implies.  A datum projected by ``enforce_reality`` (or built by
-    ``bgk_to_field``) holds the same values in its rows n < 0, but with
-    imaginary parts +0 where the mirror gives -0, so it is not its own
-    expansion.
+    h_{-n}(xi) = conj h_n(-xi).  This is the one writer of rows n < 0: every
+    datum, snapshot and written state is the expansion of its half.
     """
     m = len(half) - 1
     out[m:] = half
@@ -313,9 +311,12 @@ def expand_half(half: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def enforce_reality(fld: FourierField) -> FourierField:
-    """Project onto the mirror symmetry by averaging conjugate pairs.
+    """Project onto the mirror symmetry: average rows n >= 0 with their partners, then expand.
 
-    Idempotent; commutes with multiplication by real scalars.
+    Idempotent byte for byte; commutes with multiplication by real scalars.
     """
-    mirror = np.conj(fld.coeffs[::-1, ::-1])
-    return FourierField(fld.grid, 0.5 * (fld.coeffs + mirror))
+    m = fld.grid.n_max
+    half = fld.coeffs[m:] + np.conj(fld.coeffs[m::-1, ::-1])
+    # halve each part alone: a complex product with 0.5 takes a zero's sign from the other part
+    np.multiply(0.5, half.view(np.float64), out=half.view(np.float64))
+    return FourierField(fld.grid, expand_half(half, np.empty_like(fld.coeffs)))

@@ -18,7 +18,7 @@ from hmflab.outputs import fmt, read_snapshots, sha256_of, write_csv, write_snap
 from hmflab.profiles import solve_bgk
 from hmflab.evolution import FieldSeries, Trajectory
 from hmflab.runner import RunRefusedError, run
-from hmflab.spectral import expand_half, make_grid
+from hmflab.spectral import make_grid
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -382,13 +382,11 @@ class TestLoadConfig:
             )
 
 
-def half_trajectory(grid, half, start_index=0):
-    """A trajectory of the half block ``half`` whose start state is its full expansion."""
-    start = expand_half(half[start_index], np.empty((grid.n_modes, grid.n_xi), complex))
+def half_trajectory(grid, half):
+    """A trajectory of the half block ``half``."""
     zeros = np.zeros(len(half))
     return Trajectory(grid=grid, times=np.arange(len(half), dtype=float), snapshots=half,
-                      series=FieldSeries(t=zeros, zeta1=zeros.astype(complex)),
-                      start=start, start_index=start_index)
+                      series=FieldSeries(t=zeros, zeta1=zeros.astype(complex)))
 
 
 class TestSnapshotFile:

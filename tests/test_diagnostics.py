@@ -186,8 +186,6 @@ class TestRegularityProfile:
             times=np.array([0.0]),
             snapshots=fld.coeffs[None, GRID.n_max :],
             series=FieldSeries(t=np.array([0.0]), zeta1=np.array([0.5 + 0j])),
-            start=fld.coeffs,
-            start_index=0,
         )
         lo = regularity_profile(traj, cap=1.0).mu_star[0]
         hi = regularity_profile(traj, cap=100.0).mu_star[0]

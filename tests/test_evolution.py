@@ -11,6 +11,7 @@ from hmflab.evolution import (
     forward_solve,
     rhs_coeffs,
 )
+from hmflab.outputs import read_snapshots, write_snapshots
 from hmflab.profiles import kernel_j, make_asymptotic_datum, maxwellian
 from hmflab.spectral import FourierField, TruncationCounters, _padded, make_grid, sample_mode
 from hmflab.volterra import solve_volterra
@@ -165,7 +166,7 @@ class TestForwardSolve:
         assert np.max(np.abs(traj.snapshots)) == 0.0
         assert np.max(np.abs(traj.series.zeta1)) == 0.0
 
-    def test_snapshots_are_one_block(self):
+    def test_snapshots_are_one_block(self, tmp_path):
         # 105 steps at stride 10: steps 0, 10, ..., 100 and the off-cadence endpoint
         params = EvolutionParams(profile=PROFILE, epsilon=0.01, d_t=0.01, t_final=1.05)
         h0 = datum()
@@ -174,8 +175,9 @@ class TestForwardSolve:
         assert snaps.shape == (12, GRID.n_max + 1, GRID.n_xi)  # rows n = 0 .. n_max
         assert snaps.dtype == np.complex128 and snaps.flags.c_contiguous
         assert np.allclose(traj.times, np.r_[np.arange(11) * 0.1, 1.05])
-        # the start state is kept as given; any other full state is made on request
-        assert traj.initial().coeffs is h0.coeffs
+        # every full state is made on request; the datum is its own expansion
+        write_snapshots(tmp_path / "s.bin", tmp_path / "s.json", traj)
+        assert read_snapshots(tmp_path / "s.bin", GRID)[0].tobytes() == h0.coeffs.tobytes()
         final = traj.final().coeffs
         assert not np.shares_memory(final, snaps)
         assert final[GRID.n_max :].tobytes() == snaps[-1].tobytes()

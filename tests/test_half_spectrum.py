@@ -1,10 +1,10 @@
 """Half-spectrum snapshot blocks against the full blocks they stand for.
 
 A trajectory stores rows n = 0 .. n_max of each snapshot.  The rows n < 0
-are the reality mirror h_{-n}(xi) = conj h_n(-xi), except at the snapshot
-the march started from, whose rows n < 0 are the datum's own.  Every
-reference here is built from such an expanded full block, row by row,
-without the package's expansion helper.
+are the reality mirror h_{-n}(xi) = conj h_n(-xi) at every snapshot, the
+one the march started from included, since a datum is its own mirror
+expansion.  Every reference here is built from such an expanded full
+block, row by row, without the package's expansion helper.
 """
 
 import tracemalloc
@@ -66,11 +66,9 @@ def mirrored(half, n_modes):
     return full
 
 
-def full_block(traj, datum):
-    """The full block of ``traj``: ``datum`` as given at the start snapshot, the mirror elsewhere."""
-    block = np.stack([mirrored(h, traj.grid.n_modes) for h in traj.snapshots])
-    block[traj.start_index] = datum
-    return block
+def full_block(traj):
+    """The full block of ``traj``: every snapshot's rows with their mirror rows."""
+    return np.stack([mirrored(h, traj.grid.n_modes) for h in traj.snapshots])
 
 
 def full_bracket(grid):
@@ -81,12 +79,11 @@ def full_bracket(grid):
 
 @pytest.fixture(scope="module")
 def solved():
-    """(trajectory, datum) of one forward run and of one backward window."""
-    traj, datum = forward_run()
-    cfg = bgk_config()
-    back, trace, _ = nonperturbative_solve(cfg)
+    """The trajectory of one forward run and of one backward window."""
+    traj, _ = forward_run()
+    back, trace, _ = nonperturbative_solve(bgk_config())
     assert trace.converged and trace.iterations > 1
-    return {"forward": (traj, datum.coeffs), "backward": (back, cfg.terminal.coeffs)}
+    return {"forward": traj, "backward": back}
 
 
 class TestSnapshotFileBytes:
@@ -96,25 +93,22 @@ class TestSnapshotFileBytes:
     def test_file_is_the_full_block(self, tmp_path, case):
         if case == "forward":
             traj, datum = forward_run()
-            datum = datum.coeffs
+            datum, start = datum.coeffs, 0
         else:
             cfg = backward_config() if case == "backward" else bgk_config()
             traj, trace = backward_solve(cfg)
             assert trace.converged
-            datum = cfg.terminal.coeffs
+            datum, start = cfg.terminal.coeffs, -1
         grid = traj.grid
         write_snapshots(tmp_path / "s.bin", tmp_path / "s.json", traj)
-        expected = full_block(traj, datum)
+        expected = full_block(traj)
         header = b"HMF1" + np.array(expected.shape, dtype="<i8").tobytes()
         assert (tmp_path / "s.bin").read_bytes() == header + expected.tobytes()
         got = read_snapshots(tmp_path / "s.bin", grid)
         assert got.tobytes() == expected.tobytes()
-        # The datum's rows n < 0 hold +0 imaginary parts where its mirror has
-        # -0, so a writer that mirrored the start snapshot too fails this test.
-        start_mirrored = expected.copy()
-        start_mirrored[traj.start_index] = mirrored(datum[grid.n_max :], grid.n_modes)
-        assert np.array_equal(start_mirrored, expected)
-        assert start_mirrored.tobytes() != expected.tobytes()
+        # the datum is its own mirror expansion, signed zeros included, so the
+        # start snapshot the file holds is the datum byte for byte
+        assert got[start].tobytes() == datum.tobytes()
 
     def test_writing_holds_under_two_full_snapshots(self, tmp_path):
         # the shape of perfbench's forward_wide run: 9 x 1761, T = 16, d_t = 0.05,
@@ -139,8 +133,8 @@ class TestHalfRowReads:
 
     @pytest.mark.parametrize("case", ["forward", "backward"])
     def test_weighted_sups(self, solved, monkeypatch, case):
-        traj, datum = solved[case]
-        full = full_block(traj, datum)
+        traj = solved[case]
+        full = full_block(traj)
         weight = solve_a(float(traj.times[-1]), 1e-3, 0.05)
         got_n = functional_N(traj, 0.3, weight)
         _, got_q = functional_P_Q(traj, 0.3, 0.15, 2.0, weight, 0.5)
@@ -180,7 +174,6 @@ class TestHalfRowReads:
         expected = []
         for j, block in enumerate(blocks):
             new = np.stack([mirrored(h, grid.n_modes) for h in block])
-            new[-1] = datum
             dh = max(float(np.max(np.abs(a - b))) for a, b in zip(new, prev))
             dz = float(np.max(np.abs(fields[j] - fields[j - 1]))) if j else dh
             expected.append(max(dh, dz))
@@ -195,7 +188,7 @@ class TestHalfRowReads:
         expected, prev = [], None
         for T in windows:
             traj, _ = backward_solve(replace(cfg, T=T))
-            full = full_block(traj, cfg.terminal.coeffs)
+            full = full_block(traj)
             if prev is not None:
                 prev_times, prev_full = prev
                 n_snap = len(prev_times) - (prev_times[-1] != traj.times[len(prev_times) - 1])
@@ -205,10 +198,10 @@ class TestHalfRowReads:
         assert res.h_diffs == expected and min(expected) > 0.0
 
     def test_echo_split(self, solved):
-        traj, datum = solved["backward"]
+        traj = solved["backward"]
         cfg = bgk_config()
         got = echo_split(traj, cfg)
-        ref = reference_echo_split(full_block(traj, datum), traj, cfg)
+        ref = reference_echo_split(full_block(traj), traj, cfg)
         for name in ("b_plus", "b_minus", "b_plus_reconstructed"):
             assert getattr(got, name).tobytes() == ref[name].tobytes(), name
         assert np.max(np.abs(ref["b_plus"])) > 0.1

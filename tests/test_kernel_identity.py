@@ -446,6 +446,22 @@ def test_off_node_read_just_below_the_cutoff_reads_zero(size):
         assert same_bytes(got[:, k + 1 :], reference_shift_rows(c, grid, delta)[:, k + 1 :])
 
 
+@pytest.mark.parametrize("size", sorted(GRIDS))
+def test_off_node_read_just_above_the_cutoff_reads_zero(size):
+    # the mirror of the test above: 1e-9 grid units above a node, the column
+    # whose read passes node n_xi - 1 is outside the cutoff and reads zero
+    grid = GRIDS[size]
+    c = states(grid)["perturbed"]
+    for k in (0, 1, 2):
+        delta = (k + 1e-9) * grid.d_xi
+        edge = grid.n_xi - 1 - k
+        assert _shift_plan(grid, delta).weights is not None
+        got = shifted(c, grid, delta)
+        assert not got[:, edge:].any()
+        assert not sample_mode(c, grid, 1, grid.xi[edge:] + delta).any()
+        assert same_bytes(got[:, :edge], reference_shift_rows(c, grid, delta)[:, :edge])
+
+
 def test_nan_on_a_node_read_stays_in_its_column():
     # the one place where a node read differs from the four-term stencil:
     # the stencil also spread 0 * NaN into three neighbouring columns

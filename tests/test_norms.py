@@ -44,8 +44,6 @@ def make_traj(fields, times, series=None):
         times=np.asarray(times, dtype=float),
         snapshots=np.stack([f.coeffs[GRID.n_max :] for f in fields]),
         series=series,
-        start=fields[0].coeffs,
-        start_index=0,
     )
 
 

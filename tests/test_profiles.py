@@ -15,7 +15,7 @@ from hmflab.profiles import (
     omega_of_nu,
     solve_bgk,
 )
-from hmflab.spectral import make_grid
+from hmflab.spectral import expand_half, make_grid
 
 
 class TestMaxwellian:
@@ -248,3 +248,24 @@ class TestBGKToField:
         _, background = bgk_to_field(state, grid)
         xi = np.linspace(-5, 5, 101)
         assert np.max(np.abs(background.eta_hat(xi) - np.exp(-xi**2 / 6))) < 1e-14
+
+
+def is_its_expansion(fld):
+    """Whether rows n < 0 of ``fld`` mirror its rows n >= 0, signed zeros included."""
+    half = fld.coeffs[fld.grid.n_max :]
+    return fld.coeffs.tobytes() == expand_half(half, np.empty_like(fld.coeffs)).tobytes()
+
+
+class TestDatumIsItsExpansion:
+    GRID = make_grid(4, 12.0, 0.05, 8.0)
+
+    @pytest.mark.parametrize("shape", ["gaussian", "exponential"])
+    def test_asymptotic_datum(self, shape):
+        for weights in ({1: 1.0, -1: 1.0}, {1: 1.0}, {2: 0.3, -1: 0.7}):
+            fld = make_asymptotic_datum(0.5, weights, 1.0, self.GRID, shape=shape)
+            assert is_its_expansion(fld), weights
+
+    @pytest.mark.parametrize("beta", [2.5, 3.0])
+    def test_bgk_field(self, beta):
+        fld, _ = bgk_to_field(solve_bgk(beta), self.GRID)
+        assert is_its_expansion(fld)

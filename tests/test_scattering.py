@@ -7,6 +7,7 @@ import pytest
 from hmflab import evolution, scattering, volterra
 from hmflab.evolution import EvolutionParams, FieldSeries, Trajectory, forward_solve
 from hmflab.norms import functional_M, functional_N
+from hmflab.outputs import read_snapshots, write_snapshots
 from hmflab.profiles import (
     bgk_to_field,
     kernel_j,
@@ -21,7 +22,7 @@ from hmflab.scattering import (
     continue_in_T,
     nonperturbative_solve,
 )
-from hmflab.spectral import FourierField, expand_half, make_grid, sample_mode, trapezoid
+from hmflab.spectral import FourierField, make_grid, sample_mode, trapezoid
 from hmflab.volterra import solve_volterra
 
 
@@ -181,7 +182,7 @@ class TestBackwardSolve:
             s = traj.full_state(m)
             assert np.max(np.abs(s - np.conj(s[::-1, ::-1]))) < 1e-12
 
-    def test_snapshots_are_one_block(self):
+    def test_snapshots_are_one_block(self, tmp_path):
         # 205 steps at stride 10: steps 0, 10, ..., 200 and the off-cadence end;
         # the diverged run returns its never-transported initial history
         grid = make_grid(3, 12.0, 0.1, 8.0)
@@ -194,7 +195,11 @@ class TestBackwardSolve:
             assert snaps.shape == (22, grid.n_max + 1, grid.n_xi)  # rows n = 0 .. n_max
             assert snaps.dtype == np.complex128 and snaps.flags.c_contiguous
             assert np.array_equal(snaps[-1], terminal.coeffs[grid.n_max :], equal_nan=True)
-            assert traj.final().coeffs is terminal.coeffs
+            write_snapshots(tmp_path / "s.bin", tmp_path / "s.json", traj)
+            start = read_snapshots(tmp_path / "s.bin", grid)[-1]
+            # a real datum is its own mirror expansion; the NaN one is not real
+            assert start.tobytes() == traj.final().coeffs.tobytes()
+            assert (start.tobytes() == terminal.coeffs.tobytes()) is converged
 
     def test_trace_norms_read_the_block_in_place(self):
         # N reads 11 of 41 snapshots (every 4th and the last); reading them where
@@ -205,10 +210,8 @@ class TestBackwardSolve:
         snaps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         zeta = rng.standard_normal(len(ws.t_z)) + 1j * rng.standard_normal(len(ws.t_z))
         sub = evolution._snapshot_steps(len(ws.snap_times) - 1, 4)
-        start = expand_half(snaps[-1], np.empty((GRID.n_modes, GRID.n_xi), complex))
         traj = Trajectory(grid=GRID, times=ws.snap_times[sub], snapshots=snaps[sub],
-                          series=FieldSeries(t=ws.t_fine, zeta1=zeta[::2]),
-                          start=start, start_index=len(sub) - 1)
+                          series=FieldSeries(t=ws.t_fine, zeta1=zeta[::2]))
         expected = (functional_M(traj.series, 0.3).value,
                     functional_N(traj, 0.3, ws.weight, mu_points=32).value)
         tracemalloc.start()

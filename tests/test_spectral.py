@@ -9,6 +9,7 @@ from hmflab.spectral import (
     _shift_plan,
     _stencil,
     enforce_reality,
+    expand_half,
     make_grid,
     sample_mode,
     shift_rows,
@@ -217,6 +218,20 @@ class TestEnforceReality:
         assert once.reality_defect() < 1e-15
         twice = enforce_reality(once)
         assert np.array_equal(once.coeffs, twice.coeffs)
+
+    def test_idempotent_byte_for_byte(self):
+        # the projection is its rows n >= 0's expansion, and a second one moves
+        # no byte, exact zeros of either sign included
+        g = make_grid(4, 12.0, 0.05, 8.0)
+        rng = np.random.default_rng(3)
+        shape = (g.n_modes, g.n_xi)
+        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        coeffs.imag[:, ::5] = 0.0
+        coeffs.real[:, 2::7] = -0.0
+        coeffs[g.n_max + 2] = 0.0
+        once = enforce_reality(FourierField(g, coeffs)).coeffs
+        assert once.tobytes() == expand_half(once[g.n_max :], np.empty_like(once)).tobytes()
+        assert enforce_reality(FourierField(g, once)).coeffs.tobytes() == once.tobytes()
 
     def test_commutes_with_real_scaling(self):
         g = make_grid(4, 24.0, 0.05, 20.0)

@@ -18,8 +18,9 @@ def compare_trees(*args):
                           capture_output=True, text=True, timeout=300)
 
 
-def stub_tree(root: Path, headline: str, load: str = "return path") -> Path:
-    """A tree whose ``hmflab`` runs nothing and reports ``headline``."""
+def stub_tree(root: Path, headline: str, load: str = "return path",
+              files: str = "{'a.csv': '00'}") -> Path:
+    """A tree whose ``hmflab`` runs nothing and reports ``files`` and ``headline``."""
     pkg = root / "src" / "hmflab"
     pkg.mkdir(parents=True)
     (pkg / "__init__.py").write_text("")
@@ -28,7 +29,7 @@ def stub_tree(root: Path, headline: str, load: str = "return path") -> Path:
         "class _Manifest:\n    data = None\n\n"
         "def run(cfg, out_root):\n"
         "    m = _Manifest()\n"
-        f"    m.data = {{'status': 'ok', 'files': {{'a.csv': '00'}}, 'headline': {headline}}}\n"
+        f"    m.data = {{'status': 'ok', 'files': {files}, 'headline': {headline}}}\n"
         "    return m\n"
     )
     return root
@@ -53,6 +54,18 @@ class TestCompareTrees:
         done = compare_trees(a, b, ROOT / "configs" / "bgk.cfg")
         assert done.returncode == 1
         assert "files equal, headline DIFFER" in done.stdout
+        assert "headline DIFFER at: rate\n" in done.stdout
+
+    def test_names_the_differing_files_and_keys(self, tmp_path):
+        a = stub_tree(tmp_path / "a", "{'rate': 1.0, 'n': 2, 'old': 0}",
+                      files="{'a.csv': '00', 'b.bin': '01', 'c.json': '02'}")
+        b = stub_tree(tmp_path / "b", "{'rate': 1.0, 'n': 3, 'new': 0}",
+                      files="{'a.csv': '00', 'b.bin': '11', 'd.json': '02'}")
+        done = compare_trees(a, b, ROOT / "configs" / "bgk.cfg")
+        assert done.returncode == 1
+        assert "files DIFFER, headline DIFFER" in done.stdout
+        assert "files DIFFER at: b.bin, c.json, d.json\n" in done.stdout
+        assert "headline DIFFER at: n, new, old\n" in done.stdout
 
     def test_failed_run_exits_1(self, tmp_path):
         a = stub_tree(tmp_path / "a", "{}")

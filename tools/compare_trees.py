@@ -11,8 +11,10 @@ every ``configs/*.cfg`` of CHANGE.  Each config runs once per tree through
 directory that is removed afterwards.  For each config the script prints
 both sides' run wall time and peak RSS, and whether the manifests' ``files``
 maps (sha256 per artifact; the map leaves manifests out) and ``headline``s
-are equal.  It exits 1 when any run fails or any map or headline differs,
-and 0 otherwise.  Standard library only.
+are equal; where one differs, it names the artifacts or top-level headline
+keys whose values differ or that only one side has.  It exits 1 when any
+run fails or any map or headline differs, and 0 otherwise.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -70,6 +72,14 @@ def canonical(value) -> str:
     return json.dumps(value, sort_keys=True)
 
 
+def differing(parent: dict, change: dict) -> list[str]:
+    """Keys whose values differ between the two dicts, or that only one of them has."""
+    return sorted(
+        k for k in parent.keys() | change.keys()
+        if k not in parent or k not in change or canonical(parent[k]) != canonical(change[k])
+    )
+
+
 def compare(parent: Path, change: Path, configs: list[Path]) -> bool:
     """Run and compare every config; print one block each. True when all are equal."""
     all_equal = True
@@ -88,6 +98,10 @@ def compare(parent: Path, change: Path, configs: list[Path]) -> bool:
                 for key in ("files", "headline")
             }
             print("  " + ", ".join(f"{k} {'equal' if ok else 'DIFFER'}" for k, ok in verdicts.items()))
+            for key, ok in verdicts.items():
+                if not ok:
+                    names = differing(records["parent"][key], records["change"][key])
+                    print(f"    {key} DIFFER at: {', '.join(names)}")
             all_equal &= all(verdicts.values())
         else:
             all_equal = False
