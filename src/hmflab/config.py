@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .profiles import Profile, kernel_j, lorentzian, maxwellian
-from .scattering import _MARGIN_SCAN, _margin_kernel
 from .volterra import KernelOnGrid, transform_bound
 
 
@@ -282,6 +281,20 @@ def _stability_kernel(cfg: RunConfig) -> KernelOnGrid:
     return kernel_j(_profile_from(cfg), 1).sample(v["stability.t_max"], v["stability.d_t"])
 
 
+# The kernel-margin scan a non-perturbative run records: omega_max and n_scan
+# of ``stability_margin`` over ``_margin_kernel``.  Load checks its reach.
+_MARGIN_SCAN = (20.0, 801)
+
+
+def _margin_kernel(cfg: RunConfig) -> KernelOnGrid:
+    """sign * j_1 of the bgk.beta Maxwellian (the background ``bgk_to_field``
+    returns) on [0, max(25, T - tau)] at step 5e-3: the kernel a non-perturbative
+    run scans and load checks."""
+    v = cfg.values
+    window = max(25.0, v["evolve.T"] - v["evolve.tau"])
+    return kernel_j(maxwellian(beta=v["bgk.beta"]), 1).sample(window, 5e-3).scaled(v["evolve.sign"])
+
+
 def _validate(cfg: RunConfig, origin: str) -> None:
     v = cfg.values
     scenario = cfg.scenario
@@ -357,9 +370,7 @@ def _validate(cfg: RunConfig, origin: str) -> None:
         rule(v["bgk.beta"] > 2, "bgk.beta > 2 in non-perturbative mode")
         # the run scans the margin of the bgk.beta Maxwellian's kernel before it solves,
         # and the scan needs |L| under 1/2 beyond its fixed |omega| range
-        kernel = _margin_kernel(maxwellian(beta=v["bgk.beta"]), v["evolve.T"], v["evolve.tau"],
-                                v["evolve.sign"])
-        bound = transform_bound(kernel) / _MARGIN_SCAN[0]
+        bound = transform_bound(_margin_kernel(cfg)) / _MARGIN_SCAN[0]
         rule(bound <= 0.5, f"|L| <= 1/2 beyond the kernel-margin scan's |omega| <= "
              f"{_MARGIN_SCAN[0]:g} for bgk.beta = {v['bgk.beta']:g} (bound there {bound:.3f})")
     if scenario == "stability":
@@ -374,7 +385,7 @@ def _validate(cfg: RunConfig, origin: str) -> None:
         key = "profile.beta" if v["profile.kind"] == "maxwellian" else "profile.scale"
         rule(bound <= 0.5, f"|L| <= 1/2 beyond stability.omega_max for the {key} = {v[key]:g} "
              f"kernel (bound there {bound:.3f})")
-    if scenario in ("forward", "backward", "compare"):
+    if scenario in _WITH_DATUM:
         rule(all(abs(n) <= v["grid.n_max"] for n in v["datum.modes"]),
              "datum.modes within |n| <= grid.n_max")
     if scenario == "sweep":

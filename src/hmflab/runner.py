@@ -18,7 +18,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, _profile_from, _stability_kernel, member_config
+from .config import (
+    _MARGIN_SCAN,
+    ConfigError,
+    RunConfig,
+    _margin_kernel,
+    _profile_from,
+    _stability_kernel,
+    member_config,
+)
 from .diagnostics import compare_backward_forward, detect_echoes, fit_decay
 from .evolution import EvolutionParams, forward_solve
 from .norms import (
@@ -30,14 +38,7 @@ from .norms import (
     terminal_a0,
 )
 from .profiles import bgk_to_field, make_asymptotic_datum, omega_curve, solve_bgk
-from .scattering import (
-    _MARGIN_SCAN,
-    ScatteringConfig,
-    _margin_kernel,
-    backward_solve,
-    continue_in_T,
-    nonperturbative_solve,
-)
+from .scattering import ScatteringConfig, backward_solve, continue_in_T, nonperturbative_solve
 from .spectral import make_grid
 from .volterra import laplace, stability_margin
 from .outputs import (
@@ -70,11 +71,11 @@ def _grid_from(cfg: RunConfig):
     )
 
 
-def _datum_from(cfg: RunConfig, grid):
+def _datum_from(cfg: RunConfig, grid, width: float):
     return make_asymptotic_datum(
         cfg.values["datum.amplitude"],
         cfg.values["datum.modes"],
-        cfg.values["datum.width"],
+        width,
         grid,
         shape=cfg.values["datum.shape"],
     )
@@ -229,7 +230,7 @@ def _run_weights(cfg: RunConfig, out: Path) -> dict:
 def _run_forward(cfg: RunConfig, out: Path) -> dict:
     grid = _grid_from(cfg)
     params = _evolution_params(cfg)
-    traj = forward_solve(_datum_from(cfg, grid), params)
+    traj = forward_solve(_datum_from(cfg, grid, cfg.values["datum.width"]), params)
     _write_solution(out, traj, None)
     half = 0.5 * params.t_final
     mags = traj.series.magnitude()
@@ -254,7 +255,8 @@ def _run_forward(cfg: RunConfig, out: Path) -> dict:
 def _run_backward(cfg: RunConfig, out: Path) -> dict:
     """One window, or the continuation over ``backward.T_list`` with its ``cauchy.csv``."""
     grid = _grid_from(cfg)
-    scfg = _scattering_config(cfg, _datum_from(cfg, grid), _profile_from(cfg))
+    datum = _datum_from(cfg, grid, cfg.values["datum.width"])
+    scfg = _scattering_config(cfg, datum, _profile_from(cfg))
     t_list = cfg.values["backward.T_list"]
     cont = continue_in_T(scfg, t_list or [scfg.T])
     if t_list:
@@ -297,8 +299,7 @@ def _run_nonperturbative(cfg: RunConfig, out: Path) -> dict:
         raise ConfigError(f"no self-consistent state at beta={beta}; need beta > 2")
     datum, background = bgk_to_field(state, grid)
     scfg = _scattering_config(cfg, datum, background)
-    kernel = _margin_kernel(background, scfg.T, scfg.tau, scfg.sign)
-    margin_report = stability_margin(kernel, *_MARGIN_SCAN)
+    margin_report = stability_margin(_margin_kernel(cfg), *_MARGIN_SCAN)
     traj, trace, split = nonperturbative_solve(scfg)
     _write_solution(out, traj, trace)
     if split is not None:
@@ -332,16 +333,13 @@ def _run_nonperturbative(cfg: RunConfig, out: Path) -> dict:
 
 def _run_compare(cfg: RunConfig, out: Path) -> dict:
     grid = _grid_from(cfg)
-    scfg = _scattering_config(cfg, _datum_from(cfg, grid), _profile_from(cfg))
+    datum = _datum_from(cfg, grid, cfg.values["datum.width"])
+    scfg = _scattering_config(cfg, datum, _profile_from(cfg))
     traj, trace = backward_solve(scfg)
     rough_forward = None
     rough_width = cfg.values.get("compare.rough_width")
     if rough_width is not None:
-        rough = make_asymptotic_datum(
-            cfg.values["datum.amplitude"], cfg.values["datum.modes"], rough_width, grid,
-            shape=cfg.values["datum.shape"],
-        )
-        rough_forward = forward_solve(rough, _evolution_params(cfg))
+        rough_forward = forward_solve(_datum_from(cfg, grid, rough_width), _evolution_params(cfg))
     report = compare_backward_forward(traj, scfg, forward_rough=rough_forward)
     back, fwd = report.backward_profile, report.forward_profile
     header, columns = ["t", "mu_star_backward"], [back.t, back.mu_star]

@@ -44,11 +44,7 @@ from .evolution import (
 from .norms import _weighted_snapshot_sup, functional_M, solve_a
 from .profiles import Profile, kernel_j
 from .spectral import FourierField, TruncationCounters, sample_mode, trapezoid
-from .volterra import KernelOnGrid, solve_volterra
-
-# The kernel-margin scan a non-perturbative run records: omega_max and n_scan
-# of ``stability_margin`` over ``_margin_kernel``.  Config load checks its reach.
-_MARGIN_SCAN = (20.0, 801)
+from .volterra import solve_volterra
 
 
 @dataclass(frozen=True)
@@ -375,11 +371,6 @@ def nonperturbative_solve(
     traj, trace = backward_solve(config)
     split = echo_split(traj, config) if trace.converged else None
     return traj, trace, split
-
-
-def _margin_kernel(background: Profile, T: float, tau: float, sign: float) -> KernelOnGrid:
-    """sign * j_1 of the background on [0, max(25, T - tau)] at step 5e-3, for ``_MARGIN_SCAN``."""
-    return kernel_j(background, 1).sample(max(25.0, T - tau), 5e-3).scaled(sign)
 
 
 def echo_split(traj: Trajectory, config: ScatteringConfig) -> EchoSplit:

@@ -15,7 +15,7 @@ constants at the step sizes the solvers use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -90,13 +90,8 @@ class KernelOnGrid:
         return float(self.t[-1])
 
     def scaled(self, factor: complex) -> "KernelOnGrid":
-        return KernelOnGrid(
-            t=self.t,
-            values=factor * self.values,
-            decay_rate=self.decay_rate,
-            decay_coeff=abs(factor) * self.decay_coeff,
-            label=self.label,
-        )
+        return replace(self, values=factor * self.values,
+                       decay_coeff=abs(factor) * self.decay_coeff)
 
     def tail_bound(self, re_sigma: float = 0.0) -> float:
         """Rigorous bound on the neglected integral beyond t_max."""
@@ -285,13 +280,7 @@ def resolvent(kernel: KernelOnGrid, l1_cap: float = 1e3) -> KernelOnGrid:
             f"resolvent L1 mass exceeded {l1_cap} at t={kernel.t[over[0] + 1]:.3f}; "
             f"kernel {kernel.label} fails the stability condition"
         )
-    return KernelOnGrid(
-        t=kernel.t,
-        values=r,
-        decay_rate=kernel.decay_rate,
-        decay_coeff=kernel.decay_coeff,
-        label=f"resolvent[{kernel.label}]",
-    )
+    return replace(kernel, values=r, label=f"resolvent[{kernel.label}]")
 
 
 def solve_volterra(

@@ -114,7 +114,7 @@ class TestExtractZeta:
         assert abs(zm1 - np.conj(z1)) < 1e-12
 
     def test_bit_identical_to_sample_mode(self):
-        # the README's promise: the scalar readout is the vector read at [t], counters included
+        # extract_zeta's promise: the scalar readout is the vector read at [t], counters included
         rng = np.random.RandomState(9)
         coeffs = rng.randn(GRID.n_modes, GRID.n_xi) + 1j * rng.randn(GRID.n_modes, GRID.n_xi)
         coeffs[:, ::7] = complex(-0.0, 0.0)

@@ -163,6 +163,22 @@ class TestBackwardSolve:
         expected = {1: "field solve overflowed", 3: "exceeded the overflow cap at t=3.980"}
         assert expected[mode] in trace.failure
 
+    def test_late_blow_up_keeps_last_completed_sweep(self, tmp_path):
+        # sweep 3's transport overflows; the run returns sweep 2's snapshots,
+        # byte for byte those of the same window stopped after two sweeps
+        grid = make_grid(3, 12.0, 0.1, 8.0)
+        cfg = config(terminal=datum(amplitude=16.0, width=2.0, grid=grid), epsilon=1.0,
+                     T=2.0, d_t=0.02, picard_max_iters=8)
+        blown, trace = backward_solve(cfg)
+        assert trace.diverged and trace.iterations == 3
+        assert "exceeded the overflow cap" in trace.failure
+        stopped, short = backward_solve(replace(cfg, picard_max_iters=2))
+        assert short.failure == "no convergence in 2 iterations"
+        assert blown.snapshots.tobytes() == stopped.snapshots.tobytes()
+        for name, traj in (("blown", blown), ("stopped", stopped)):
+            write_snapshots(tmp_path / f"{name}.bin", tmp_path / f"{name}.json", traj)
+        assert (tmp_path / "blown.bin").read_bytes() == (tmp_path / "stopped.bin").read_bytes()
+
     def test_deviation_decreasing_over_last_quarter(self):
         cfg = config(
             terminal=datum(amplitude=0.5, width=2.0, shape="exponential"), T=16.0

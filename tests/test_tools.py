@@ -98,6 +98,8 @@ class TestBench:
             assert 0.0 <= entry["change_faster_share"] <= 1.0
             for side in ("parent", "change"):
                 assert entry[side]["status"] == ["ok"]
+                # one extra, untimed run under tracemalloc: its heap peak
+                assert entry[side]["traced_peak_mb"] > 0
                 for metric in ("wall_s", "peak_rss_mb"):
                     summary = entry[side][metric]
                     assert set(summary) == {"samples", "min", "q1", "median", "q3"}

@@ -15,7 +15,10 @@ sides alike.
 
 The record holds, per config or workload and per side, every ``wall_s`` and
 ``peak_rss_mb`` sample (and ``setup_s`` for a workload) with their min,
-quartiles and median; whether the outputs agree (the manifests' ``files``
+quartiles and median; for a config, the heap peak ``tracemalloc`` saw in one
+extra, untimed run per side (``traced_peak_mb``, None when that run failed),
+which unlike the peak RSS does not depend on where the allocator placed the
+large blocks; whether the outputs agree (the manifests' ``files``
 maps and ``headline``s for a config, the seed-0 artifact fingerprints for a
 workload); and the share of pairs in which CHANGE took less wall time.  A
 workload run also keeps its last JSON line, its fingerprint, the machine
@@ -72,7 +75,8 @@ def bench_config(trees: dict, config: Path, pairs: int) -> dict:
     for i in range(pairs):
         for side in _pair_order(i):
             runs[side].append(run_config(trees[side], config))
-    entry = {"ok": all(r["status"] == "ok" for side in SIDES for r in runs[side])}
+    traced = {side: run_config(trees[side], config, traced=True) for side in SIDES}
+    entry = {"ok": all(r["status"] == "ok" for side in SIDES for r in [*runs[side], traced[side]])}
     for side in SIDES:
         good = [r for r in runs[side] if r["status"] == "ok"]
         entry[side] = {
@@ -80,6 +84,7 @@ def bench_config(trees: dict, config: Path, pairs: int) -> dict:
                        for r in runs[side]],
             "wall_s": _summary([r["wall_s"] for r in good]),
             "peak_rss_mb": _summary([r["peak_rss_mb"] for r in good]),
+            "traced_peak_mb": traced[side].get("traced_peak_mb"),
         }
     for key in ("files", "headline"):
         seen = {canonical(r.get(key)) for side in SIDES for r in runs[side]}

@@ -27,10 +27,11 @@ import sys
 import tempfile
 from pathlib import Path
 
-# Runs in the child: argv is (tree, config, out root); prints one JSON line.
+# Runs in the child: argv is (tree, config, out root[, "traced"]); prints one JSON line.
 _CHILD = r"""
-import json, os, resource, sys, time
+import json, os, resource, sys, time, tracemalloc
 tree, config, out_root = sys.argv[1:4]
+traced = sys.argv[4:] == ["traced"]
 sys.path.insert(0, os.path.join(tree, "src"))
 import hmflab
 from hmflab.config import load_config
@@ -39,6 +40,8 @@ src = os.path.realpath(os.path.join(tree, "src"))
 if not os.path.realpath(hmflab.__file__).startswith(src + os.sep):
     raise SystemExit(f"imported hmflab from {hmflab.__file__}, not from {src}")
 record = {"status": "error"}
+if traced:
+    tracemalloc.start()
 started = time.perf_counter()
 try:
     data = run(load_config(config), out_root).data
@@ -47,17 +50,25 @@ except Exception as exc:
     record["error"] = f"{type(exc).__name__}: {exc}"
 record["wall_s"] = time.perf_counter() - started
 record["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+if traced:
+    record["traced_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
 print(json.dumps(record, sort_keys=True))
 """
 
 _ONE_THREAD = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
-def run_config(tree: Path, config: Path) -> dict:
-    """One run of ``config`` on ``tree`` in a fresh process; its record, or an error record."""
+def run_config(tree: Path, config: Path, traced: bool = False) -> dict:
+    """One run of ``config`` on ``tree`` in a fresh process; its record, or an error record.
+
+    A ``traced`` run runs under ``tracemalloc`` and records the peak of the
+    Python heap it traced during the run as ``traced_peak_mb``; tracing slows
+    it, so its times are not comparable with untraced ones.
+    """
     with tempfile.TemporaryDirectory(prefix="compare_trees-") as out_root:
         proc = subprocess.run(
-            [sys.executable, "-c", _CHILD, str(tree), str(config), out_root],
+            [sys.executable, "-c", _CHILD, str(tree), str(config), out_root,
+             *(["traced"] if traced else [])],
             cwd=out_root, env={**os.environ, **_ONE_THREAD}, capture_output=True, text=True,
         )
     lines = proc.stdout.strip().splitlines()
