@@ -37,9 +37,7 @@ from .spectral import (
     GridError,
     TruncationCounters,
     _padded,
-    _shift_plan,
-    _ShiftPlan,
-    _stencil,
+    _shift_plans,
     expand_half,
     shift_rows,
 )
@@ -157,18 +155,18 @@ class Trajectory:
 
 
 def extract_zeta(
-    coeffs: np.ndarray, grid: Grid, t: float, counters: TruncationCounters
+    coeffs: np.ndarray, node: int, work: _RK4Work, counters: TruncationCounters
 ) -> complex:
-    """Field readout zeta_1(t) = h_1(t, t) from a coefficient array.
+    """Field readout zeta_1(t) = h_1(t, t) from a full state at ``work``'s half-step ``node``.
 
     Mode -1 is not read: for a real state zeta_{-1} = conj(zeta_1).  In scalar
-    arithmetic, the same value and counter update as ``sample_mode`` at [t].
+    arithmetic, with the node's readout plan, the same value and counter
+    update as ``sample_mode`` at [t].
     """
-    if abs(t) > grid.xi_max:
-        raise ValueError(f"readout time {t} beyond the frequency cutoff {grid.xi_max}")
+    grid = work.grid
     row = coeffs[grid.mode_index(1)]
     counters.note_edges(row)
-    _, b, w = _stencil((t + grid.xi_max) / grid.d_xi)
+    _, _, b, _, *w = work.plans[node, 2].tolist()
     n_xi = grid.n_xi  # a computed property: read it once, not per stencil node
     acc = np.complex128(0.0)
     for m, wm in zip((-1, 0, 1, 2), w):
@@ -178,7 +176,7 @@ def extract_zeta(
 
 
 class _RK4Work:
-    """One solve's settings, and the march state, blocks and per-time tables of its RK4.
+    """One solve's settings, half-step nodes and read plans, and the march state and blocks.
 
     Every block has the padded row layout of ``spectral._padded``, with zero
     padding, so ``shift_rows`` reads it as it is.  ``state`` is the march's
@@ -191,56 +189,54 @@ class _RK4Work:
     finite field their padding stays +-0, as ``shift_rows`` zeroes its
     output's and the rest is elementwise, so the states' stays +0.
 
-    What depends on the stage time alone is worked out once per time:
-    - ``shift_plans(t)`` keeps the ``shift_rows`` plans of the reads at
-      xi -+ t, scalars only, for every time the solve has read, so each
-      Picard sweep after the first reuses them;
-    - ``stage_rows(t)`` keeps (xi - n t) and eta'(xi - t) for the latest
-      time, since the march reads t, t_mid, t_mid, t_next off one node grid
-      and starts the next step at that t_next.
-    Both return what a fresh computation would, so a work reused across
-    times and sweeps gives the bytes a fresh one does.
+    The solve reads its stages at the half-step nodes ``t`` only, and what
+    depends on the stage time alone is worked out per node:
+    - ``plans[node]`` holds the three ``spectral._shift_plans`` records of
+      node time t, planned in one vector pass when the work is made: the
+      coupling's reads h_{n-1}(xi - t) and h_{n+1}(xi + t), and the readout
+      at xi = t (column 0 of a read at xi + t + xi_max), so every Picard
+      sweep reads the plans the first one did;
+    - ``stage_rows(node)`` keeps (xi - n t) and eta'(xi - t) for the latest
+      node, since the march reads t, t_mid, t_mid, t_next and starts the
+      next step at that t_next.
+    Both give what a fresh computation would, so a work reused across
+    nodes and sweeps gives the bytes a fresh one does.  A node past the
+    frequency cutoff has no readout and raises ValueError.
     """
 
-    def __init__(self, grid: Grid, profile: Profile, epsilon: float, sign: float):
+    def __init__(self, grid: Grid, profile: Profile, epsilon: float, sign: float, t_half):
         full, half = (grid.n_modes, grid.n_xi), (grid.n_max + 1, grid.n_xi)
         self.grid = grid
         self.profile, self.epsilon, self.sign = profile, epsilon, sign
+        self.t = t = np.asarray(t_half, dtype=float)
+        if np.any(np.abs(t) > grid.xi_max):
+            raise ValueError(f"readout time |t| = {np.max(np.abs(t))} beyond the frequency "
+                             f"cutoff {grid.xi_max}")
+        self.plans = _shift_plans(grid, np.stack((-t, t, t + grid.xi_max), axis=-1))
         self.xi = grid.xi
         self.n_col = np.arange(grid.n_max + 1.0)[:, None]
         (self.state, self.data), (self.stage, self.stage_data) = _padded(full), _padded(full)
         (self.sp, self.term, self.acc, self.k_sum, self.k) = (_padded(half)[0] for _ in range(5))
         self.sm = _padded((grid.n_max, grid.n_xi))[0]
-        self._plans = {}
-        # the latest stage time, eta'(xi - t) and (xi - n t); the last is
+        # the latest stage node, eta'(xi - t) and (xi - n t); the last is
         # stored complex, the type numpy casts it to for the product with h
-        self._t = None
+        self._node = None
         (self._eta_row, self._eta_data), (self._fac, self._fac_data) = (
             _padded((grid.n_xi,)), _padded(half))
 
-    def shift_plans(self, t: float) -> tuple[_ShiftPlan, _ShiftPlan]:
-        """Plans of the coupling's reads h_{n-1}(xi - t) and h_{n+1}(xi + t)."""
-        plans = self._plans.get(t)
-        if plans is None:
-            plans = self._plans[t] = (
-                _shift_plan(self.grid, -t),
-                _shift_plan(self.grid, t),
-            )
-        return plans
-
-    def stage_rows(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """eta'(xi - t) of the background and (xi - n t) on rows n = 0 .. n_max."""
-        if self._t != t:
-            self._t = t
+    def stage_rows(self, node: int) -> tuple[np.ndarray, np.ndarray]:
+        """eta'(xi - t) of the background and (xi - n t) on rows n = 0 .. n_max at ``node``."""
+        if self._node != node:
+            self._node, t = node, self.t[node]
             self._eta_data[...] = self.profile.eta_prime_hat(self.xi - t)
             np.subtract(self.xi, self.n_col * t, out=self._fac_data)
         return self._eta_row, self._fac
 
 
 def rhs_coeffs(
-    coeffs: np.ndarray, t: float, zeta1: complex, work: _RK4Work, out: np.ndarray
+    coeffs: np.ndarray, node: int, zeta1: complex, work: _RK4Work, out: np.ndarray
 ) -> np.ndarray:
-    """Right-hand side of rows n = 0 .. n_max into ``out`` (hot path).
+    """Right-hand side of rows n = 0 .. n_max at ``work``'s node ``node`` into ``out`` (hot path).
 
     ``coeffs`` is a full state of n_modes rows, of which rows -1 .. n_max
     are read; ``out`` has n_max + 1 rows, mode n in row n; both have the
@@ -250,17 +246,16 @@ def rhs_coeffs(
     read of rows -1 .. n_max - 1 serves k = +1 and one of rows 1 .. n_max
     serves k = -1, and the mode recursion n -> n -+ 1 is a one-row offset
     between the blocks.  Only mode +1 carries the eta' forcing.  The
-    background, coupling and force are ``work``'s; the two reads' plans come
-    from its store of every time the solve has read, and the (xi - n t) and
-    eta'(xi - t) rows from its entry for the latest time, so a time read
-    before costs no stencil set-up and a repeat of the latest time no
-    profile evaluation.
+    background, coupling and force are ``work``'s; the two reads' plans are
+    the node's entries in its plan table, and the (xi - n t) and
+    eta'(xi - t) rows come from its entry for the latest node, so no call
+    sets up a stencil and a repeat of the latest node evaluates no profile.
     """
     m = work.grid.n_max
     epsilon = work.epsilon
-    eta_row, fac = work.stage_rows(t)
+    eta_row, fac = work.stage_rows(node)
     if epsilon != 0.0:
-        plan_p, plan_m = work.shift_plans(t)
+        plan_p, plan_m = work.plans[node, :2].tolist()
         sp = shift_rows(coeffs[m - 1 : 2 * m], plan_p, work.sp, work.term)  # h_{n-1}(xi - t)
         sm = shift_rows(coeffs[m + 1 :], plan_m, work.sm, work.term[:-1])  # h_{n+1}(xi + t)
         # row n: acc = (eps/2) zeta_1 h_{n-1}(xi - t) - (eps/2) zeta_-1 h_{n+1}(xi + t),
@@ -299,15 +294,15 @@ def _snapshot_steps(n_steps: int, stride: int) -> np.ndarray:
     return steps if steps[-1] == n_steps else np.append(steps, n_steps)
 
 
-def _march(c0, t_half, h, zeta, steps, snaps, counters, work):
-    """Classical RK4 on the half-step nodes ``t_half`` from ``c0``; yields (j, t_half[2j]).
+def _march(c0, h, zeta, steps, snaps, counters, work):
+    """Classical RK4 on ``work``'s half-step nodes t from ``c0``; yields (j, t[2j]).
 
     The half start ``c0`` (rows n = 0 .. n_max) is copied into
     ``work.state`` and never written; callers read the state after each
     step as ``work.data``.  Full index i
     is node 2i; ``h`` > 0 marches up from node 0, ``h`` < 0 down from the
     last.  The step from i to j reads its stages at nodes 2i, i + j (twice)
-    and 2j, each taking its time and its field from that node: the field is
+    and 2j, each taking its time, plans and field from that node: the field is
     read off the stage state with ``zeta`` None, otherwise it is the frozen
     zeta[node] (time order).  Each step advances the rows n = 0 .. n_max;
     row -1 is set to the mirror conj(h_1(-xi)) at the start and after
@@ -317,7 +312,7 @@ def _march(c0, t_half, h, zeta, steps, snaps, counters, work):
     indices ``steps`` fill the half block ``snaps`` in time order, edge
     columns tallied after the first.
     """
-    m = work.grid.n_max
+    m, t_half = work.grid.n_max, work.t
     k_sum, k, c, y = work.k_sum, work.k, work.state, work.stage
     c_data, y_data = work.data, work.stage_data
     c_half, y_half = c[m:], y[m:]  # rows 0 .. n_max, the ones advanced
@@ -329,9 +324,8 @@ def _march(c0, t_half, h, zeta, steps, snaps, counters, work):
     snaps[row[order[0]]] = c_data[m:]
 
     def rhs(state, data, node, out):
-        tt = t_half[node]
-        z = extract_zeta(data, work.grid, tt, counters) if zeta is None else zeta[node]
-        rhs_coeffs(state, tt, z, work, out)
+        z = extract_zeta(data, node, work, counters) if zeta is None else zeta[node]
+        rhs_coeffs(state, node, z, work, out)
 
     def stage(kx, scale):
         np.add(c_half, np.multiply(scale, kx, out=y_half), out=y_half)
@@ -356,10 +350,8 @@ def _march(c0, t_half, h, zeta, steps, snaps, counters, work):
             raise BlowUpError(float(t_half[2 * j]), float(peak))
         if row[j] >= 0:
             snaps[row[j]] = half = c_data[m:]
-            # the rows n < 0 mirror these edge columns, so they add nothing
-            edge = float(max(np.max(np.abs(half[:, 0])), np.max(np.abs(half[:, -1]))))
-            if edge > counters.max_edge_magnitude:
-                counters.max_edge_magnitude = edge
+            # each edge column's peak; the rows n < 0 mirror these columns, so they add nothing
+            counters.note_edges(np.max(np.abs(half[:, [0, -1]]), axis=0))
         yield j, t_half[2 * j]
 
 
@@ -392,10 +384,10 @@ def forward_solve(h0: FourierField, params: EvolutionParams) -> Trajectory:
     steps = _snapshot_steps(n_steps, params.snap_stride)
     snapshots = np.empty((len(steps), grid.n_max + 1, grid.n_xi), dtype=np.complex128)
     zs = np.empty(n_steps + 1, dtype=np.complex128)
-    zs[0] = extract_zeta(h0.coeffs, grid, 0.0, counters)
-    work = _RK4Work(grid, params.profile, params.epsilon, params.sign)
-    for i, t in _march(h0.coeffs[grid.n_max :], t_half, params.d_t, None, steps, snapshots,
-                       counters, work):
+    work = _RK4Work(grid, params.profile, params.epsilon, params.sign, t_half)
+    zs[0] = extract_zeta(h0.coeffs, 0, work, counters)
+    for i, t in _march(h0.coeffs[grid.n_max :], params.d_t, None, steps, snapshots, counters,
+                       work):
         if i % _REALITY_CHECK_EVERY == 0 or i == n_steps:  # row 0 is its own mirror partner
             h_0 = work.data[grid.n_max]
             drift = float(np.max(np.abs(h_0 - np.conj(h_0[::-1]))))
@@ -403,7 +395,7 @@ def forward_solve(h0: FourierField, params: EvolutionParams) -> Trajectory:
                 raise RealityDriftError(
                     f"reality drift {drift:.3e} of mode 0 exceeds {_REALITY_TOL:.1e} at t={t:.3f}"
                 )
-        zs[i] = extract_zeta(work.data, grid, t, counters)
+        zs[i] = extract_zeta(work.data, 2 * i, work, counters)
 
     return Trajectory(
         grid=grid,

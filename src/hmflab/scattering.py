@@ -175,7 +175,7 @@ class _Workspace:
         self.snap_nodes = 2 * self.snap_idx
         self.snap_times = self.t_z[self.snap_nodes]
         self.weight = solve_a(cfg.T, cfg.norm_delta, cfg.d_t)
-        self.rk4 = _RK4Work(self.grid, cfg.background, cfg.epsilon, cfg.sign)
+        self.rk4 = _RK4Work(self.grid, cfg.background, cfg.epsilon, cfg.sign, self.t_z)
 
     def coupling(self, snaps: np.ndarray):
         """The term sign * Phi as ``solve_volterra`` coefficients of zeta and conj zeta.
@@ -214,8 +214,8 @@ class _Workspace:
         """Backward Runge-Kutta pass with the field frozen; returns the half snapshot block."""
         cfg, grid = self.cfg, self.grid
         snaps = np.empty((len(self.snap_idx), grid.n_max + 1, grid.n_xi), dtype=np.complex128)
-        for _ in _march(cfg.terminal.coeffs[grid.n_max :], self.t_z, -cfg.d_t, zeta_z,
-                        self.snap_idx, snaps, self.counters, self.rk4):
+        for _ in _march(cfg.terminal.coeffs[grid.n_max :], -cfg.d_t, zeta_z, self.snap_idx,
+                        snaps, self.counters, self.rk4):
             pass
         return snaps
 
@@ -237,14 +237,15 @@ def backward_solve(config: ScatteringConfig) -> tuple[Trajectory, PicardTrace]:
     and the stored snapshots falls under ``picard_tol``; the trace records
     the change, the contraction ratios and the weighted norms of each
     iterate.  Non-convergence (including overflow) is a reportable
-    outcome, returned as a trace marked diverged, not an exception.
+    outcome, returned as a trace marked diverged, not an exception.  A
+    failed window returns its last completed sweep, snapshots and field,
+    or after a sweep-1 failure the datum history with sweep 1's field.
     """
     ws = _Workspace(config)
     trace = PicardTrace()
     datum = config.terminal.coeffs[ws.grid.n_max :]  # rows 0 .. n_max
     snaps = np.broadcast_to(datum, (len(ws.snap_idx),) + datum.shape)
     zeta_prev: np.ndarray | None = None
-    zeta = None
     for it in range(1, config.picard_max_iters + 1):
         trace.iterations = it
         zeta = ws.solve_field(snaps)
@@ -282,11 +283,12 @@ def backward_solve(config: ScatteringConfig) -> tuple[Trajectory, PicardTrace]:
     if not trace.converged and not trace.diverged:
         trace.diverged = True
         trace.failure = f"no convergence in {config.picard_max_iters} iterations"
+    last = zeta if zeta_prev is None else zeta_prev  # the field ``snaps`` were marched with
     traj = Trajectory(
         grid=ws.grid,
         times=ws.snap_times.copy(),
         snapshots=snaps,
-        series=FieldSeries(t=ws.t_fine.copy(), zeta1=zeta[::2].copy()),
+        series=FieldSeries(t=ws.t_fine.copy(), zeta1=last[::2].copy()),
         counters=ws.counters,
     )
     return traj, trace

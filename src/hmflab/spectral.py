@@ -17,9 +17,7 @@ array terms is a combined reversal of both axes plus conjugation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +37,11 @@ class Grid:
 
     The field readout samples xi = +-t, so the frequency cutoff must
     exceed the horizon with room for the interpolation stencil:
-    xi_max >= t_final + 4.  The node set always contains xi = 0 so the
-    conserved mode-0 coefficient can be checked exactly.
+    xi_max >= t_final + 4.  That makes room for the readout only: the
+    coupling carries mode n out to about |xi| = n t, past the cutoff on a
+    grid that passes the rule, and ``truncation.max_edge_magnitude`` shows
+    that loss.  The node set always contains xi = 0 so the conserved mode-0
+    coefficient can be checked exactly.
     """
 
     n_max: int
@@ -164,15 +165,18 @@ def _cubic_weights(u):
     )
 
 
-def _stencil(s: float) -> tuple[float, int, tuple]:
-    """Cubic stencil of a scalar read at s grid units: (s, b, weights).
+def _stencils(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Cubic stencils of reads at the grid positions ``s``: arrays s and b, four weight arrays.
 
-    An s within 1e-9 of a node snaps onto it, so node reads reproduce the
-    stored values; the four weights apply to nodes b - 1 .. b + 2.
+    The one stencil rule of the package.  An s within 1e-9 of a node snaps
+    onto it, so node reads reproduce the stored values; the four weights
+    apply to nodes b - 1 .. b + 2.  A snapped -0.0 stays -0.0, which is
+    still a node read (s == b).
     """
-    if abs(s - round(s)) < 1e-9:
-        s = float(round(s))
-    b = math.floor(s)
+    s = np.asarray(s, dtype=float)
+    nearest = np.round(s)
+    s = np.where(np.abs(s - nearest) < 1e-9, nearest, s)
+    b = np.floor(s).astype(np.int64)
     return s, b, _cubic_weights(s - b)
 
 
@@ -186,40 +190,43 @@ def _padded(shape: tuple) -> tuple[np.ndarray, np.ndarray]:
     return block, block[..., lo : lo + shape[-1]]
 
 
-class _ShiftPlan(NamedTuple):
-    """What ``shift_rows`` derives from the shift alone: three scalars and the weights.
+# One read at xi + delta: columns j_lo .. j_hi - 1 of a padded row read
+# inside the cutoff, b is the stencil's base node offset, and a read that
+# snaps onto a node (``on_node``) is one shifted copy; w0 .. w3 are its weights.
+_SHIFT_PLAN = np.dtype([("j_lo", np.intp), ("j_hi", np.intp), ("b", np.intp), ("on_node", bool)]
+                       + [(f"w{m}", float) for m in range(4)])
 
-    Columns j_lo .. j_hi - 1 of a padded row are read inside the cutoff;
-    ``b`` is the stencil's base node offset, and ``weights`` is None when
-    the read snaps onto a node, which makes it one shifted copy.
+
+def _shift_plans(grid: Grid, deltas: np.ndarray) -> np.ndarray:
+    """The plans of reads at xi + delta on ``grid``, one ``_SHIFT_PLAN`` record per delta.
+
+    A record's ``tolist()`` is the plan ``shift_rows`` takes.  Column 0 of a
+    read at delta = t + xi_max reads xi = t, with the stencil ``sample_mode``
+    uses at t, so ``b`` and the weights also plan a point read.
     """
-
-    j_lo: int
-    j_hi: int
-    b: int
-    weights: tuple | None
-
-
-def _shift_plan(grid: Grid, delta: float) -> _ShiftPlan:
-    """The plan of a read at xi + delta on ``grid``, in padded columns."""
-    s, b, w = _stencil(delta / grid.d_xi)
-    n = grid.n_xi
+    s, b, w = _stencils(np.asarray(deltas, dtype=float) / grid.d_xi)
+    n, on_node = grid.n_xi, s == b
+    plans = np.empty(s.shape, dtype=_SHIFT_PLAN)
     # column j reads node j + b, or off a node a point strictly between nodes j + b and
     # j + b + 1; inside the cutoff that is -b <= j < n - b, less the last column off a node
-    j_lo = min(max(-b, 0), n)
-    j_hi = min(max(n - b - (s != b), 0), n)
-    return _ShiftPlan(j_lo + _PAD[0], j_hi + _PAD[0], b, None if s == b else w)
+    plans["j_lo"] = np.clip(-b, 0, n) + _PAD[0]
+    plans["j_hi"] = np.clip(n - b - ~on_node, 0, n) + _PAD[0]
+    plans["b"], plans["on_node"] = b, on_node
+    for m, wm in enumerate(w):
+        plans[f"w{m}"] = wm
+    return plans
 
 
 def shift_rows(
-    coeffs: np.ndarray, plan: _ShiftPlan, out: np.ndarray, scratch: np.ndarray
+    coeffs: np.ndarray, plan: tuple, out: np.ndarray, scratch: np.ndarray
 ) -> np.ndarray:
     """Sample every mode row at xi + delta (cubic, zero beyond the cutoff) into ``out``.
 
     ``coeffs``, ``out`` and ``scratch`` are C-contiguous blocks of one shape
     in the padded layout of ``_padded``; the padding of ``coeffs`` is zero,
-    and so is that of ``out`` on return.  ``plan`` is ``_shift_plan(grid,
-    delta)``, which a caller that repeats a shift keeps.  The shift is common
+    and so is that of ``out`` on return.  ``plan`` is the ``tolist()`` of a
+    ``_shift_plans(grid, [delta])`` record, which a solve plans once per
+    half-step node (``evolution._RK4Work``).  The shift is common
     to all rows, so in row-major order each of the four stencil terms is one
     multiply of one flat slice over all rows' in-range columns, into
     ``scratch``: a read there lands on data or padding of its own row, and
@@ -232,12 +239,12 @@ def shift_rows(
     column, where 0 * NaN would also reach its three neighbours, and off a
     node it stays in its own part.
     """
-    j_lo, j_hi, b, w = plan
+    j_lo, j_hi, b, on_node, *w = plan
     if not (coeffs.flags.c_contiguous and out.flags.c_contiguous and scratch.flags.c_contiguous):
         raise ValueError("shift_rows arrays must be C-contiguous")
     flat_c, flat_o = coeffs.reshape(-1), out.reshape(-1)
     first, stop = j_lo, flat_o.size - coeffs.shape[-1] + j_hi
-    if j_lo < j_hi and w is None:
+    if j_lo < j_hi and on_node:
         np.add(0.0, flat_c[first + b : stop + b], out=flat_o[first:stop])
     elif j_lo < j_hi:
         # The weights are real, so a term is one multiply of the interleaved
@@ -271,10 +278,10 @@ def sample_mode(
     n = 0 .. n_max (mode n in row n): row ``n - n_max - 1`` is mode n in
     both, and a half block has no row for n < 0 (IndexError).
 
-    The vector form of ``_stencil``: the same snap, floor and weights, one
-    array operation for all points.  Points beyond |xi_max| read zero; the
-    rest sum four terms from +0 over the row's ``_padded`` copy, where a
-    node off the grid adds w * 0 = +-0 and so moves no value or zero sign.
+    The stencils are ``_stencils``', one array operation for all points.
+    Points beyond |xi_max| read zero; the rest sum four terms from +0 over
+    the row's ``_padded`` copy, where a node off the grid adds w * 0 = +-0
+    and so moves no value or zero sign.
     """
     grid.mode_index(n)  # |n| <= n_max
     row = coeffs[n - grid.n_max - 1]
@@ -283,14 +290,12 @@ def sample_mode(
     if counters is not None:
         counters.out_of_range_reads += int(pts.size - np.count_nonzero(inside))
         counters.note_edges(row)
-    s = (pts[inside] + grid.xi_max) / grid.d_xi
-    near = np.abs(s - np.round(s)) < 1e-9  # snap node reads to the stored values
-    s[near] = np.round(s[near])
-    b = np.floor(s).astype(np.int64)  # in 0 .. n_xi - 1, so b - 1 .. b + 2 lie in the padded row
+    # b lies in 0 .. n_xi - 1, so b - 1 .. b + 2 lie in the padded row
+    _, b, w = _stencils((pts[inside] + grid.xi_max) / grid.d_xi)
     padded, data = _padded(row.shape)
     data[...] = row
     acc = np.zeros(b.shape, dtype=np.complex128)
-    for m, wm in zip((-1, 0, 1, 2), _cubic_weights(s - b)):
+    for m, wm in zip((-1, 0, 1, 2), w):
         acc += wm * padded[b + (m + _PAD[0])]
     out = np.zeros(pts.shape, dtype=np.complex128)
     out[inside] = acc

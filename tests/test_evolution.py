@@ -34,12 +34,13 @@ def rhs(coeffs, t, zeta1, epsilon, sign=1.0):
     block, data = _padded(coeffs.shape)
     data[...] = coeffs
     out, got = _padded((GRID.n_max + 1, GRID.n_xi))
-    rhs_coeffs(block, t, zeta1, _RK4Work(GRID, PROFILE, epsilon, sign), out)
+    rhs_coeffs(block, 0, zeta1, _RK4Work(GRID, PROFILE, epsilon, sign, [t]), out)
     return got
 
 
 def readout(coeffs, t):
-    return extract_zeta(coeffs, GRID, t, TruncationCounters())
+    """``extract_zeta`` at t, the one node of a fresh work."""
+    return extract_zeta(coeffs, 0, _RK4Work(GRID, PROFILE, 0.0, 1.0, [t]), TruncationCounters())
 
 
 class TestRhs:
@@ -127,15 +128,19 @@ class TestExtractZeta:
             [GRID.xi_max, -GRID.xi_max, GRID.xi_max - 4e-10],
         ])
         k1, k2 = TruncationCounters(), TruncationCounters()
-        for t in times:
-            z1 = np.complex128(extract_zeta(coeffs, GRID, float(t), k1))
+        work = _RK4Work(GRID, PROFILE, 0.0, 1.0, times)  # every time a node of one plan table
+        for node, t in enumerate(times):
+            z1 = np.complex128(extract_zeta(coeffs, node, work, k1))
             z2 = sample_mode(coeffs, GRID, 1, [t], k2)[0]
             assert np.array([z1]).view(np.int64).tolist() == np.array([z2]).view(np.int64).tolist(), t
         assert k1.as_dict() == k2.as_dict()
 
     def test_beyond_cutoff_rejected(self):
-        with pytest.raises(ValueError):
-            readout(datum().coeffs, 30.0)
+        # the readout plans are made with the work, so a node past xi_max = 24
+        # fails there, before any march starts
+        for t in (30.0, 24.0 + 1e-9, -30.0):
+            with pytest.raises(ValueError, match="beyond the frequency cutoff"):
+                _RK4Work(GRID, PROFILE, 0.01, 1.0, [0.0, 12.0, t])
 
 
 class TestForwardSolve:
@@ -249,9 +254,9 @@ class TestForwardSolve:
         grid = make_grid(4, 12.0, 0.05, 8.0)
         inner = evolution.rhs_coeffs
 
-        def drifting(h, t, zeta, work, out):
-            inner(h, t, zeta, work, out)
-            if t > 5.0:
+        def drifting(h, node, zeta, work, out):
+            inner(h, node, zeta, work, out)
+            if work.t[node] > 5.0:
                 out[0, 1] += 1e-3  # the first data column; column 0 is padding
             return out
 

@@ -31,7 +31,7 @@ from hmflab.spectral import (
     TruncationCounters,
     _cubic_weights,
     _padded,
-    _shift_plan,
+    _shift_plans,
     make_grid,
     sample_mode,
     shift_rows,
@@ -153,17 +153,32 @@ def padding_is_zero(block, data):
     return np.count_nonzero(block) == np.count_nonzero(data)
 
 
+def plan(grid, delta):
+    """The ``shift_rows`` plan of one read at xi + delta."""
+    return _shift_plans(grid, [delta])[0].tolist()
+
+
+def on_node(grid, delta):
+    """Whether a read at xi + delta snaps onto a node, so ``shift_rows`` makes one copy."""
+    return bool(_shift_plans(grid, [delta])["on_node"][0])
+
+
+def node_times(grid):
+    """The TIMES a work on ``grid`` takes as nodes: one past xi_max has no readout plan."""
+    return [t for t in TIMES if abs(t) <= grid.xi_max]
+
+
 def shifted(c, grid, delta):
     """The data columns of ``shift_rows`` at xi + delta, into fresh buffers."""
     out, got = _padded(c.shape)
-    shift_rows(padded(c), _shift_plan(grid, delta), out, np.empty_like(out))
+    shift_rows(padded(c), plan(grid, delta), out, np.empty_like(out))
     return got
 
 
 def rhs_fresh(c, t, zeta, grid, profile, epsilon, sign=1.0):
-    """The data columns of ``rhs_coeffs`` on a work of its own, with no earlier plan or row."""
+    """The data columns of ``rhs_coeffs`` on a work whose one node is t, with no earlier row."""
     out, got = _padded((grid.n_max + 1, grid.n_xi))
-    rhs_coeffs(padded(c), t, zeta, _RK4Work(grid, profile, epsilon, sign), out)
+    rhs_coeffs(padded(c), 0, zeta, _RK4Work(grid, profile, epsilon, sign, [t]), out)
     return got
 
 
@@ -177,8 +192,7 @@ def test_shift_rows_bytes(size):
         for t in TIMES:
             for delta in (t, -t):
                 ref = reference_shift_rows(c, grid, delta)
-                plan = _shift_plan(grid, delta)
-                assert shift_rows(block, plan, out, scratch) is out  # buffers reused
+                assert shift_rows(block, plan(grid, delta), out, scratch) is out  # buffers reused
                 assert same_bytes(got, ref), (name, delta)
                 assert padding_is_zero(out, got), (name, delta)
 
@@ -188,16 +202,17 @@ def test_rhs_coeffs_bytes(size):
     grid = GRIDS[size]
     out, reused = _padded((grid.n_max + 1, grid.n_xi))
     zeta = 0.31 - 0.17j
+    times = node_times(grid)
     for eps in (0.0, 0.01, 1.0):
         for sign in (1.0, -1.0):
-            work = _RK4Work(grid, PROFILE, eps, sign)  # reused over every state and time
+            work = _RK4Work(grid, PROFILE, eps, sign, times)  # reused over every state and node
             for name, c in states(grid).items():
                 block = padded(c)
-                for t in TIMES:
+                for node, t in enumerate(times):
                     # rows 0 .. n_max; they read rows -1 .. n_max only
                     ref = reference_rhs_coeffs(c, t, zeta, grid, PROFILE, eps, sign)[grid.n_max :]
                     fresh = rhs_fresh(c, t, zeta, grid, PROFILE, eps, sign)
-                    assert rhs_coeffs(block, t, zeta, work, out) is out
+                    assert rhs_coeffs(block, node, zeta, work, out) is out
                     case = (name, t, eps, sign)
                     assert same_bytes(fresh, ref), case
                     assert same_bytes(reused, ref), case
@@ -282,19 +297,54 @@ def test_extract_zeta_matches_sample_mode():
             grid.xi[:4], grid.xi[-4:],  # stencil partly off the grid
             [grid.xi_max, -grid.xi_max, -0.0],
         ])
+        work = _RK4Work(grid, PROFILE, 0.0, 1.0, times)  # every time a node of one table
         for name, c in states(grid).items():
             ref_counters, got_counters = TruncationCounters(), TruncationCounters()
             ref = sample_mode(c, grid, 1, times, ref_counters)
-            got = np.array([extract_zeta(c, grid, t, got_counters) for t in times])
+            got = np.array([extract_zeta(c, node, work, got_counters)
+                            for node in range(len(times))])
             assert same_bytes(got, ref), (size, name)
             assert ref_counters.out_of_range_reads == got_counters.out_of_range_reads == 0
             assert ref_counters.max_edge_magnitude == got_counters.max_edge_magnitude
 
 
+# two backward windows from t = 0: (grid, T, d_t); the second is perfbench's tiny
+# continuation window (d_xi 0.1, d_t 0.1)
+TABLE_WINDOWS = {
+    "T8_9x481": (GRIDS["9x481"], 8.0, 0.05),
+    "tiny_9x141": (make_grid(4, 7.0, 0.1, 3.0), 3.0, 0.1),
+}
+
+
+@pytest.mark.parametrize("window", sorted(TABLE_WINDOWS))
+def test_plan_table_reads_match_references_at_every_node(window):
+    # a solve plans its reads once, in one vector pass over its half-step
+    # nodes; at every node the coupling's two reads are the scalar-stencil
+    # reference shifts and the readout is sample_mode at [t], byte for byte
+    grid, T, d_t = TABLE_WINDOWS[window]
+    h0 = make_asymptotic_datum(0.5, {1: 1.0, -1: 1.0}, 1.0, grid)
+    work = _Workspace(ScatteringConfig(terminal=h0, background=PROFILE, epsilon=0.5, T=T,
+                                       d_t=d_t)).rk4
+    assert work.plans.shape == (len(work.t), 3) and work.t[0] == 0.0
+    # at t = 0 the read at -t sits at -0.0 grid units, where the vector rule
+    # keeps the sign; it is a node read, so it is one shifted copy of every column
+    assert work.plans[0, 0].tolist()[:4] == (1, 1 + grid.n_xi, 0, True)
+    out, got = _padded((grid.n_modes, grid.n_xi))
+    scratch = np.empty_like(out)
+    for name, c in states(grid).items():
+        block = padded(c)
+        for node, t in enumerate(work.t):
+            for col, delta in ((0, -t), (1, t)):
+                shift_rows(block, work.plans[node, col].tolist(), out, scratch)
+                assert same_bytes(got, reference_shift_rows(c, grid, delta)), (name, node, col)
+            z = extract_zeta(c, node, work, TruncationCounters())
+            assert same_bytes(np.array([z]), sample_mode(c, grid, 1, [t])), (name, node)
+
+
 def test_rk4work_memo_matches_fresh_calls():
     # each work at t1, t2, t1, with two works of two backgrounds interleaved:
-    # the per-time tables must never hand a call the plan or rows of another
-    # time, nor one work's rows to the other
+    # the per-node tables must never hand a call the plan or rows of another
+    # node, nor one work's rows to the other
     grid = GRIDS["9x481"]
     c = states(grid)["perturbed"]
     block = padded(c)
@@ -304,21 +354,22 @@ def test_rk4work_memo_matches_fresh_calls():
     sequence = [(0.6, PROFILE), (1.2345, PROFILE), (0.6, PROFILE), (0.6, other),
                 (1.2345, other), (1.2345, PROFILE), (3.0, other), (0.6, other),
                 (1.2345, PROFILE), (0.6, PROFILE)]
+    times = [0.6, 1.2345, 3.0]
     for eps in (0.01, 0.0):
-        works = {id(p): _RK4Work(grid, p, eps, 1.0) for p in (PROFILE, other)}
+        works = {id(p): _RK4Work(grid, p, eps, 1.0, times) for p in (PROFILE, other)}
         for t, profile in sequence:
             ref = reference_rhs_coeffs(c, t, zeta, grid, profile, eps)[grid.n_max :]
             fresh = rhs_fresh(c, t, zeta, grid, profile, eps)
-            rhs_coeffs(block, t, zeta, works[id(profile)], out)
+            rhs_coeffs(block, times.index(t), zeta, works[id(profile)], out)
             assert same_bytes(fresh, ref), (t, eps)
             assert same_bytes(reused, ref), (t, eps)
 
 
 def test_stage_times_are_the_half_step_nodes(monkeypatch):
     # 160 steps of 0.05 read their stages at the 2 * 160 + 1 half-step nodes
-    # and nowhere else: a stage time formed as t + h/2 or t + h misses a node
-    # by one ulp in some steps, and each miss is one more eta' evaluation and
-    # one more plan-store entry
+    # and nowhere else: the plan table holds one row per node, and a stage
+    # that left the node table, or a repeat of a node the memo should keep,
+    # is one more eta' evaluation
     grid = GRIDS["9x481"]
     calls = []
 
@@ -337,13 +388,13 @@ def test_stage_times_are_the_half_step_nodes(monkeypatch):
     monkeypatch.setattr(evolution, "_RK4Work", RecordedWork)
     h0 = make_asymptotic_datum(0.5, {1: 1.0, -1: 1.0}, 1.0, grid)
     forward_solve(h0, EvolutionParams(profile=profile, epsilon=0.2, d_t=0.05, t_final=8.0))
-    assert len(calls) == len(works[0]._plans) == 321
+    assert len(calls) == len(works[0].plans) == 321
 
     ws = _Workspace(ScatteringConfig(terminal=h0, background=profile, epsilon=0.5, T=8.0,
                                      d_t=0.05))
     calls.clear()
     ws.transport(np.full(len(ws.t_z), 0.01 + 0.02j))
-    assert len(calls) == len(ws.rk4._plans) == 321
+    assert len(calls) == len(ws.rk4.plans) == 321
 
 
 def test_workspace_reused_over_two_sweeps_matches_fresh():
@@ -419,11 +470,11 @@ def test_shift_rows_near_nodes_and_at_the_cutoff(size):
         block = padded(c)
         for delta in deltas:
             ref = reference_shift_rows(c, grid, delta)
-            shift_rows(block, _shift_plan(grid, delta), out, scratch)
+            shift_rows(block, plan(grid, delta), out, scratch)
             assert same_bytes(got, ref), (name, delta)
             assert padding_is_zero(out, got), (name, delta)
-    assert _shift_plan(grid, deltas[0]).weights is None  # node reads take the copy
-    assert _shift_plan(grid, deltas[3]).weights is not None
+    assert on_node(grid, deltas[0])  # node reads take the copy
+    assert not on_node(grid, deltas[3])
     c = states(grid)["perturbed"]
     assert np.count_nonzero(shifted(c, grid, edge)) == grid.n_modes  # column 0 only
     assert same_bytes(shifted(c, grid, edge)[:, 0], 0.0 + c[:, -1])
@@ -439,7 +490,7 @@ def test_off_node_read_just_below_the_cutoff_reads_zero(size):
     c = states(grid)["perturbed"]
     for k in (0, 1, 2):
         delta = -(k + 1e-9) * grid.d_xi
-        assert _shift_plan(grid, delta).weights is not None
+        assert not on_node(grid, delta)
         got = shifted(c, grid, delta)
         assert not got[:, : k + 1].any()
         assert not sample_mode(c, grid, 1, grid.xi[: k + 1] + delta).any()
@@ -455,7 +506,7 @@ def test_off_node_read_just_above_the_cutoff_reads_zero(size):
     for k in (0, 1, 2):
         delta = (k + 1e-9) * grid.d_xi
         edge = grid.n_xi - 1 - k
-        assert _shift_plan(grid, delta).weights is not None
+        assert not on_node(grid, delta)
         got = shifted(c, grid, delta)
         assert not got[:, edge:].any()
         assert not sample_mode(c, grid, 1, grid.xi[edge:] + delta).any()

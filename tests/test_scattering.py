@@ -164,8 +164,8 @@ class TestBackwardSolve:
         assert expected[mode] in trace.failure
 
     def test_late_blow_up_keeps_last_completed_sweep(self, tmp_path):
-        # sweep 3's transport overflows; the run returns sweep 2's snapshots,
-        # byte for byte those of the same window stopped after two sweeps
+        # sweep 3's transport overflows; the run returns sweep 2's snapshots
+        # and field, byte for byte those of the same window stopped after two sweeps
         grid = make_grid(3, 12.0, 0.1, 8.0)
         cfg = config(terminal=datum(amplitude=16.0, width=2.0, grid=grid), epsilon=1.0,
                      T=2.0, d_t=0.02, picard_max_iters=8)
@@ -175,6 +175,7 @@ class TestBackwardSolve:
         stopped, short = backward_solve(replace(cfg, picard_max_iters=2))
         assert short.failure == "no convergence in 2 iterations"
         assert blown.snapshots.tobytes() == stopped.snapshots.tobytes()
+        assert blown.series.zeta1.tobytes() == stopped.series.zeta1.tobytes()
         for name, traj in (("blown", blown), ("stopped", stopped)):
             write_snapshots(tmp_path / f"{name}.bin", tmp_path / f"{name}.json", traj)
         assert (tmp_path / "blown.bin").read_bytes() == (tmp_path / "stopped.bin").read_bytes()

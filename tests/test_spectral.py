@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,9 @@ from hmflab.spectral import (
     FourierField,
     GridError,
     TruncationCounters,
+    _cubic_weights,
     _padded,
-    _shift_plan,
-    _stencil,
+    _shift_plans,
     enforce_reality,
     expand_half,
     make_grid,
@@ -102,7 +104,7 @@ class TestEvalShifted:
         block, data = _padded(coeffs.shape)  # the layout shift_rows reads and writes
         data[...] = coeffs
         out, shifted = _padded(coeffs.shape)
-        shift_rows(block, _shift_plan(g, -3.137), out, np.empty_like(out))
+        shift_rows(block, _shift_plans(g, [-3.137])[0].tolist(), out, np.empty_like(out))
         per_row = sample_mode(coeffs, g, 2, g.xi - 3.137)
         assert np.max(np.abs(shifted[g.mode_index(2)] - per_row)) < 1e-12
 
@@ -146,12 +148,21 @@ def probe_points(grid, seed):
     ])
 
 
+def scalar_stencil(x, grid):
+    """The stencil of a read at x in scalar arithmetic: snap within 1e-9, floor, weights."""
+    s = (x + grid.xi_max) / grid.d_xi
+    if abs(s - round(s)) < 1e-9:
+        s = float(round(s))
+    b = math.floor(s)
+    return b, _cubic_weights(s - b)
+
+
 def scalar_read(row, grid, x):
     """One read as the stencil defines it: its in-range nodes added in order from complex +0."""
     acc = np.complex128(0.0)
     if abs(x) > grid.xi_max:
         return acc
-    _, b, w = _stencil((x + grid.xi_max) / grid.d_xi)
+    b, w = scalar_stencil(x, grid)
     for m, wm in zip((-1, 0, 1, 2), w):
         if 0 <= b + m < grid.n_xi:
             acc += wm * row[b + m]
@@ -197,7 +208,7 @@ class TestPointReadBits:
         expect = np.zeros(pts.shape, dtype=bool)
         for i, x in enumerate(pts):
             if abs(x) <= g.xi_max:
-                _, b, _ = _stencil((x + g.xi_max) / g.d_xi)
+                b, _ = scalar_stencil(x, g)
                 expect[i] = b - 1 <= col <= b + 2
         assert np.array_equal(np.isnan(got), expect)
         assert expect.sum() >= 4
